@@ -140,6 +140,12 @@ def _build_pattern(eog, angles, correction_text, seed):
         g = parse_gflow(correction_text)
         return pattern_from_gflow(eog, angles, g), angles
     maps = parse_corrective_maps(correction_text)
+    for side, keyed in (("x", maps.x), ("z", maps.z)):
+        if frozenset(keyed) != eog.measured:
+            raise OpenGraphError(
+                f'corrective map "{side}" must assign exactly the measured '
+                f"vertices {sorted(eog.measured)}, got {sorted(keyed)}"
+            )
     f = {u: maps.x[u] | maps.z[u] for u in eog.measured}
     order = extensivity_order(eog.graph, eog.outputs, f)
     return Pattern(eog, angles, maps, order.schedule(eog.measured)), angles
@@ -161,7 +167,18 @@ def cmd_simulate(args):
             size=2 ** len(in_qubits)
         )
         input_state = Statevector(in_qubits, amps / np.linalg.norm(amps))
-    results = run_all_branches(pattern, input_state, args.branch_bound)
+    try:
+        results = run_all_branches(pattern, input_state, args.branch_bound)
+    except BranchLimitError as exc:
+        _emit(
+            {
+                "error": str(exc),
+                "measured": len(pattern.schedule),
+                "branch_bound": args.branch_bound,
+            }
+        )
+        print(str(exc), file=sys.stderr)
+        return RESOURCE
     report = check_determinism(results, args.tol)
     doc = report.to_dict()
     doc["seed"] = args.seed
@@ -279,9 +296,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except BranchLimitError as exc:
-        print(str(exc), file=sys.stderr)
-        return RESOURCE
     except (OpenGraphError, ValueError) as exc:
         print(str(exc), file=sys.stderr)
         return INPUT_ERROR

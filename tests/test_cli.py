@@ -162,6 +162,28 @@ class TestSimulate:
     def test_branch_bound_exceeded(self, capsys, graph_file, gflow_file):
         assert main(["simulate", graph_file, gflow_file, "--branch-bound", "1"]) == 3
 
+    def test_branch_bound_exceeded_emits_one_json_line(
+        self, capsys, graph_file, gflow_file
+    ):
+        code = main(["simulate", graph_file, gflow_file, "--branch-bound", "1"])
+        captured = capsys.readouterr()
+        assert code == 3
+        lines = captured.out.splitlines()
+        assert len(lines) == 1
+        doc = json.loads(lines[0])
+        assert doc["measured"] == 2 and doc["branch_bound"] == 1
+        assert doc["error"] in captured.err
+
+    def test_corrective_maps_missing_vertex(self, capsys, graph_file, tmp_path):
+        maps = {"x": {"1": [2]}, "z": {"1": [3]}}
+        mp = tmp_path / "maps.json"
+        mp.write_text(json.dumps(maps))
+        code = main(["simulate", graph_file, str(mp)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "must assign exactly the measured vertices" in captured.err
+
     def test_corrective_maps_input(self, capsys, graph_file, tmp_path):
         maps = {"x": {"1": [2], "2": [3]}, "z": {"1": [3], "2": []}}
         mp = tmp_path / "maps.json"

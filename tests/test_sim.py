@@ -24,7 +24,8 @@ from gflownf import (
     run_branch,
     strip_corrections,
 )
-from gflownf.sim import Pattern, inner
+import gflownf.sim as sim
+from gflownf.sim import Pattern, _run_measurements, inner
 from gflownf.gflow import CorrectiveMaps
 from gflownf.instances import random_instance
 
@@ -252,3 +253,131 @@ class TestIsometry:
             assert np.allclose(
                 matrix.conj().T @ matrix, np.eye(dim_in), atol=1e-8
             )
+
+
+def flat_replay(pattern, input_state):
+    """Every branch replayed from the prepared state, in binary-counter order."""
+    prepared = prepare(pattern.eog.graph, pattern.eog.inputs, input_state)
+    k = len(pattern.schedule)
+    return [
+        _run_measurements(
+            pattern,
+            prepared.copy(),
+            {u: (code >> (k - 1 - i)) & 1 for i, u in enumerate(pattern.schedule)},
+        )
+        for code in range(2**k)
+    ]
+
+
+def assert_bit_identical(results, expected):
+    assert len(results) == len(expected)
+    for r, e in zip(results, expected):
+        assert list(r.signals.items()) == list(e.signals.items())
+        assert r.probability == e.probability
+        assert r.output_state.qubits == e.output_state.qubits
+        assert np.array_equal(r.output_state.amplitudes, e.output_state.amplitudes)
+
+
+def random_input(in_qubits, rng):
+    amps = rng.normal(size=2 ** len(in_qubits)) + 1j * rng.normal(
+        size=2 ** len(in_qubits)
+    )
+    return Statevector(in_qubits, amps / np.linalg.norm(amps))
+
+
+@pytest.fixture
+def zero_branch_pattern():
+    """Isolated input 0 in |0> measured along Z: outcome 1 never occurs."""
+    graph = Graph(frozenset({0, 1, 2}), frozenset({(1, 2)}))
+    eog = ExtendedOpenGraph(
+        graph, frozenset({0}), frozenset({2}), {0: Plane.XZ, 1: Plane.XY}
+    )
+    empty = {0: frozenset(), 1: frozenset()}
+    pattern = Pattern(
+        eog, {0: math.pi / 2, 1: 0.7}, CorrectiveMaps(empty, dict(empty)), (0, 1)
+    )
+    return pattern, basis_state((0,), 0)
+
+
+class TestSharedPrefixWalk:
+    PAULI_ANGLES = (0.0, math.pi / 2, math.pi)
+
+    def test_matches_flat_replay_on_random_patterns(self):
+        rng = random.Random(17)
+        nrng = np.random.default_rng(17)
+        checked = 0
+        while checked < 120:
+            eog = random_instance(rng, rng.randint(2, 7), force_input_xy=True)
+            if len(eog.inputs) > 3:
+                continue
+            g = find_gflow(eog)
+            if g is None:
+                continue
+            checked += 1
+            pauli = checked % 2 == 0
+            angles = {
+                u: rng.choice(self.PAULI_ANGLES) if pauli else rng.uniform(0.1, 6.2)
+                for u in eog.measured
+            }
+            pattern = pattern_from_gflow(eog, angles, g)
+            in_qubits = tuple(sorted(eog.inputs))
+            for p in (pattern, strip_corrections(pattern)):
+                for inp in (basis_state(in_qubits, 0), random_input(in_qubits, nrng)):
+                    assert_bit_identical(
+                        run_all_branches(p, inp), flat_replay(p, inp)
+                    )
+
+    def test_matches_flat_replay_on_census(self, small_sweep):
+        rng = random.Random(23)
+        for eog, g in small_sweep[::16]:
+            angles = {u: rng.choice(self.PAULI_ANGLES) for u in eog.measured}
+            pattern = pattern_from_gflow(eog, angles, g)
+            inp = basis_state(tuple(sorted(eog.inputs)), 0)
+            assert_bit_identical(
+                run_all_branches(pattern, inp), flat_replay(pattern, inp)
+            )
+
+    def test_zero_probability_subtree(self, zero_branch_pattern):
+        pattern, inp = zero_branch_pattern
+        results = run_all_branches(pattern, inp)
+        assert_bit_identical(results, flat_replay(pattern, inp))
+        zero = [tuple(r.signals.values()) for r in results if r.probability == 0.0]
+        assert zero == [(1, 0), (1, 1)]
+        for r in results[2:]:
+            assert r.output_state.qubits == (2,)
+            assert not r.output_state.amplitudes.any()
+
+    @staticmethod
+    def count_measure(monkeypatch):
+        calls = []
+        original = sim.measure
+
+        def counting(*args):
+            calls.append(args[1])
+            return original(*args)
+
+        monkeypatch.setattr(sim, "measure", counting)
+        return calls
+
+    def test_measure_calls_shared_across_prefixes(self, monkeypatch):
+        graph = Graph(
+            frozenset(range(5)), frozenset((i, i + 1) for i in range(4))
+        )
+        eog = ExtendedOpenGraph(
+            graph, frozenset({0}), frozenset({4}), {u: Plane.XY for u in range(4)}
+        )
+        angles = {0: 0.3, 1: 1.1, 2: 2.5, 3: 4.0}
+        pattern = pattern_from_gflow(eog, angles, find_gflow(eog))
+        calls = self.count_measure(monkeypatch)
+        results = run_all_branches(pattern, basis_state((0,), 0))
+        assert len(results) == 16
+        assert all(r.probability > 0 for r in results)
+        assert len(calls) == 2 ** (4 + 1) - 2
+
+    def test_zero_probability_outcome_not_descended(
+        self, monkeypatch, zero_branch_pattern
+    ):
+        pattern, inp = zero_branch_pattern
+        calls = self.count_measure(monkeypatch)
+        run_all_branches(pattern, inp)
+        assert len(calls) == 4
