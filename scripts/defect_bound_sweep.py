@@ -3,10 +3,11 @@
 
 Sweeps every extended open graph up to --max-vertices, and for each
 instance whose off-sigma count exceeds the input defect checks by
-restricted enumeration whether a sigma-NF gflow exists anyway.  The Z
-numbers come out clean; the Y sweep surfaces genuine counterexamples,
-the smallest being the complete 3-vertex graph with one output and
-both measured vertices in the XZ plane.
+restricted enumeration whether a sigma-NF gflow exists anyway.  A
+search that finds none before its limit is counted as undecided, not
+as a clean result.  The Z numbers come out clean; the Y sweep surfaces
+genuine counterexamples, the smallest being the complete 3-vertex graph
+with one output and both measured vertices in the XZ plane.
 """
 
 import argparse
@@ -30,7 +31,10 @@ def main():
     )
     args = parser.parse_args()
 
-    stats = {s: {"instances": 0, "exceeding": 0, "violations": 0} for s in "YZ"}
+    stats = {
+        s: {"instances": 0, "exceeding": 0, "violations": 0, "undecided": 0}
+        for s in "YZ"
+    }
     examples = {s: [] for s in "YZ"}
     for eog in all_instances(args.max_vertices):
         if not check_input_planes(eog) or find_gflow(eog) is None:
@@ -57,13 +61,16 @@ def main():
                             },
                         }
                     )
+            elif not hit.exhausted:
+                rec["undecided"] += 1
 
     for sigma in "YZ":
         rec = stats[sigma]
         print(
             f"{sigma}: {rec['instances']} instances with gflow, "
             f"{rec['exceeding']} exceed the bound, "
-            f"{rec['violations']} of those still have a {sigma}-NF gflow"
+            f"{rec['violations']} of those still have a {sigma}-NF gflow, "
+            f"{rec['undecided']} undecided (search limit hit)"
         )
         for ex in examples[sigma]:
             print(f"  counterexample: {json.dumps(ex, sort_keys=True)}")

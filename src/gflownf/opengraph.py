@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -175,10 +176,18 @@ class ExtendedOpenGraph:
         return len(self.outputs) - len(self.inputs)
 
 
+def _is_id(v) -> bool:
+    """A JSON integer; ``true``/``false`` are not vertex ids."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _int_list(doc, key):
     val = doc.get(key)
-    if not isinstance(val, list) or not all(isinstance(v, int) for v in val):
+    if not isinstance(val, list) or not all(_is_id(v) for v in val):
         raise OpenGraphError(f'"{key}" must be a list of integers')
+    dups = sorted(v for v, n in Counter(val).items() if n > 1)
+    if dups:
+        raise OpenGraphError(f'"{key}" lists ids more than once: {dups}')
     return val
 
 
@@ -200,7 +209,7 @@ def parse_open_graph_document(text: str):
         if (
             not isinstance(e, list)
             or len(e) != 2
-            or not all(isinstance(v, int) for v in e)
+            or not all(_is_id(v) for v in e)
         ):
             raise OpenGraphError(f"malformed edge {e!r}")
         edges.add((e[0], e[1]))

@@ -1,7 +1,8 @@
 """Gflow discovery: layered GF(2) finder plus a brute-force oracle.
 
-The finder works backwards from the outputs, solving a small GF(2)
-system per vertex per round; the enumerator checks every candidate map
+The finder works backwards from the outputs, one round per layer; each
+round runs a single GF(2) elimination whose right-hand sides cover every
+unsolved vertex at once. The enumerator checks every candidate map
 (after per-vertex pruning) and serves as the correctness oracle.
 """
 
@@ -132,103 +133,80 @@ def brute_force_enumerate(
     return GflowEnumeration(eog, tuple(found), exhausted)
 
 
-def _gf2_solve(rows, col_mask):
-    """Solve the GF(2) system; free variables 0; None when inconsistent."""
-    work = [list(r) for r in rows]
-    pivot_rows = []
-    used = set()
-    m = col_mask
-    while m:
-        b = m & -m
-        m ^= b
-        idx = None
-        for i, (mask, _) in enumerate(work):
-            if i not in used and mask & b:
-                idx = i
-                break
-        if idx is None:
-            continue
-        used.add(idx)
-        pivot_rows.append((b, idx))
-        pm, pr = work[idx]
-        for j, (mask, rhs) in enumerate(work):
-            if j != idx and mask & b:
-                work[j][0] = mask ^ pm
-                work[j][1] = rhs ^ pr
-    for mask, rhs in work:
-        if mask == 0 and rhs:
-            return None
-    sol = 0
-    for b, i in pivot_rows:
-        if work[i][1]:
-            sol |= b
-    return sol
-
-
-def _solve_corrector_set(eog, u, c_mask, i_mask, v_mask):
-    """Corrector mask for u with all dependencies inside c_mask, or None."""
-    plane = eog.planes[u]
-    ubit = 1 << u
-    force_u = plane is not Plane.XY
-    if force_u and ubit & i_mask:
-        return None
-    cols = c_mask & ~i_mask
-    adj = eog.graph.adjacency_masks
-    rows = []
-    outside = v_mask & ~(c_mask | ubit)
-    m = outside
-    while m:
-        b = m & -m
-        m ^= b
-        w = b.bit_length() - 1
-        coeff = adj[w] & cols
-        rhs = (adj[w] >> u) & 1 if force_u else 0
-        if coeff == 0:
-            if rhs:
-                return None
-        else:
-            rows.append((coeff, rhs))
-    rhs_u = 1 if plane in (Plane.XY, Plane.XZ) else 0
-    coeff_u = adj[u] & cols
-    if coeff_u == 0:
-        if rhs_u:
-            return None
-    else:
-        rows.append((coeff_u, rhs_u))
-    sol = _gf2_solve(rows, cols)
-    if sol is None:
-        return None
-    return sol | ubit if force_u else sol
-
-
 def _find_gflow_rounds(eog: ExtendedOpenGraph):
     """Backward layered search; returns (gflow-or-None, rounds).
 
     rounds[u] counts from the outputs: round 1 holds the last-measured
     vertices, higher rounds are measured earlier.
+
+    Each round runs one GF(2) elimination for all unsolved vertices. With
+    C the outputs plus the vertices solved so far, u is solvable when some
+    K inside C minus the inputs, joined by u itself when u is not XY
+    (``force``), has an odd neighbourhood that meets the unsolved vertices
+    only at u, and at u exactly when u is XY or XZ (``rhs1``). The matrix,
+    row w = adj[w] & cols for each unsolved w, is the same for every u;
+    only the right-hand side depends on u, so row w carries it as a
+    bitmask over vertex ids: bit u is set when u is forced and adjacent
+    to w, or when w = u lies in rhs1. A row reduced to zero fails every u
+    in its right-hand side (bits of vertices solved earlier ride along
+    unread). Each row pivots on its lowest set bit, which picks the
+    lowest-first column basis, so u's solution with free variables 0 is
+    the one a separate elimination for u gives.
     """
-    measured = sorted(eog.measured)
+    adj = eog.graph.adjacency_masks
     i_mask = set_to_mask(eog.inputs)
-    v_mask = set_to_mask(eog.vertices)
     c_mask = set_to_mask(eog.outputs)
-    unsolved = list(measured)
+    force = rhs1 = 0
+    for u, plane in eog.planes.items():
+        if plane is not Plane.XY:
+            force |= 1 << u
+        if plane is not Plane.YZ:
+            rhs1 |= 1 << u
+    unsolved = force | rhs1  # the measured vertices: each has a plane
     assignment: dict[int, int] = {}
     rounds: dict[int, int] = {}
     round_no = 0
     while unsolved:
-        solved = []
-        for u in unsolved:
-            k = _solve_corrector_set(eog, u, c_mask, i_mask, v_mask)
-            if k is not None:
-                assignment[u] = k
-                solved.append(u)
+        cols = c_mask & ~i_mask
+        failed = force & i_mask
+        pivots: dict[int, list[int]] = {}
+        m = unsolved
+        while m:
+            b = m & -m
+            m ^= b
+            nbrs = adj[b.bit_length() - 1]
+            coeff = nbrs & cols
+            rhs = (nbrs & force) | (b & rhs1)
+            for p, (pc, pr) in pivots.items():
+                if coeff & p:
+                    coeff ^= pc
+                    rhs ^= pr
+            if not coeff:
+                failed |= rhs
+                continue
+            p = coeff & -coeff
+            for row in pivots.values():
+                if row[0] & p:
+                    row[0] ^= coeff
+                    row[1] ^= rhs
+            pivots[p] = [coeff, rhs]
+        solved = unsolved & ~failed
         if not solved:
             return None, rounds
         round_no += 1
-        for u in solved:
+        m = solved
+        while m:
+            b = m & -m
+            m ^= b
+            k = b & force
+            for p, (_, pr) in pivots.items():
+                if pr & b:
+                    k |= p
+            u = b.bit_length() - 1
+            assignment[u] = k
             rounds[u] = round_no
-            c_mask |= 1 << u
-        unsolved = [u for u in unsolved if u not in assignment]
+        c_mask |= solved
+        unsolved ^= solved
     gflow = Gflow({u: mask_to_set(k) for u, k in assignment.items()})
     return gflow, rounds
 

@@ -71,6 +71,22 @@ class TestFindAndEnumerate:
         p.write_text(json.dumps(doc))
         assert main(["find", str(p)]) == 1
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("vertices", [True, 2, 3]), ("edges", [[True, 2], [2, 3]]),
+         ("vertices", [1, 2, 3, 3]), ("inputs", [1, 1])],
+    )
+    def test_find_rejects_bool_and_duplicate_ids(self, capsys, tmp_path, key, value):
+        doc = json.loads(PATH_DOC)
+        doc[key] = value
+        p = tmp_path / "g.json"
+        p.write_text(json.dumps(doc))
+        code = main(["find", str(p)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+
     def test_enumerate_path(self, capsys, graph_file):
         code, doc = run(capsys, ["enumerate", graph_file])
         assert code == 0

@@ -218,6 +218,7 @@ class TestDefectBound:
                 continue
             hit = brute_force_enumerate(eog, 100_000, nf_sigma="Z", stop_after=1)
             assert not hit.gflows
+            assert hit.exhausted  # a search cut off by its limit decides nothing
 
     def test_four_vertex_non_necessity_shape(self):
         # Search the 4-vertex family for an instance with one XZ-measured

@@ -155,6 +155,31 @@ class TestSerialization:
         with pytest.raises(OpenGraphError):
             parse_open_graph_document(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("vertices", [True, 2, 3]),
+            ("inputs", [True]),
+            ("edges", [[True, 2], [2, 3]]),
+        ],
+    )
+    def test_bool_id_rejected(self, key, value):
+        # JSON true is a Python int equal to 1; it must not pass as vertex 1.
+        doc = json.loads(PATH_DOC)
+        doc[key] = value
+        with pytest.raises(OpenGraphError):
+            parse_open_graph(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("vertices", [1, 2, 3, 2]), ("inputs", [1, 1]), ("outputs", [3, 3])],
+    )
+    def test_duplicate_id_rejected(self, key, value):
+        doc = json.loads(PATH_DOC)
+        doc[key] = value
+        with pytest.raises(OpenGraphError, match="more than once"):
+            parse_open_graph(json.dumps(doc))
+
 
 class TestExtendedOpenGraph:
     def test_inputs_must_be_vertices(self):

@@ -12,8 +12,141 @@ from gflownf import (
     odd_neighbourhood,
     verify_gflow,
 )
+from gflownf.gflow import Gflow
+from gflownf.opengraph import mask_to_set, set_to_mask
 from gflownf.search import _find_gflow_rounds
-from gflownf.instances import random_instance
+from gflownf.instances import all_instances, random_instance
+
+
+def grid_cluster(rng, w, h):
+    """A w x h cluster: inputs left, outputs right, all XY, ids a seeded permutation.
+
+    Returns the instance and vid, the map from grid position (x, y) to id.
+    """
+    ids = list(range(w * h))
+    rng.shuffle(ids)
+
+    def vid(x, y):
+        return ids[x * h + y]
+
+    edges = [(vid(x, y), vid(x + 1, y)) for x in range(w - 1) for y in range(h)]
+    edges += [(vid(x, y), vid(x, y + 1)) for x in range(w) for y in range(h - 1)]
+    eog = ExtendedOpenGraph(
+        Graph(frozenset(ids), frozenset(edges)),
+        frozenset(vid(0, y) for y in range(h)),
+        frozenset(vid(w - 1, y) for y in range(h)),
+        {vid(x, y): Plane.XY for x in range(w - 1) for y in range(h)},
+    )
+    return eog, vid
+
+
+# Reference finder: one fresh GF(2) system per unsolved vertex per round.
+# The shared elimination in _find_gflow_rounds must reproduce its gflows
+# and rounds bit for bit.
+
+
+def _oracle_gf2_solve(rows, col_mask):
+    work = [list(r) for r in rows]
+    pivot_rows = []
+    used = set()
+    m = col_mask
+    while m:
+        b = m & -m
+        m ^= b
+        idx = None
+        for i, (mask, _) in enumerate(work):
+            if i not in used and mask & b:
+                idx = i
+                break
+        if idx is None:
+            continue
+        used.add(idx)
+        pivot_rows.append((b, idx))
+        pm, pr = work[idx]
+        for j, (mask, rhs) in enumerate(work):
+            if j != idx and mask & b:
+                work[j][0] = mask ^ pm
+                work[j][1] = rhs ^ pr
+    for mask, rhs in work:
+        if mask == 0 and rhs:
+            return None
+    sol = 0
+    for b, i in pivot_rows:
+        if work[i][1]:
+            sol |= b
+    return sol
+
+
+def _oracle_solve_corrector_set(eog, u, c_mask, i_mask, v_mask):
+    plane = eog.planes[u]
+    ubit = 1 << u
+    force_u = plane is not Plane.XY
+    if force_u and ubit & i_mask:
+        return None
+    cols = c_mask & ~i_mask
+    adj = eog.graph.adjacency_masks
+    rows = []
+    outside = v_mask & ~(c_mask | ubit)
+    m = outside
+    while m:
+        b = m & -m
+        m ^= b
+        w = b.bit_length() - 1
+        coeff = adj[w] & cols
+        rhs = (adj[w] >> u) & 1 if force_u else 0
+        if coeff == 0:
+            if rhs:
+                return None
+        else:
+            rows.append((coeff, rhs))
+    rhs_u = 1 if plane in (Plane.XY, Plane.XZ) else 0
+    coeff_u = adj[u] & cols
+    if coeff_u == 0:
+        if rhs_u:
+            return None
+    else:
+        rows.append((coeff_u, rhs_u))
+    sol = _oracle_gf2_solve(rows, cols)
+    if sol is None:
+        return None
+    return sol | ubit if force_u else sol
+
+
+def oracle_find_gflow_rounds(eog):
+    measured = sorted(eog.measured)
+    i_mask = set_to_mask(eog.inputs)
+    v_mask = set_to_mask(eog.vertices)
+    c_mask = set_to_mask(eog.outputs)
+    unsolved = list(measured)
+    assignment = {}
+    rounds = {}
+    round_no = 0
+    while unsolved:
+        solved = []
+        for u in unsolved:
+            k = _oracle_solve_corrector_set(eog, u, c_mask, i_mask, v_mask)
+            if k is not None:
+                assignment[u] = k
+                solved.append(u)
+        if not solved:
+            return None, rounds
+        round_no += 1
+        for u in solved:
+            rounds[u] = round_no
+            c_mask |= 1 << u
+        unsolved = [u for u in unsolved if u not in assignment]
+    gflow = Gflow({u: mask_to_set(k) for u, k in assignment.items()})
+    return gflow, rounds
+
+
+def assert_same_as_oracle(eog):
+    got_g, got_rounds = _find_gflow_rounds(eog)
+    want_g, want_rounds = oracle_find_gflow_rounds(eog)
+    assert (got_g is None) == (want_g is None)
+    if want_g is not None:
+        assert got_g.assignments == want_g.assignments
+    assert got_rounds == want_rounds
+    return want_g is not None
 
 
 class TestBruteForce:
@@ -130,3 +263,41 @@ class TestExistsNormalForm:
             for sigma in "XYZ":
                 truth = any(check_normal_form(eog, g, sigma) for g in enum.gflows)
                 assert exists_normal_form(eog, sigma) is truth
+
+
+class TestSharedElimination:
+    """The one-elimination-per-round finder against the per-vertex oracle."""
+
+    def test_census(self):
+        found = sum(assert_same_as_oracle(eog) for eog in all_instances(4))
+        assert found > 0
+
+    def test_random_instances(self):
+        rng = random.Random(53)
+        found = 0
+        for _ in range(10_000):
+            eog = random_instance(
+                rng, rng.randint(3, 12), rng.uniform(0.2, 0.8),
+                force_input_xy=rng.random() < 0.5,
+            )
+            found += assert_same_as_oracle(eog)
+        assert found > 500
+
+    def test_permuted_grids(self):
+        rng = random.Random(59)
+        for w, h in ((2, 1), (3, 2), (6, 3), (8, 4), (12, 5)):
+            eog, _ = grid_cluster(rng, w, h)
+            assert assert_same_as_oracle(eog)
+
+    def test_wide_grid_contract(self):
+        # 80 x 8 = 640 vertices: every vertex in column x lands in round
+        # w - 1 - x, the maximally delayed layering.
+        w, h = 80, 8
+        eog, vid = grid_cluster(random.Random(61), w, h)
+        g, rounds = _find_gflow_rounds(eog)
+        assert g is not None
+        assert find_gflow(eog) == g
+        assert verify_gflow(eog, g).valid
+        assert rounds == {
+            vid(x, y): w - 1 - x for x in range(w - 1) for y in range(h)
+        }
