@@ -5,12 +5,10 @@ from .opengraph import (
     Graph,
     OpenGraphError,
     Plane,
-    induced_edge_count,
     odd_neighbourhood,
     parse_open_graph,
     parse_open_graph_document,
     serialize_open_graph,
-    symmetric_difference,
 )
 from .gflow import (
     CorrectiveMaps,

@@ -16,6 +16,7 @@ import numpy as np
 
 from .opengraph import (
     OpenGraphError,
+    _load_json,
     parse_open_graph_document,
     serialize_open_graph,
 )
@@ -135,7 +136,7 @@ def _build_pattern(eog, angles, correction_text, seed):
         maps = CorrectiveMaps(empty, dict(empty))
         schedule = tuple(sorted(eog.measured))
         return Pattern(eog, angles, maps, schedule), angles
-    doc = json.loads(correction_text)
+    doc = _load_json(correction_text)
     if isinstance(doc, dict) and "g" in doc:
         g = parse_gflow(correction_text)
         return pattern_from_gflow(eog, angles, g), angles
@@ -154,10 +155,7 @@ def _build_pattern(eog, angles, correction_text, seed):
 def cmd_simulate(args):
     eog, angles = parse_open_graph_document(_read(args.graph))
     correction_text = _read(args.gflow) if args.gflow else None
-    try:
-        pattern, angles = _build_pattern(eog, angles, correction_text, args.seed)
-    except json.JSONDecodeError as exc:
-        raise OpenGraphError(f"invalid JSON: {exc}") from exc
+    pattern, angles = _build_pattern(eog, angles, correction_text, args.seed)
     in_qubits = tuple(sorted(eog.inputs))
     if args.input == "basis":
         input_state = basis_state(in_qubits, 0)

@@ -1,13 +1,15 @@
-"""Gflow candidates, extensivity, verification, normal-form predicates.
+"""Gflow verification, extensivity and normal forms on one bitmask core.
 
 A gflow assigns each measured vertex a corrector set drawn from the
-non-inputs; validity combines a per-vertex plane condition with global
-extensivity (the induced dependency digraph must be acyclic).
+non-inputs; it is valid when the plane condition holds at every vertex and
+f(u) = g(u) | Odd(g(u)) has an acyclic dependency digraph (Browne, Kashefi,
+Mhalla and Perdrix, NJP 2007). Each rule is defined once, on int bitmasks,
+and shared by search, focusing and simulation: ``_plane_holds``,
+``_sigma_target``, ``_off_sigma``, ``_f_order`` and the Kahn peel ``_peel``.
 """
 
 from __future__ import annotations
 
-import heapq
 import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -17,10 +19,35 @@ from .opengraph import (
     Graph,
     OpenGraphError,
     Plane,
+    _id_set_map,
+    _load_json,
+    _vertex_mask,
+    mask_to_set,
+    odd_mask,
     odd_neighbourhood,
+    set_to_mask,
 )
 
 AXES = ("X", "Y", "Z")
+
+# (u in g(u), u in Odd(g(u))) as the plane of u demands.
+_PLANE_BITS = {Plane.XY: (0, 1), Plane.XZ: (1, 1), Plane.YZ: (1, 0)}
+
+
+def _plane_holds(plane: Plane, u: int, g: int, odd: int) -> bool:
+    """The gflow condition at u, for corrector mask g and odd = Odd(g)."""
+    return (g >> u & 1, odd >> u & 1) == _PLANE_BITS[plane]
+
+
+def _sigma_target(sigma: str, g: int, odd: int) -> int:
+    """The set a sigma-NF gflow keeps in {u} + outputs: Odd(g), g ^ Odd(g) or g."""
+    return odd if sigma == "X" else odd ^ g if sigma == "Y" else g
+
+
+def _off_sigma(eog: ExtendedOpenGraph, sigma: str) -> list[int]:
+    """The measured non-inputs whose plane lacks sigma, in ascending order."""
+    planes = eog.planes
+    return sorted(u for u in eog.measured_non_inputs if not planes[u].contains(sigma))
 
 
 @dataclass(frozen=True)
@@ -44,22 +71,10 @@ class Gflow:
 
 
 def parse_gflow(text: str) -> Gflow:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise OpenGraphError(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or not isinstance(doc.get("g"), dict):
+    doc = _load_json(text)
+    if not isinstance(doc, dict) or "g" not in doc:
         raise OpenGraphError('gflow document must be an object with a "g" map')
-    assignments = {}
-    for key, val in doc["g"].items():
-        try:
-            u = int(key)
-        except ValueError as exc:
-            raise OpenGraphError(f"gflow key {key!r} is not a vertex id") from exc
-        if not isinstance(val, list) or not all(isinstance(v, int) for v in val):
-            raise OpenGraphError(f"corrector set of {u} must be a list of ids")
-        assignments[u] = frozenset(val)
-    return Gflow(assignments)
+    return Gflow(_id_set_map(doc["g"], "g"))
 
 
 def serialize_gflow(g: Gflow) -> str:
@@ -89,13 +104,52 @@ class CycleError(ValueError):
         super().__init__("dependency cycle: " + " -> ".join(map(str, self.cycle)))
 
 
-def _witness_cycle(succ, remaining):
-    pred = {v: set() for v in remaining}
-    for u in remaining:
-        for v in succ[u]:
-            if v in remaining:
-                pred[v].add(u)
-    path = [min(remaining)]
+def _peel(succ: Mapping[int, int]) -> tuple[dict[int, int] | None, int]:
+    """Kahn's algorithm, linear in vertices plus arcs u -> v, v a bit of succ[u].
+
+    Arc heads must be keys, and no mask holds its own key. Returns (depth, 0),
+    depth[v] the longest path ending at v, or (None, mask of the vertices left
+    unpeeled) on a cycle; neither depends on the peel order.
+    """
+    left = heads = 0
+    for u, m in succ.items():
+        left |= 1 << u
+        heads |= m
+    if left and heads == left:
+        return None, left  # no source, so nothing peels
+    indeg = dict.fromkeys(succ, 0)
+    for m in succ.values():
+        while m:
+            b = m & -m
+            m ^= b
+            indeg[b.bit_length() - 1] += 1
+    depth = dict.fromkeys(succ, 0)
+    ready = [v for v, d in indeg.items() if not d]
+    for u in ready:
+        du = depth[u] + 1
+        m = succ[u]
+        while m:
+            b = m & -m
+            m ^= b
+            v = b.bit_length() - 1
+            if depth[v] < du:
+                depth[v] = du
+            indeg[v] -= 1
+            if not indeg[v]:
+                ready.append(v)
+    if len(ready) == len(succ):
+        return depth, 0
+    return None, set_to_mask(v for v, d in indeg.items() if d)
+
+
+def _witness_cycle(succ, stuck):
+    # From the lowest unpeeled vertex, step to the lowest unpeeled
+    # predecessor (every one has some) until a vertex repeats.
+    pred = {v: [] for v in mask_to_set(stuck)}
+    for u in pred:
+        for v in mask_to_set(succ[u] & stuck):
+            pred[v].append(u)
+    path = [min(pred)]
     seen = {path[0]: 0}
     while True:
         nxt = min(pred[path[-1]])
@@ -103,6 +157,17 @@ def _witness_cycle(succ, remaining):
             return list(reversed(path[seen[nxt]:]))
         seen[nxt] = len(path)
         path.append(nxt)
+
+
+def _order(succ: Mapping[int, int], outputs: Iterable[int]) -> DependencyOrder:
+    """Depth layers of an arc-mask digraph, outputs lifted to the top one."""
+    layers, stuck = _peel(succ)
+    if stuck:
+        raise CycleError(_witness_cycle(succ, stuck))
+    top = max(layers.values(), default=0)
+    for o in outputs:
+        layers[o] = top
+    return DependencyOrder(layers)
 
 
 def extensivity_order(
@@ -113,8 +178,7 @@ def extensivity_order(
     Raises CycleError (carrying one witness cycle) when no such order
     exists. Outputs are lifted to the shared maximal layer.
     """
-    outputs = frozenset(outputs)
-    succ: dict[int, set[int]] = {v: set() for v in graph.vertices}
+    succ = dict.fromkeys(graph.vertices, 0)
     for u, image in f.items():
         if u not in succ:
             raise OpenGraphError(f"map is keyed by unknown vertex {u}")
@@ -122,30 +186,17 @@ def extensivity_order(
             if v not in succ:
                 raise OpenGraphError(f"image of {u} contains unknown vertex {v}")
             if v != u:
-                succ[u].add(v)
-    indeg = {v: 0 for v in graph.vertices}
-    for vs in succ.values():
-        for v in vs:
-            indeg[v] += 1
-    ready = [v for v in graph.vertices if indeg[v] == 0]
-    heapq.heapify(ready)
-    layers = {v: 0 for v in graph.vertices}
-    done = 0
-    while ready:
-        u = heapq.heappop(ready)
-        done += 1
-        for v in sorted(succ[u]):
-            layers[v] = max(layers[v], layers[u] + 1)
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                heapq.heappush(ready, v)
-    if done != len(graph.vertices):
-        remaining = {v for v in graph.vertices if indeg[v] > 0}
-        raise CycleError(_witness_cycle(succ, remaining))
-    top = max(layers.values(), default=0)
-    for o in outputs:
-        layers[o] = top
-    return DependencyOrder(layers)
+                succ[u] |= 1 << v
+    return _order(succ, outputs)
+
+
+def _f_order(eog: ExtendedOpenGraph, g: Gflow) -> DependencyOrder:
+    """The order of f(u) = g(u) | Odd(g(u)); CycleError when g is not extensive."""
+    succ = dict.fromkeys(eog.vertices, 0)
+    for u in eog.measured:
+        k = _vertex_mask(eog.graph, g[u])
+        succ[u] = (k | odd_mask(eog.graph, k)) & ~(1 << u)
+    return _order(succ, eog.outputs)
 
 
 @dataclass(frozen=True)
@@ -188,31 +239,21 @@ def verify_gflow(eog: ExtendedOpenGraph, g: Gflow) -> VerificationReport:
         )
     violations = []
     non_inputs = eog.vertices - eog.inputs
-    clean = True
+    masks = {}
     for u in sorted(measured):
         bad = g[u] - non_inputs
         if bad:
             violations.append(Violation(u, "codomain", frozenset(bad)))
-            if not g[u] <= eog.vertices:
-                clean = False
-    for u in sorted(measured):
-        gu = g[u]
-        if not gu <= eog.vertices:
-            continue
-        odd = odd_neighbourhood(eog.graph, gu)
+        if g[u] <= eog.vertices:  # ids outside the graph never size a mask
+            masks[u] = set_to_mask(g[u])
+    for u, k in masks.items():
+        odd = odd_mask(eog.graph, k)
         plane = eog.planes[u]
-        in_g, in_odd = u in gu, u in odd
-        ok = {
-            Plane.XY: in_odd and not in_g,
-            Plane.XZ: in_g and in_odd,
-            Plane.YZ: in_g and not in_odd,
-        }[plane]
-        if not ok:
-            violations.append(Violation(u, f"plane-{plane.value}", odd))
-    if clean:
-        f = {u: g[u] | odd_neighbourhood(eog.graph, g[u]) for u in measured}
+        if not _plane_holds(plane, u, k, odd):
+            violations.append(Violation(u, f"plane-{plane.value}", mask_to_set(odd)))
+    if len(masks) == len(measured):
         try:
-            extensivity_order(eog.graph, eog.outputs, f)
+            _f_order(eog, g)
         except CycleError as exc:
             violations.append(
                 Violation(exc.cycle[0], "extensivity", frozenset(exc.cycle))
@@ -242,36 +283,10 @@ class CorrectiveMaps:
 
 
 def parse_corrective_maps(text: str) -> CorrectiveMaps:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise OpenGraphError(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or not (
-        isinstance(doc.get("x"), dict) and isinstance(doc.get("z"), dict)
-    ):
+    doc = _load_json(text)
+    if not isinstance(doc, dict) or not ("x" in doc and "z" in doc):
         raise OpenGraphError('corrective-map document needs "x" and "z" objects')
-
-    def load(side):
-        out = {}
-        for key, val in doc[side].items():
-            try:
-                u = int(key)
-            except ValueError as exc:
-                raise OpenGraphError(f"key {key!r} is not a vertex id") from exc
-            if not isinstance(val, list) or not all(isinstance(v, int) for v in val):
-                raise OpenGraphError(f'"{side}" targets of {u} must be id lists')
-            out[u] = frozenset(val)
-        return out
-
-    return CorrectiveMaps(load("x"), load("z"))
-
-
-def serialize_corrective_maps(maps: CorrectiveMaps) -> str:
-    doc = {
-        "x": {str(u): sorted(s) for u, s in maps.x.items()},
-        "z": {str(u): sorted(s) for u, s in maps.z.items()},
-    }
-    return json.dumps(doc, sort_keys=True)
+    return CorrectiveMaps(_id_set_map(doc["x"], "x"), _id_set_map(doc["z"], "z"))
 
 
 def corrective_maps(eog: ExtendedOpenGraph, g: Gflow) -> CorrectiveMaps:
@@ -297,10 +312,9 @@ def check_normal_form(eog: ExtendedOpenGraph, g: Gflow, sigma: str) -> bool:
         raise ValueError(f"sigma must be one of {AXES}, got {sigma!r}")
     if g.domain() != eog.measured:
         raise ValueError("gflow must assign exactly the measured vertices")
+    out_mask = set_to_mask(eog.outputs)
     for u in eog.measured:
-        gu = g[u]
-        odd = odd_neighbourhood(eog.graph, gu)
-        target = {"X": odd, "Y": gu ^ odd, "Z": gu}[sigma]
-        if not target <= ({u} | eog.outputs):
+        k = _vertex_mask(eog.graph, g[u])
+        if _sigma_target(sigma, k, odd_mask(eog.graph, k)) & ~(out_mask | 1 << u):
             return False
     return True

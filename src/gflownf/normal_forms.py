@@ -9,12 +9,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .opengraph import ExtendedOpenGraph, Graph, Plane, odd_neighbourhood
+from .opengraph import (
+    ExtendedOpenGraph,
+    Graph,
+    Plane,
+    mask_to_set,
+    odd_mask,
+    set_to_mask,
+)
 from .gflow import (
     AXES,
     Gflow,
+    _f_order,
+    _off_sigma,
+    _sigma_target,
     check_normal_form,
-    extensivity_order,
     verify_gflow,
 )
 from .search import find_gflow
@@ -38,26 +47,24 @@ def focus(eog: ExtendedOpenGraph, g: Gflow, sigma: str) -> Gflow:
     """
     if sigma not in AXES:
         raise ValueError(f"sigma must be one of {AXES}, got {sigma!r}")
-    for u in sorted(eog.measured_non_inputs):
-        if not eog.planes[u].contains(sigma):
-            raise ValueError(
-                f"vertex {u} is measured in the {eog.planes[u].value} plane, "
-                f"which does not contain {sigma}"
-            )
-    graph = eog.graph
-    measured = eog.measured
-    f = {u: g[u] | odd_neighbourhood(graph, g[u]) for u in measured}
-    order = extensivity_order(graph, eog.outputs, f)
-    refocused: dict[int, frozenset[int]] = {}
-    for u in sorted(measured, key=lambda v: (-order.layers[v], v)):
-        gu = g[u]
-        odd = odd_neighbourhood(graph, gu)
-        pool = {"X": odd, "Y": gu ^ odd, "Z": gu}[sigma]
-        acc = gu
-        for v in sorted(pool - eog.outputs - {u}):
-            acc = acc ^ refocused[v]
-        refocused[u] = acc
-    return Gflow(refocused)
+    off = _off_sigma(eog, sigma)
+    if off:
+        raise ValueError(
+            f"vertex {off[0]} is measured in the {eog.planes[off[0]].value} plane, "
+            f"which does not contain {sigma}"
+        )
+    order = _f_order(eog, g)
+    out_mask = set_to_mask(eog.outputs)
+    refocused: dict[int, int] = {}
+    for u in sorted(eog.measured, key=lambda v: (-order.layers[v], v)):
+        k = set_to_mask(g[u])
+        pool = _sigma_target(sigma, k, odd_mask(eog.graph, k)) & ~(out_mask | 1 << u)
+        while pool:
+            b = pool & -pool
+            pool ^= b
+            k ^= refocused[b.bit_length() - 1]
+        refocused[u] = k
+    return Gflow({u: mask_to_set(k) for u, k in refocused.items()})
 
 
 def _check_promotion_pre(eog, g, u0, sigma):
@@ -143,9 +150,7 @@ def promote_all(eog: ExtendedOpenGraph, g: Gflow, sigma: str):
     step_fn = promote_input_z if sigma == "Z" else promote_input_y
     steps = []
     while True:
-        eligible = sorted(
-            u for u in eog.measured_non_inputs if not eog.planes[u].contains(sigma)
-        )
+        eligible = _off_sigma(eog, sigma)
         if not eligible:
             return eog, g, steps
         step = step_fn(eog, g, eligible[0])
@@ -164,9 +169,7 @@ def check_defect_bound(eog: ExtendedOpenGraph, sigma: str):
     """
     if sigma not in ("Y", "Z"):
         raise ValueError("the input-defect bound applies to Y- and Z-NF only")
-    count = sum(
-        1 for u in eog.measured_non_inputs if not eog.planes[u].contains(sigma)
-    )
+    count = len(_off_sigma(eog, sigma))
     defect = eog.input_defect
     return count, defect, count <= defect
 
@@ -184,4 +187,4 @@ def check_balanced_nf(eog: ExtendedOpenGraph, sigma: str) -> bool:
         raise ValueError("the equivalence requires as many inputs as outputs")
     if find_gflow(eog) is None:
         raise ValueError("instance has no gflow")
-    return all(eog.planes[u].contains(sigma) for u in eog.measured_non_inputs)
+    return not _off_sigma(eog, sigma)

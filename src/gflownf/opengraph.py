@@ -101,25 +101,19 @@ def odd_mask(graph: Graph, mask: int) -> int:
     return acc
 
 
-def odd_neighbourhood(graph: Graph, a: Iterable[int]) -> frozenset[int]:
-    """Vertices adjacent to an odd number of members of ``a``."""
+def _vertex_mask(graph: Graph, a: Iterable[int]) -> int:
+    """Bitmask of a vertex set, refusing members outside the graph."""
     a = frozenset(a)
     if not a <= graph.vertices:
         raise OpenGraphError(
             f"set members {sorted(a - graph.vertices)} are not graph vertices"
         )
-    return mask_to_set(odd_mask(graph, set_to_mask(a)))
+    return set_to_mask(a)
 
 
-def symmetric_difference(a: Iterable[int], b: Iterable[int]) -> frozenset[int]:
-    """Elements lying in exactly one of the two sets."""
-    return frozenset(a) ^ frozenset(b)
-
-
-def induced_edge_count(graph: Graph, x: Iterable[int], y: Iterable[int]) -> int:
-    """Number of edges with both endpoints inside the combined support."""
-    support = frozenset(x) | frozenset(y)
-    return sum(1 for u, v in graph.edges if u in support and v in support)
+def odd_neighbourhood(graph: Graph, a: Iterable[int]) -> frozenset[int]:
+    """Vertices adjacent to an odd number of members of ``a``."""
+    return mask_to_set(odd_mask(graph, _vertex_mask(graph, a)))
 
 
 @dataclass(frozen=True)
@@ -181,74 +175,97 @@ def _is_id(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _int_list(doc, key):
-    val = doc.get(key)
+def _unique_keys(pairs):
+    doc = dict(pairs)
+    if len(doc) != len(pairs):
+        dups = sorted(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+        raise OpenGraphError(f"object repeats keys {dups}")
+    return doc
+
+
+def _load_json(text: str):
+    """The JSON value of a document; a key repeated in an object is an error."""
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except (json.JSONDecodeError, RecursionError) as exc:  # nesting too deep
+        raise OpenGraphError(f"invalid JSON: {exc}") from exc
+
+
+def _id_list(val, what: str) -> list[int]:
+    """A JSON list of vertex ids, none of them a bool or listed twice."""
     if not isinstance(val, list) or not all(_is_id(v) for v in val):
-        raise OpenGraphError(f'"{key}" must be a list of integers')
+        raise OpenGraphError(f"{what} must be a list of integers")
     dups = sorted(v for v, n in Counter(val).items() if n > 1)
     if dups:
-        raise OpenGraphError(f'"{key}" lists ids more than once: {dups}')
+        raise OpenGraphError(f"{what} lists ids more than once: {dups}")
     return val
+
+
+def _id_map(raw, what: str, parse) -> dict:
+    """{id: parse(id, value)} from a JSON object keyed by vertex ids.
+
+    A key is the canonical decimal form of a non-negative id ("0", "17"),
+    so no two keys can name one vertex: "01", "+1", " 1" and "1_0" fail.
+    """
+    if not isinstance(raw, dict):
+        raise OpenGraphError(f'"{what}" must be an object keyed by vertex id')
+    out = {}
+    for key, val in raw.items():
+        if not (key.isascii() and key.isdigit() and str(int(key)) == key):
+            raise OpenGraphError(f'"{what}" key {key!r} is not a vertex id')
+        v = int(key)
+        out[v] = parse(v, val)
+    return out
+
+
+def _id_set_map(raw, what: str) -> dict[int, frozenset[int]]:
+    """A JSON object from vertex ids to id lists, such as a gflow's "g"."""
+    return _id_map(
+        raw, what, lambda v, val: frozenset(_id_list(val, f'"{what}" list of {v}'))
+    )
+
+
+def _plane(v, val) -> Plane:
+    try:
+        return Plane(val)
+    except ValueError as exc:
+        raise OpenGraphError(f"unknown plane {val!r} at vertex {v}") from exc
+
+
+def _angle(v, val) -> float:
+    if not (_is_id(val) or isinstance(val, float)) or not 0 <= val < math.tau:
+        raise OpenGraphError(f"angle at vertex {v} must lie in [0, 2*pi)")
+    return float(val)
 
 
 def parse_open_graph_document(text: str):
     """Parse a JSON open-graph document; returns (graph, angles-or-None)."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise OpenGraphError(f"invalid JSON: {exc}") from exc
+    doc = _load_json(text)
     if not isinstance(doc, dict):
         raise OpenGraphError("document must be a JSON object")
 
-    vertices = _int_list(doc, "vertices")
+    vertices = _id_list(doc.get("vertices"), '"vertices"')
     raw_edges = doc.get("edges", [])
     if not isinstance(raw_edges, list):
         raise OpenGraphError('"edges" must be a list of vertex pairs')
     edges = set()
     for e in raw_edges:
-        if (
-            not isinstance(e, list)
-            or len(e) != 2
-            or not all(_is_id(v) for v in e)
-        ):
+        if len(_id_list(e, f"edge {e!r}")) != 2:
             raise OpenGraphError(f"malformed edge {e!r}")
         edges.add((e[0], e[1]))
-    inputs = _int_list(doc, "inputs")
-    outputs = _int_list(doc, "outputs")
-
-    raw_planes = doc.get("planes", {})
-    if not isinstance(raw_planes, dict):
-        raise OpenGraphError('"planes" must be an object keyed by vertex id')
-    planes = {}
-    for key, val in raw_planes.items():
-        try:
-            v = int(key)
-        except ValueError as exc:
-            raise OpenGraphError(f"plane key {key!r} is not a vertex id") from exc
-        try:
-            planes[v] = Plane(val)
-        except ValueError as exc:
-            raise OpenGraphError(f"unknown plane {val!r} at vertex {v}") from exc
+    inputs = _id_list(doc.get("inputs"), '"inputs"')
+    outputs = _id_list(doc.get("outputs"), '"outputs"')
+    planes = _id_map(doc.get("planes", {}), "planes", _plane)
 
     graph = Graph(frozenset(vertices), frozenset(edges))
     eog = ExtendedOpenGraph(graph, frozenset(inputs), frozenset(outputs), planes)
 
     angles = None
     if "angles" in doc:
-        raw_angles = doc["angles"]
-        if not isinstance(raw_angles, dict):
-            raise OpenGraphError('"angles" must be an object keyed by vertex id')
-        angles = {}
-        for key, val in raw_angles.items():
-            try:
-                v = int(key)
-            except ValueError as exc:
-                raise OpenGraphError(f"angle key {key!r} is not a vertex id") from exc
-            if not isinstance(val, (int, float)) or not 0 <= val < math.tau:
-                raise OpenGraphError(f"angle at vertex {v} must lie in [0, 2*pi)")
+        angles = _id_map(doc["angles"], "angles", _angle)
+        for v in angles:
             if v not in eog.measured:
                 raise OpenGraphError(f"angle given for unmeasured vertex {v}")
-            angles[v] = float(val)
     return eog, angles
 
 

@@ -2,8 +2,10 @@
 
 The finder works backwards from the outputs, one round per layer; each
 round runs a single GF(2) elimination whose right-hand sides cover every
-unsolved vertex at once. The enumerator checks every candidate map
-(after per-vertex pruning) and serves as the correctness oracle.
+unsolved vertex at once. The enumerator keeps, per vertex, the corrector
+masks that pass the plane condition (and the sigma-NF inclusion when asked),
+checks every combination with the shared Kahn peel, and serves as the
+correctness oracle. Both use the gflow rules of ``gflow.py``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .opengraph import (
     odd_mask,
     set_to_mask,
 )
-from .gflow import AXES, Gflow
+from .gflow import AXES, Gflow, _off_sigma, _peel, _plane_holds, _sigma_target
 
 
 @dataclass(frozen=True)
@@ -32,22 +34,6 @@ class GflowEnumeration:
         return len(self.gflows)
 
 
-def _plane_condition_holds(plane: Plane, u: int, k_mask: int, odd: int) -> bool:
-    ubit = 1 << u
-    in_g = bool(k_mask & ubit)
-    in_odd = bool(odd & ubit)
-    if plane is Plane.XY:
-        return in_odd and not in_g
-    if plane is Plane.XZ:
-        return in_g and in_odd
-    return in_g and not in_odd
-
-
-def _nf_local_ok(sigma: str, k_mask: int, odd: int, nf_allowed: int) -> bool:
-    target = odd if sigma == "X" else (odd ^ k_mask if sigma == "Y" else k_mask)
-    return target & ~nf_allowed == 0
-
-
 def _local_candidates(eog, u, allowed_mask, nf_sigma=None):
     """All corrector masks satisfying the plane (and optional NF) condition at u."""
     graph = eog.graph
@@ -57,30 +43,14 @@ def _local_candidates(eog, u, allowed_mask, nf_sigma=None):
     k = allowed_mask
     while True:
         odd = odd_mask(graph, k)
-        if _plane_condition_holds(plane, u, k, odd):
-            if nf_sigma is None or _nf_local_ok(nf_sigma, k, odd, nf_allowed):
+        if _plane_holds(plane, u, k, odd):
+            if nf_sigma is None or not _sigma_target(nf_sigma, k, odd) & ~nf_allowed:
                 cands.append(k)
         if k == 0:
             break
         k = (k - 1) & allowed_mask
     cands.reverse()
     return cands
-
-
-def _is_extensive(deps: dict[int, int]) -> bool:
-    """Acyclicity of the arcs u -> v for v in deps[u] (masks over measured)."""
-    remaining = dict(deps)
-    rem_mask = 0
-    for u in remaining:
-        rem_mask |= 1 << u
-    while remaining:
-        sinks = [u for u, m in remaining.items() if m & rem_mask == 0]
-        if not sinks:
-            return False
-        for u in sinks:
-            del remaining[u]
-            rem_mask &= ~(1 << u)
-    return True
 
 
 def brute_force_enumerate(
@@ -123,7 +93,7 @@ def brute_force_enumerate(
             exhausted = False
             break
         deps = {u: d for u, (_, d) in zip(measured, combo)}
-        if _is_extensive(deps):
+        if not _peel(deps)[1]:
             found.append(
                 Gflow({u: mask_to_set(k) for u, (k, _) in zip(measured, combo)})
             )
@@ -233,13 +203,11 @@ def exists_normal_form(
         raise ValueError(f"sigma must be one of {AXES}, got {sigma!r}")
     if find_gflow(eog) is None:
         return False
-    mni = eog.measured_non_inputs
-    if all(eog.planes[u].contains(sigma) for u in mni):
+    off = _off_sigma(eog, sigma)
+    if not off:
         return True
-    if sigma == "Z":
-        off = sum(1 for u in mni if not eog.planes[u].contains(sigma))
-        if off > eog.input_defect:
-            return False
+    if sigma == "Z" and len(off) > eog.input_defect:
+        return False
     enum = brute_force_enumerate(eog, limit, nf_sigma=sigma, stop_after=1)
     if enum.gflows:
         return True

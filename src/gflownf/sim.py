@@ -20,8 +20,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .opengraph import ExtendedOpenGraph, Graph, Plane, odd_neighbourhood
-from .gflow import CorrectiveMaps, Gflow, corrective_maps, extensivity_order
+from .opengraph import ExtendedOpenGraph, Graph, Plane
+from .gflow import CorrectiveMaps, Gflow, _f_order, corrective_maps
 
 STATE_TOL = 1e-9
 NORM_TOL = 1e-12
@@ -197,8 +197,7 @@ def pattern_from_gflow(
 ) -> Pattern:
     """Corrections from the gflow, schedule from its dependency layers."""
     maps = corrective_maps(eog, g)
-    f = {u: g[u] | odd_neighbourhood(eog.graph, g[u]) for u in eog.measured}
-    order = extensivity_order(eog.graph, eog.outputs, f)
+    order = _f_order(eog, g)
     return Pattern(eog, angles, maps, order.schedule(eog.measured))
 
 

@@ -1,0 +1,379 @@
+"""The bitmask core against the code it replaced.
+
+Each gflow rule (plane condition, sigma-target, f-map and order, acyclicity)
+used to be written on frozensets and again on bitmasks. The copies below are
+the replaced definitions, kept as oracles: the folded code must reproduce
+their enumerations, verification reports, normal-form verdicts, focused
+gflows, layers, schedules and cycle witnesses exactly.
+"""
+
+import heapq
+import itertools
+import random
+
+import pytest
+
+from gflownf import (
+    CycleError,
+    DependencyOrder,
+    Gflow,
+    Graph,
+    OpenGraphError,
+    Plane,
+    brute_force_enumerate,
+    check_normal_form,
+    extensivity_order,
+    focus,
+    odd_neighbourhood,
+    pattern_from_gflow,
+    verify_gflow,
+)
+from gflownf.gflow import AXES, Violation, VerificationReport
+from gflownf.opengraph import mask_to_set, odd_mask, set_to_mask
+from gflownf.instances import all_instances, random_instance
+
+
+# --- Oracles: the definitions the bitmask core replaced. ---
+
+
+def _oracle_plane_condition_holds(plane, u, k_mask, odd):
+    ubit = 1 << u
+    in_g = bool(k_mask & ubit)
+    in_odd = bool(odd & ubit)
+    if plane is Plane.XY:
+        return in_odd and not in_g
+    if plane is Plane.XZ:
+        return in_g and in_odd
+    return in_g and not in_odd
+
+
+def _oracle_nf_local_ok(sigma, k_mask, odd, nf_allowed):
+    target = odd if sigma == "X" else (odd ^ k_mask if sigma == "Y" else k_mask)
+    return target & ~nf_allowed == 0
+
+
+def _oracle_local_candidates(eog, u, allowed_mask, nf_sigma=None):
+    graph = eog.graph
+    plane = eog.planes[u]
+    nf_allowed = (1 << u) | set_to_mask(eog.outputs)
+    cands = []
+    k = allowed_mask
+    while True:
+        odd = odd_mask(graph, k)
+        if _oracle_plane_condition_holds(plane, u, k, odd):
+            if nf_sigma is None or _oracle_nf_local_ok(nf_sigma, k, odd, nf_allowed):
+                cands.append(k)
+        if k == 0:
+            break
+        k = (k - 1) & allowed_mask
+    cands.reverse()
+    return cands
+
+
+def _oracle_is_extensive(deps):
+    remaining = dict(deps)
+    rem_mask = 0
+    for u in remaining:
+        rem_mask |= 1 << u
+    while remaining:
+        sinks = [u for u, m in remaining.items() if m & rem_mask == 0]
+        if not sinks:
+            return False
+        for u in sinks:
+            del remaining[u]
+            rem_mask &= ~(1 << u)
+    return True
+
+
+def oracle_enumerate(eog, limit=1_000_000, *, nf_sigma=None, stop_after=None):
+    measured = sorted(eog.measured)
+    if not measured:
+        return (Gflow({}),), True
+    allowed = set_to_mask(eog.vertices - eog.inputs)
+    graph = eog.graph
+    meas_mask = set_to_mask(measured)
+    per_vertex = []
+    for u in measured:
+        cands = _oracle_local_candidates(eog, u, allowed, nf_sigma)
+        if not cands:
+            return (), True
+        ubit = 1 << u
+        per_vertex.append(
+            [(k, (k | odd_mask(graph, k)) & meas_mask & ~ubit) for k in cands]
+        )
+    found = []
+    examined = 0
+    exhausted = True
+    for combo in itertools.product(*per_vertex):
+        examined += 1
+        if examined > limit:
+            exhausted = False
+            break
+        deps = {u: d for u, (_, d) in zip(measured, combo)}
+        if _oracle_is_extensive(deps):
+            found.append(
+                Gflow({u: mask_to_set(k) for u, (k, _) in zip(measured, combo)})
+            )
+            if stop_after is not None and len(found) >= stop_after:
+                exhausted = False
+                break
+    return tuple(found), exhausted
+
+
+def _oracle_witness_cycle(succ, remaining):
+    pred = {v: set() for v in remaining}
+    for u in remaining:
+        for v in succ[u]:
+            if v in remaining:
+                pred[v].add(u)
+    path = [min(remaining)]
+    seen = {path[0]: 0}
+    while True:
+        nxt = min(pred[path[-1]])
+        if nxt in seen:
+            return list(reversed(path[seen[nxt]:]))
+        seen[nxt] = len(path)
+        path.append(nxt)
+
+
+def oracle_extensivity_order(graph, outputs, f):
+    outputs = frozenset(outputs)
+    succ = {v: set() for v in graph.vertices}
+    for u, image in f.items():
+        if u not in succ:
+            raise OpenGraphError(f"map is keyed by unknown vertex {u}")
+        for v in image:
+            if v not in succ:
+                raise OpenGraphError(f"image of {u} contains unknown vertex {v}")
+            if v != u:
+                succ[u].add(v)
+    indeg = {v: 0 for v in graph.vertices}
+    for vs in succ.values():
+        for v in vs:
+            indeg[v] += 1
+    ready = [v for v in graph.vertices if indeg[v] == 0]
+    heapq.heapify(ready)
+    layers = {v: 0 for v in graph.vertices}
+    done = 0
+    while ready:
+        u = heapq.heappop(ready)
+        done += 1
+        for v in sorted(succ[u]):
+            layers[v] = max(layers[v], layers[u] + 1)
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                heapq.heappush(ready, v)
+    if done != len(graph.vertices):
+        remaining = {v for v in graph.vertices if indeg[v] > 0}
+        raise CycleError(_oracle_witness_cycle(succ, remaining))
+    top = max(layers.values(), default=0)
+    for o in outputs:
+        layers[o] = top
+    return DependencyOrder(layers)
+
+
+def oracle_f_order(eog, g):
+    f = {u: g[u] | odd_neighbourhood(eog.graph, g[u]) for u in eog.measured}
+    return oracle_extensivity_order(eog.graph, eog.outputs, f)
+
+
+def oracle_verify_gflow(eog, g):
+    measured = eog.measured
+    if g.domain() != measured:
+        raise ValueError("domain")
+    violations = []
+    non_inputs = eog.vertices - eog.inputs
+    clean = True
+    for u in sorted(measured):
+        bad = g[u] - non_inputs
+        if bad:
+            violations.append(Violation(u, "codomain", frozenset(bad)))
+            if not g[u] <= eog.vertices:
+                clean = False
+    for u in sorted(measured):
+        gu = g[u]
+        if not gu <= eog.vertices:
+            continue
+        odd = odd_neighbourhood(eog.graph, gu)
+        plane = eog.planes[u]
+        in_g, in_odd = u in gu, u in odd
+        ok = {
+            Plane.XY: in_odd and not in_g,
+            Plane.XZ: in_g and in_odd,
+            Plane.YZ: in_g and not in_odd,
+        }[plane]
+        if not ok:
+            violations.append(Violation(u, f"plane-{plane.value}", odd))
+    if clean:
+        try:
+            oracle_f_order(eog, g)
+        except CycleError as exc:
+            violations.append(
+                Violation(exc.cycle[0], "extensivity", frozenset(exc.cycle))
+            )
+    return VerificationReport(not violations, tuple(violations))
+
+
+def oracle_check_normal_form(eog, g, sigma):
+    for u in eog.measured:
+        gu = g[u]
+        odd = odd_neighbourhood(eog.graph, gu)
+        target = {"X": odd, "Y": gu ^ odd, "Z": gu}[sigma]
+        if not target <= ({u} | eog.outputs):
+            return False
+    return True
+
+
+def oracle_focus(eog, g, sigma):
+    for u in sorted(eog.measured_non_inputs):
+        if not eog.planes[u].contains(sigma):
+            raise ValueError(
+                f"vertex {u} is measured in the {eog.planes[u].value} plane, "
+                f"which does not contain {sigma}"
+            )
+    graph = eog.graph
+    order = oracle_f_order(eog, g)
+    refocused = {}
+    for u in sorted(eog.measured, key=lambda v: (-order.layers[v], v)):
+        gu = g[u]
+        odd = odd_neighbourhood(graph, gu)
+        pool = {"X": odd, "Y": gu ^ odd, "Z": gu}[sigma]
+        acc = gu
+        for v in sorted(pool - eog.outputs - {u}):
+            acc = acc ^ refocused[v]
+        refocused[u] = acc
+    return Gflow(refocused)
+
+
+# --- Comparison helpers. ---
+
+
+def outcome(fn, *args):
+    """A call's value, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except (ValueError, KeyError) as exc:
+        return type(exc), str(exc), getattr(exc, "cycle", None)
+
+
+def assert_same_enumeration(eog, limit=1_000_000, **kw):
+    got = brute_force_enumerate(eog, limit, **kw)
+    assert (got.gflows, got.exhausted) == oracle_enumerate(eog, limit, **kw)
+    return got.gflows
+
+
+def assert_same_order(graph, outputs, f, measured):
+    got = outcome(extensivity_order, graph, outputs, f)
+    want = outcome(oracle_extensivity_order, graph, outputs, f)
+    if isinstance(want, DependencyOrder):
+        assert isinstance(got, DependencyOrder)
+        assert got.layers == want.layers
+        assert got.schedule(measured) == want.schedule(measured)
+    else:
+        assert got == want
+
+
+def assert_same_rules(eog, g):
+    """Verification, normal forms, focusing and orders agree for map g."""
+    report = verify_gflow(eog, g)
+    assert report == oracle_verify_gflow(eog, g)
+    for sigma in AXES:
+        assert outcome(check_normal_form, eog, g, sigma) == outcome(
+            oracle_check_normal_form, eog, g, sigma
+        )
+    if all(g[u] <= eog.vertices for u in eog.measured):
+        f = {u: g[u] | odd_neighbourhood(eog.graph, g[u]) for u in eog.measured}
+        assert_same_order(eog.graph, eog.outputs, f, eog.measured)
+    if report.valid:
+        for sigma in AXES:
+            assert outcome(focus, eog, g, sigma) == outcome(oracle_focus, eog, g, sigma)
+    return report.valid
+
+
+def assert_same_schedule(eog, g):
+    angles = dict.fromkeys(eog.measured, 0.5)
+    schedule = oracle_f_order(eog, g).schedule(eog.measured)
+    assert pattern_from_gflow(eog, angles, g).schedule == schedule
+
+
+def random_map(rng, eog):
+    """A corrector map over all vertices, sometimes naming a non-vertex."""
+    pool = sorted(eog.vertices) + [-1, max(eog.vertices, default=0) + 3]
+    weights = [1.0] * len(eog.vertices) + [0.05, 0.05]
+    return Gflow(
+        {
+            u: {v for v, w in zip(pool, weights) if rng.random() < 0.4 * w}
+            for u in eog.measured
+        }
+    )
+
+
+class TestBitmaskCore:
+    """The folded rules against the definitions they replaced."""
+
+    def test_enumeration_census(self, small_sweep):
+        # Every census instance with a gflow, every one on at most three
+        # vertices and every 16th of the rest: four-vertex instances without
+        # a gflow make up 94% of the census, and acceptance criterion 6
+        # already pins each of them to "no gflow" against the finder.
+        for eog, _ in small_sweep:
+            assert assert_same_enumeration(eog)
+        for i, eog in enumerate(all_instances(4)):
+            if len(eog.vertices) <= 3 or i % 16 == 0:
+                assert_same_enumeration(eog)
+
+    def test_enumeration_random(self):
+        rng = random.Random(71)
+        found = 0
+        for _ in range(1_500):
+            eog = random_instance(
+                rng, rng.randint(1, 6), force_input_xy=rng.random() < 0.7
+            )
+            found += bool(assert_same_enumeration(eog, 20_000))
+            for sigma in AXES:
+                assert_same_enumeration(eog, 20_000, nf_sigma=sigma, stop_after=1)
+        assert found > 200
+
+    def test_rules_census(self, small_sweep):
+        rng = random.Random(73)
+        for i, (eog, g) in enumerate(small_sweep):
+            assert assert_same_rules(eog, g)
+            if i % 2:
+                assert_same_rules(eog, random_map(rng, eog))
+
+    def test_rules_random(self):
+        rng = random.Random(79)
+        valid = 0
+        for _ in range(1_000):
+            eog = random_instance(
+                rng, rng.randint(1, 9), rng.uniform(0.2, 0.8), force_input_xy=True
+            )
+            gflows = brute_force_enumerate(eog, 2_000).gflows
+            for g in gflows[:3]:
+                valid += assert_same_rules(eog, g)
+                assert_same_schedule(eog, g)
+            for _ in range(2):
+                assert_same_rules(eog, random_map(rng, eog))
+        assert valid > 200
+
+    def test_orders_random(self):
+        rng = random.Random(83)
+        for _ in range(2_000):
+            n = rng.randint(1, 12)
+            ids = rng.sample(range(3 * n), n)
+            graph = Graph(frozenset(ids), frozenset())
+            outputs = frozenset(v for v in ids if rng.random() < 0.3)
+            density = rng.uniform(0.0, 0.4)
+            f = {u: {v for v in ids if rng.random() < density} for u in ids}
+            assert_same_order(graph, outputs, f, frozenset(ids) - outputs)
+
+    @pytest.mark.parametrize("n", [1, 2, 50, 2_000])
+    def test_chains_and_cycles(self, n):
+        ids = list(range(0, 2 * n, 2))
+        graph = Graph(frozenset(ids), frozenset())
+        chain = {u: {v} for u, v in zip(ids, ids[1:])}
+        assert_same_order(graph, {ids[-1]}, chain, frozenset(ids[:-1]))
+        cycle = {**chain, ids[-1]: {ids[0]}}
+        assert_same_order(graph, (), cycle, frozenset(ids))
+        tail = {**cycle, ids[0]: {ids[1], ids[-1]}} if n > 2 else cycle
+        assert_same_order(graph, (), tail, frozenset(ids))

@@ -1,4 +1,9 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -222,3 +227,199 @@ class TestOracleCompare:
         assert code == 0
         assert doc["disagreements"] == 0 and doc["invalid_gflows"] == 0
         assert doc["instances"] > 30
+
+
+class TestMalformedIds:
+    """Ids outside the open-graph rules are input errors (exit 2), not tracebacks."""
+
+    def _assert_input_error(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("which", ["graph", "gflow"])
+    def test_too_deep_json(self, capsys, graph_file, gflow_file, tmp_path, which):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        argv = ["verify", graph_file, gflow_file]
+        argv[1 if which == "graph" else 2] = str(deep)
+        self._assert_input_error(capsys, argv)
+
+    @pytest.mark.parametrize("key", ["01", "+1", " 1", "1_0"])
+    @pytest.mark.parametrize("field", ["planes", "angles"])
+    def test_graph_key(self, capsys, tmp_path, field, key):
+        doc = json.loads(PATH_DOC)
+        doc[field][key] = doc[field].pop("1")
+        p = tmp_path / "g.json"
+        p.write_text(json.dumps(doc))
+        self._assert_input_error(capsys, ["find", str(p)])
+
+    def test_bool_angle(self, capsys, tmp_path):
+        doc = json.loads(PATH_DOC)
+        doc["angles"]["1"] = True
+        p = tmp_path / "g.json"
+        p.write_text(json.dumps(doc))
+        self._assert_input_error(capsys, ["simulate", str(p)])
+
+    @pytest.mark.parametrize(
+        "g",
+        [{"01": [2], "2": [3]}, {"+1": [2], "2": [3]}, {" 1": [2], "2": [3]},
+         {"1_0": [2], "2": [3]}, {"1": [True], "2": [3]}, {"1": [2, 2], "2": [3]}],
+    )
+    @pytest.mark.parametrize("command", ["verify", "focus", "check-nf", "simulate"])
+    def test_gflow_document(self, capsys, graph_file, tmp_path, command, g):
+        p = tmp_path / "f.json"
+        p.write_text(json.dumps({"g": g}))
+        argv = [command, graph_file, str(p)]
+        if command in ("focus", "check-nf"):
+            argv += ["--sigma", "X"]
+        self._assert_input_error(capsys, argv)
+
+    @pytest.mark.parametrize("command", ["verify", "focus", "check-nf", "simulate"])
+    def test_bool_corrector(self, capsys, tmp_path, command):
+        # On the edge 0-1 with output 1, {"0": [1]} is a valid gflow; JSON
+        # true equals 1 in Python but must not pass as vertex 1.
+        graph = tmp_path / "edge.json"
+        graph.write_text(json.dumps(
+            {"vertices": [0, 1], "edges": [[0, 1]], "inputs": [], "outputs": [1],
+             "planes": {"0": "XY"}}
+        ))
+        p = tmp_path / "f.json"
+        p.write_text('{"g": {"0": [true]}}')
+        argv = [command, str(graph), str(p)]
+        if command in ("focus", "check-nf"):
+            argv += ["--sigma", "X"]
+        self._assert_input_error(capsys, argv)
+        p.write_text('{"g": {"0": [1]}}')
+        assert main(argv) == 0
+
+    @pytest.mark.parametrize(
+        "entries",
+        [{"01": [2], "2": [3]}, {"1": [True], "2": [3]}, {"1": [2, 2], "2": [3]}],
+    )
+    @pytest.mark.parametrize("side", ["x", "z"])
+    def test_corrective_maps(self, capsys, graph_file, tmp_path, side, entries):
+        maps = {"x": {"1": [2], "2": [3]}, "z": {"1": [3], "2": []}}
+        maps[side] = entries
+        p = tmp_path / "maps.json"
+        p.write_text(json.dumps(maps))
+        self._assert_input_error(capsys, ["simulate", graph_file, str(p)])
+
+
+# Golden output: the exit code and stdout of every subcommand on the path, on
+# the XZ triangle and on two promotable graphs, recorded from the code before
+# the gflow rules were folded into the bitmask core. Stdout must match byte
+# for byte, except that floats in `simulate` documents, which numpy computes,
+# are compared to 1e-9. Regenerate from a source tree with
+#     PYTHONPATH=src python tests/test_cli.py
+GOLDEN = Path(__file__).with_name("cli_golden.json")
+TRIANGLE_DOC = json.dumps(
+    {"vertices": [0, 1, 2], "edges": [[0, 1], [0, 2], [1, 2]], "inputs": [],
+     "outputs": [0], "planes": {"1": "XZ", "2": "XZ"}}
+)
+GOLDEN_DOCS = {
+    "path.json": PATH_DOC,
+    "path_g.json": PATH_GFLOW,
+    "path_bad.json": BAD_GFLOW,
+    "path_maps.json": json.dumps({"x": {"1": [2], "2": [3]}, "z": {"1": [3], "2": []}}),
+    "far_g.json": json.dumps({"g": {"1": [-1], "2": [10000000000]}}),
+    "path_cycle.json": json.dumps({"g": {"1": [2], "2": [1]}}),
+    "tri.json": TRIANGLE_DOC,
+    "tri_g.json": json.dumps({"g": {"1": [0, 1], "2": [0, 2]}}),
+    "tri_cycle.json": json.dumps({"g": {"1": [2], "2": [1]}}),
+    "edge_xy.json": json.dumps(
+        {"vertices": [1, 2], "edges": [[1, 2]], "inputs": [], "outputs": [2],
+         "planes": {"1": "XY"}}
+    ),
+    "edge_xy_g.json": json.dumps({"g": {"1": [2]}}),
+    "edge_xz.json": json.dumps(
+        {"vertices": [0, 1], "edges": [[0, 1]], "inputs": [], "outputs": [0],
+         "planes": {"1": "XZ"}}
+    ),
+    "edge_xz_g.json": json.dumps({"g": {"1": [0, 1]}}),
+}
+
+
+def _golden_argv():
+    argv = []
+    for graph, flow in (("path.json", "path_g.json"), ("tri.json", "tri_g.json")):
+        argv += [["verify", graph, flow], ["find", graph], ["enumerate", graph],
+                 ["enumerate", graph, "--limit", "1"]]
+        for sigma in "XYZ":
+            argv += [["focus", graph, flow, "--sigma", sigma],
+                     ["check-nf", graph, flow, "--sigma", sigma]]
+        for sigma in "YZ":
+            argv.append(["promote", graph, flow, "--sigma", sigma, "--vertex", "1"])
+        argv += [["simulate", graph, flow, "--dump-branches"], ["simulate", graph],
+                 ["simulate", graph, flow, "--input", "random", "--seed", "3"]]
+    argv += [
+        ["verify", "path.json", "path_bad.json"],
+        ["verify", "path.json", "far_g.json"],
+        ["verify", "path.json", "path_cycle.json"],
+        ["verify", "tri.json", "tri_cycle.json"],
+        ["check-nf", "path.json", "far_g.json", "--sigma", "X"],
+        ["promote", "path.json", "path_g.json", "--sigma", "Z", "--vertex", "2"],
+        ["promote", "edge_xy.json", "edge_xy_g.json", "--sigma", "Z", "--vertex", "1"],
+        ["promote", "edge_xz.json", "edge_xz_g.json", "--sigma", "Y", "--vertex", "1"],
+        ["simulate", "path.json", "path_maps.json", "--dump-branches"],
+        ["oracle-compare", "--max-vertices", "2", "--trials", "20", "--seed", "1"],
+    ]
+    return argv
+
+
+def _run_golden(argv, directory):
+    paths = [os.path.join(directory, a) if a in GOLDEN_DOCS else a for a in argv]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(paths)
+    return code, out.getvalue()
+
+
+def _write_golden_docs(directory):
+    for name, text in GOLDEN_DOCS.items():
+        Path(directory, name).write_text(text)
+
+
+def _round_floats(obj):
+    if isinstance(obj, float):
+        return round(obj, 9)
+    if isinstance(obj, dict):
+        return {k: _round_floats(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_round_floats(v) for v in obj]
+    return obj
+
+
+class TestGoldenOutput:
+    CASES = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else []
+
+    def test_covers_every_subcommand(self):
+        assert [c["argv"] for c in self.CASES] == _golden_argv()
+        assert {c["argv"][0] for c in self.CASES} == {
+            "verify", "find", "enumerate", "focus", "check-nf", "promote", "simulate",
+            "oracle-compare",
+        }
+
+    @pytest.mark.parametrize("case", CASES, ids=lambda c: " ".join(c["argv"]))
+    def test_matches_recorded_output(self, tmp_path, case):
+        _write_golden_docs(tmp_path)
+        code, out = _run_golden(case["argv"], str(tmp_path))
+        assert code == case["exit"]
+        if case["argv"][0] == "simulate" and out:
+            assert out.count("\n") == 1
+            want = _round_floats(json.loads(case["stdout"]))
+            assert _round_floats(json.loads(out)) == want
+        else:
+            assert out == case["stdout"]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        _write_golden_docs(tmp)
+        cases = []
+        for argv in _golden_argv():
+            code, out = _run_golden(argv, tmp)
+            cases.append({"argv": argv, "exit": code, "stdout": out})
+    GOLDEN.write_text(json.dumps(cases, indent=1) + "\n")

@@ -1,8 +1,10 @@
+import json
 import random
 
 import pytest
 
 from gflownf import (
+    CorrectiveMaps,
     CycleError,
     ExtendedOpenGraph,
     Gflow,
@@ -14,8 +16,11 @@ from gflownf import (
     corrective_maps,
     extensivity_order,
     odd_neighbourhood,
+    parse_gflow,
     verify_gflow,
 )
+from gflownf.gflow import parse_corrective_maps
+from gflownf.opengraph import OpenGraphError
 from gflownf.instances import random_instance
 
 
@@ -74,6 +79,15 @@ class TestVerifyGflow:
     def test_codomain_violation(self, path_eog):
         report = verify_gflow(path_eog, Gflow({1: {1, 2}, 2: {3}}))
         assert any(v.condition == "codomain" for v in report.violations)
+
+    def test_out_of_graph_correctors_are_codomain_violations(self, path_eog):
+        # Neither a negative shift nor a 10**10-bit mask: the codomain check
+        # comes before any corrector set becomes a bitmask.
+        report = verify_gflow(path_eog, Gflow({1: {-1}, 2: {10**10}}))
+        assert [(v.vertex, v.condition, v.witness) for v in report.violations] == [
+            (1, "codomain", {-1}),
+            (2, "codomain", {10**10}),
+        ]
 
     def test_plane_relations_on_random_valid_gflows(self):
         # u in g(u) iff plane in {XZ, YZ}; u in Odd(g(u)) iff plane in {XY, XZ}
@@ -165,3 +179,44 @@ class TestNormalFormPredicate:
                     for u in eog.measured
                 )
                 assert check_normal_form(eog, g, "X") == focused
+
+
+def _maps_doc(side, entries):
+    doc = {"x": {"1": [2], "2": [3]}, "z": {"1": [3], "2": []}}
+    doc[side] = entries
+    return json.dumps(doc)
+
+
+class TestParseIdKeyedMaps:
+    """gflow and corrective-map documents follow the open-graph id rules."""
+
+    @pytest.mark.parametrize("key", ["01", "+1", " 1", "1_0", "-1", "1.0", "one"])
+    def test_non_canonical_gflow_key_rejected(self, key):
+        with pytest.raises(OpenGraphError, match="is not a vertex id"):
+            parse_gflow(json.dumps({"g": {key: [2], "2": [3]}}))
+
+    @pytest.mark.parametrize("side", ["x", "z"])
+    @pytest.mark.parametrize("key", ["01", "+1", " 1", "1_0"])
+    def test_non_canonical_map_key_rejected(self, side, key):
+        with pytest.raises(OpenGraphError, match="is not a vertex id"):
+            parse_corrective_maps(_maps_doc(side, {key: [3], "2": []}))
+
+    @pytest.mark.parametrize("ids", [[True], [2, False], [1.0], ["2"], 2, None])
+    def test_non_id_corrector_rejected(self, ids):
+        with pytest.raises(OpenGraphError, match="list of integers"):
+            parse_gflow(json.dumps({"g": {"0": ids, "1": [2]}}))
+        for side in "xz":
+            with pytest.raises(OpenGraphError, match="list of integers"):
+                parse_corrective_maps(_maps_doc(side, {"1": ids, "2": []}))
+
+    def test_duplicate_corrector_rejected(self):
+        with pytest.raises(OpenGraphError, match="more than once"):
+            parse_gflow('{"g": {"1": [2, 3, 2], "2": [3]}}')
+        with pytest.raises(OpenGraphError, match="more than once"):
+            parse_corrective_maps(_maps_doc("z", {"1": [3, 3], "2": []}))
+
+    def test_documents_round_trip(self):
+        g = parse_gflow('{"g": {"0": [], "1": [2, 3], "10": [10]}}')
+        assert g.assignments == {0: frozenset(), 1: {2, 3}, 10: {10}}
+        maps = parse_corrective_maps(_maps_doc("x", {"1": [2], "2": [3]}))
+        assert maps == CorrectiveMaps({1: {2}, 2: {3}}, {1: {3}, 2: set()})

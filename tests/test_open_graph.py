@@ -8,12 +8,10 @@ from gflownf import (
     Graph,
     OpenGraphError,
     Plane,
-    induced_edge_count,
     odd_neighbourhood,
     parse_open_graph,
     parse_open_graph_document,
     serialize_open_graph,
-    symmetric_difference,
 )
 
 from conftest import PATH_DOC
@@ -71,29 +69,6 @@ class TestOddNeighbourhood:
         assert odd_neighbourhood(graph, a) == brute_odd(graph, a)
 
 
-class TestSymmetricDifference:
-    def test_definition(self):
-        assert symmetric_difference({1, 2}, {2, 3}) == {1, 3}
-
-    @given(st.sets(st.integers(0, 20)), st.sets(st.integers(0, 20)))
-    def test_identity_and_self_inverse(self, a, b):
-        assert symmetric_difference(a, frozenset()) == frozenset(a)
-        assert symmetric_difference(a, a) == frozenset()
-        assert symmetric_difference(a, b) == symmetric_difference(b, a)
-
-
-class TestInducedEdgeCount:
-    def test_single_edge(self):
-        assert induced_edge_count(PATH, {1}, {2}) == 1
-
-    def test_empty_support(self):
-        assert induced_edge_count(PATH, frozenset(), frozenset()) == 0
-
-    def test_full_triangle(self):
-        tri = Graph(frozenset({1, 2, 3}), frozenset({(1, 2), (2, 3), (1, 3)}))
-        assert induced_edge_count(tri, {1, 2, 3}, frozenset()) == 3
-
-
 class TestGraphInvariants:
     def test_self_loop_rejected(self):
         with pytest.raises(OpenGraphError):
@@ -149,6 +124,10 @@ class TestSerialization:
         with pytest.raises(OpenGraphError):
             parse_open_graph(PATH_DOC[:40])
 
+    def test_too_deep_json_rejected(self):
+        with pytest.raises(OpenGraphError, match="invalid JSON"):
+            parse_open_graph("[" * 100_000)
+
     def test_angle_out_of_range_rejected(self):
         doc = json.loads(PATH_DOC)
         doc["angles"]["1"] = 7.0
@@ -179,6 +158,47 @@ class TestSerialization:
         doc[key] = value
         with pytest.raises(OpenGraphError, match="more than once"):
             parse_open_graph(json.dumps(doc))
+
+
+NON_CANONICAL_KEYS = ["01", "+1", " 1", "1_0"]
+
+
+class TestIdKeyedMaps:
+    """Vertex-id keys are canonical decimals, so no two keys name one vertex."""
+
+    @pytest.mark.parametrize("field", ["planes", "angles"])
+    @pytest.mark.parametrize("key", NON_CANONICAL_KEYS)
+    def test_non_canonical_key_rejected(self, field, key):
+        doc = json.loads(PATH_DOC)
+        doc[field][key] = doc[field].pop("1")
+        with pytest.raises(OpenGraphError, match="is not a vertex id"):
+            parse_open_graph_document(json.dumps(doc))
+
+    def test_alias_key_cannot_override(self):
+        # int("01") == 1: the later key used to win silently.
+        text = PATH_DOC.replace('"2":"XY"}', '"2":"XY", "01":"YZ"}')
+        with pytest.raises(OpenGraphError):
+            parse_open_graph(text)
+
+    def test_repeated_key_rejected(self):
+        text = PATH_DOC.replace('"2":"XY"}', '"2":"XY", "1":"YZ"}')
+        with pytest.raises(OpenGraphError, match="repeats keys"):
+            parse_open_graph(text)
+
+    @pytest.mark.parametrize("value", [True, False, "0.3", None])
+    def test_non_number_angle_rejected(self, value):
+        doc = json.loads(PATH_DOC)
+        doc["angles"]["1"] = value
+        with pytest.raises(OpenGraphError, match="angle at vertex 1"):
+            parse_open_graph_document(json.dumps(doc))
+
+    def test_canonical_keys_accepted(self):
+        doc = json.loads(PATH_DOC)
+        doc["vertices"].append(10)
+        doc["outputs"].append(10)
+        eog, angles = parse_open_graph_document(json.dumps(doc))
+        assert eog.planes == {1: Plane.XY, 2: Plane.XY}
+        assert angles == {1: 0.3, 2: 1.1}
 
 
 class TestExtendedOpenGraph:
