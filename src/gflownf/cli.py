@@ -17,6 +17,7 @@ import numpy as np
 from .opengraph import (
     OpenGraphError,
     _load_json,
+    _vertex_mask,
     parse_open_graph_document,
     serialize_open_graph,
 )
@@ -34,6 +35,8 @@ from .normal_forms import promote_input_y, promote_input_z
 from .normal_forms import focus as focus_gflow
 from .search import brute_force_enumerate, find_gflow
 from .sim import (
+    DEFAULT_BRANCH_BOUND,
+    DEFAULT_MAX_QUBITS,
     BranchLimitError,
     Pattern,
     Statevector,
@@ -106,6 +109,9 @@ def cmd_focus(args):
 def cmd_check_nf(args):
     eog = parse_open_graph_document(_read(args.graph))[0]
     g = parse_gflow(_read(args.gflow))
+    # check_normal_form stops at the first vertex that breaks the inclusion;
+    # range-check every corrector first so a non-vertex id always exits 2.
+    _vertex_mask(eog.graph, frozenset().union(*g.assignments.values()))
     ok = check_normal_form(eog, g, args.sigma)
     _emit({"normal_form": ok, "sigma": args.sigma})
     return OK if ok else NEGATIVE
@@ -166,15 +172,11 @@ def cmd_simulate(args):
         )
         input_state = Statevector(in_qubits, amps / np.linalg.norm(amps))
     try:
-        results = run_all_branches(pattern, input_state, args.branch_bound)
-    except BranchLimitError as exc:
-        _emit(
-            {
-                "error": str(exc),
-                "measured": len(pattern.schedule),
-                "branch_bound": args.branch_bound,
-            }
+        results = run_all_branches(
+            pattern, input_state, args.branch_bound, args.max_qubits
         )
+    except BranchLimitError as exc:
+        _emit({"error": str(exc), **exc.limit})
         print(str(exc), file=sys.stderr)
         return RESOURCE
     report = check_determinism(results, args.tol)
@@ -275,7 +277,8 @@ def build_parser():
     p.add_argument("--input", choices=("basis", "random"), default="basis")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--branch-bound", type=int, default=12)
+    p.add_argument("--branch-bound", type=int, default=DEFAULT_BRANCH_BOUND)
+    p.add_argument("--max-qubits", type=int, default=DEFAULT_MAX_QUBITS)
     p.add_argument("--dump-branches", action="store_true")
     p.set_defaults(func=cmd_simulate)
 

@@ -190,12 +190,22 @@ def extensivity_order(
     return _order(succ, outputs)
 
 
-def _f_order(eog: ExtendedOpenGraph, g: Gflow) -> DependencyOrder:
-    """The order of f(u) = g(u) | Odd(g(u)); CycleError when g is not extensive."""
+def _f_order(
+    eog: ExtendedOpenGraph, g: Gflow, masks: Mapping[int, tuple[int, int]] | None = None
+) -> DependencyOrder:
+    """The order of f(u) = g(u) | Odd(g(u)); CycleError when g is not extensive.
+
+    ``masks`` maps each measured u to the bitmasks (g(u), Odd(g(u))) when the
+    caller already holds them; otherwise they are computed from g.
+    """
+    if masks is None:
+        masks = {}
+        for u in eog.measured:
+            k = _vertex_mask(eog.graph, g[u])
+            masks[u] = (k, odd_mask(eog.graph, k))
     succ = dict.fromkeys(eog.vertices, 0)
-    for u in eog.measured:
-        k = _vertex_mask(eog.graph, g[u])
-        succ[u] = (k | odd_mask(eog.graph, k)) & ~(1 << u)
+    for u, (k, odd) in masks.items():
+        succ[u] = (k | odd) & ~(1 << u)
     return _order(succ, eog.outputs)
 
 
@@ -245,15 +255,15 @@ def verify_gflow(eog: ExtendedOpenGraph, g: Gflow) -> VerificationReport:
         if bad:
             violations.append(Violation(u, "codomain", frozenset(bad)))
         if g[u] <= eog.vertices:  # ids outside the graph never size a mask
-            masks[u] = set_to_mask(g[u])
-    for u, k in masks.items():
-        odd = odd_mask(eog.graph, k)
+            k = set_to_mask(g[u])
+            masks[u] = (k, odd_mask(eog.graph, k))
+    for u, (k, odd) in masks.items():
         plane = eog.planes[u]
         if not _plane_holds(plane, u, k, odd):
             violations.append(Violation(u, f"plane-{plane.value}", mask_to_set(odd)))
     if len(masks) == len(measured):
         try:
-            _f_order(eog, g)
+            _f_order(eog, g, masks)
         except CycleError as exc:
             violations.append(
                 Violation(exc.cycle[0], "extensivity", frozenset(exc.cycle))

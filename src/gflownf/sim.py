@@ -1,13 +1,15 @@
 """Exhaustive branch simulation of measurement patterns with corrections.
 
 States live on an ordered qubit register (first qubit is the most
-significant bit); measured qubits are factored out immediately, so memory
-stays at 2**(alive qubits). The 2**k signal assignments of k measurements
-form a binary tree over the schedule: a depth-first walk measures each
-prefix state once per outcome and shares it with both subtrees, so all
-branches cost 2**(k+1) - 2 measurements instead of k * 2**k. Branches come
-out in binary-counter order and their outputs are compared up to global
-phase.
+significant bit). The prepared graph state is a single 2**n complex array:
+the input amplitudes broadcast over |+> on the other qubits, then one
+in-place sign flip of a strided slice per CZ edge. Measured qubits are
+factored out immediately, so memory stays at 2**(alive qubits). The 2**k
+signal assignments of k measurements form a binary tree over the schedule:
+a depth-first walk measures each prefix state once per outcome and shares
+it with both subtrees, so all branches cost 2**(k+1) - 2 measurements
+instead of k * 2**k. Branches come out in binary-counter order and their
+outputs are compared up to global phase.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .gflow import CorrectiveMaps, Gflow, _f_order, corrective_maps
 STATE_TOL = 1e-9
 NORM_TOL = 1e-12
 DEFAULT_BRANCH_BOUND = 12
+DEFAULT_MAX_QUBITS = 24
 
 PAULI = {
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -35,7 +38,14 @@ PAULI = {
 
 
 class BranchLimitError(RuntimeError):
-    """Too many measured qubits for exhaustive branch evaluation."""
+    """Too many measured qubits, or too wide a register, to run every branch.
+
+    ``limit`` holds the count that broke a bound and the bound itself.
+    """
+
+    def __init__(self, message: str, limit: Mapping[str, int]):
+        super().__init__(message)
+        self.limit = dict(limit)
 
 
 @dataclass
@@ -72,10 +82,12 @@ def inner(a: Statevector, b: Statevector) -> complex:
 
 
 def prepare(graph: Graph, inputs, input_state: Statevector) -> Statevector:
-    """Entangle the input state: append |+> on the rest, phase per edge.
+    """Entangle the input state: append |+> on the rest, CZ per edge.
 
-    The amplitude on a basis assignment picks up -1 for every edge whose
-    endpoints are both set, and the non-input part is uniformly weighted.
+    The register is one complex tensor with an axis per qubit: the input
+    amplitudes, broadcast uniformly over the non-input axes, are copied in
+    once, and each edge then negates in place the slice where both of its
+    endpoints are set.
     """
     inputs = frozenset(inputs)
     if input_state.qubits != tuple(sorted(inputs)):
@@ -83,16 +95,15 @@ def prepare(graph: Graph, inputs, input_state: Statevector) -> Statevector:
     qubits = tuple(sorted(graph.vertices))
     n = len(qubits)
     pos = {v: i for i, v in enumerate(qubits)}
-    idx = np.arange(2**n)
-    bit = {v: (idx >> (n - 1 - pos[v])) & 1 for v in qubits}
-    in_index = np.zeros(2**n, dtype=np.int64)
-    for v in input_state.qubits:
-        in_index = (in_index << 1) | bit[v]
-    sign = np.ones(2**n)
+    # Inputs and register are both sorted, so the input axes are in order.
+    spread = input_state.amplitudes.reshape([2 if v in inputs else 1 for v in qubits])
+    amps = np.broadcast_to(spread / math.sqrt(2 ** (n - len(inputs))), (2,) * n).copy()
     for u, v in graph.edges:
-        sign *= 1.0 - 2.0 * (bit[u] & bit[v])
-    amps = input_state.amplitudes[in_index] * sign / math.sqrt(2 ** (n - len(inputs)))
-    return Statevector(qubits, amps)
+        both = [slice(None)] * n
+        both[pos[u]] = both[pos[v]] = slice(1, 2)  # a view even when n == 2
+        flip = amps[tuple(both)]
+        np.negative(flip, out=flip)
+    return Statevector(qubits, amps.reshape(-1))
 
 
 def plane_observable(plane: Plane, alpha: float) -> np.ndarray:
@@ -244,10 +255,26 @@ def run_branch(pattern: Pattern, input_state: Statevector, signals) -> BranchRes
     return _run_measurements(pattern, state, dict(signals))
 
 
+def _check_bounds(pattern: Pattern, branch_bound: int, max_qubits: int) -> None:
+    k = len(pattern.schedule)
+    if k > branch_bound:
+        raise BranchLimitError(
+            f"{k} measured qubits exceed the branch bound {branch_bound}",
+            {"measured": k, "branch_bound": branch_bound},
+        )
+    n = len(pattern.eog.vertices)
+    if n > max_qubits:
+        raise BranchLimitError(
+            f"a register of {n} qubits exceeds the bound of {max_qubits} qubits",
+            {"qubits": n, "max_qubits": max_qubits},
+        )
+
+
 def run_all_branches(
     pattern: Pattern,
     input_state: Statevector,
     branch_bound: int = DEFAULT_BRANCH_BOUND,
+    max_qubits: int = DEFAULT_MAX_QUBITS,
 ) -> list[BranchResult]:
     """One branch per signal assignment, ordered as a binary counter.
 
@@ -256,14 +283,13 @@ def run_all_branches(
     subtrees, 2**(k+1) - 2 `measure` calls in all. A zero-probability
     outcome is not descended; every branch below it gets probability 0.0
     and a zero vector on the sorted outputs. Each result equals the one
-    `run_branch` gives for its signals, bit for bit.
+    `run_branch` gives for its signals, bit for bit. Both bounds are
+    checked before the register is allocated: at most ``branch_bound``
+    measured qubits and at most ``max_qubits`` qubits in all.
     """
+    _check_bounds(pattern, branch_bound, max_qubits)
     schedule = pattern.schedule
     k = len(schedule)
-    if k > branch_bound:
-        raise BranchLimitError(
-            f"{k} measured qubits exceed the branch bound {branch_bound}"
-        )
     prepared = prepare(pattern.eog.graph, pattern.eog.inputs, input_state)
     if k == 0:
         return [BranchResult({}, 1.0, prepared)]
@@ -339,19 +365,24 @@ def extract_isometry(
     pattern: Pattern,
     tol: float = STATE_TOL,
     branch_bound: int = DEFAULT_BRANCH_BOUND,
+    max_qubits: int = DEFAULT_MAX_QUBITS,
 ) -> np.ndarray:
     """The implemented input-to-output map as a 2^|O| x 2^|I| matrix.
 
     Column x is the (unit-norm, phase-gauged) branch output on basis input
     x; determinism is certified on every basis input and on the uniform
-    superposition, and a non-deterministic pattern raises.
+    superposition, and a non-deterministic pattern raises. The bounds are
+    those of `run_all_branches`, checked before the matrix is allocated.
     """
+    _check_bounds(pattern, branch_bound, max_qubits)
     in_qubits = tuple(sorted(pattern.eog.inputs))
     n_in = len(in_qubits)
     dim_out = 2 ** len(pattern.eog.outputs)
     matrix = np.zeros((dim_out, 2**n_in), dtype=complex)
     for x in range(2**n_in):
-        results = run_all_branches(pattern, basis_state(in_qubits, x), branch_bound)
+        results = run_all_branches(
+            pattern, basis_state(in_qubits, x), branch_bound, max_qubits
+        )
         report = check_determinism(results, tol)
         if not report.deterministic:
             raise ValueError(f"pattern is not deterministic on basis input {x}")
@@ -364,7 +395,7 @@ def extract_isometry(
             in_qubits, np.full(2**n_in, 2 ** (-n_in / 2), dtype=complex)
         )
         if not check_determinism(
-            run_all_branches(pattern, sup, branch_bound), tol
+            run_all_branches(pattern, sup, branch_bound, max_qubits), tol
         ).deterministic:
             raise ValueError("pattern is not deterministic on a superposed input")
     return matrix

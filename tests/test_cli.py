@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import gflownf.sim as sim
 from gflownf.cli import main
 
 from conftest import PATH_DOC
@@ -126,6 +127,33 @@ class TestNormalFormCommands:
         assert code == 0
         assert doc["normal_form"] is True
 
+    @pytest.mark.parametrize(
+        "assignment",
+        [
+            {"0": [1], "1": [3], "2": [99]},
+            {"0": [99], "1": [2], "2": [3]},
+        ],
+    )
+    def test_check_nf_non_vertex_id_is_input_error(self, capsys, tmp_path, assignment):
+        # g(0) = {1} breaks the X inclusion, but the unknown id 99 must win
+        # whichever vertex check_normal_form reaches first.
+        graph = {
+            "vertices": [0, 1, 2, 3],
+            "edges": [[0, 1], [1, 2], [2, 3]],
+            "inputs": [0],
+            "outputs": [3],
+            "planes": {"0": "XY", "1": "XY", "2": "XY"},
+        }
+        gp = tmp_path / "g.json"
+        gp.write_text(json.dumps(graph))
+        fp = tmp_path / "f.json"
+        fp.write_text(json.dumps({"g": assignment}))
+        code = main(["check-nf", str(gp), str(fp), "--sigma", "X"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "[99]" in captured.err
+
     def test_promote_z(self, capsys, tmp_path):
         graph = {
             "vertices": [1, 2],
@@ -194,6 +222,45 @@ class TestSimulate:
         doc = json.loads(lines[0])
         assert doc["measured"] == 2 and doc["branch_bound"] == 1
         assert doc["error"] in captured.err
+
+    def test_max_qubits_exceeded_before_allocation(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # a 40-vertex path with one measured vertex: k = 1 is far inside the
+        # branch bound, but the register would take 16 * 2**40 bytes
+        n = 40
+        graph = {
+            "vertices": list(range(n)),
+            "edges": [[i, i + 1] for i in range(n - 1)],
+            "inputs": [],
+            "outputs": list(range(1, n)),
+            "planes": {"0": "XY"},
+        }
+        gp = tmp_path / "wide.json"
+        gp.write_text(json.dumps(graph))
+        fp = tmp_path / "g.json"
+        fp.write_text(json.dumps({"g": {"0": [1]}}))
+
+        def refuse(*args):
+            raise AssertionError("prepare reached past the width bound")
+
+        monkeypatch.setattr(sim, "prepare", refuse)
+        code = main(["simulate", str(gp), str(fp)])
+        captured = capsys.readouterr()
+        assert code == 3
+        lines = captured.out.splitlines()
+        assert len(lines) == 1
+        doc = json.loads(lines[0])
+        assert doc == {"error": doc["error"], "qubits": n, "max_qubits": 24}
+        assert doc["error"] in captured.err
+
+    def test_max_qubits_flag(self, capsys, graph_file, gflow_file):
+        argv = ["simulate", graph_file, gflow_file, "--max-qubits"]
+        code, doc = run(capsys, argv + ["2"])
+        assert code == 3
+        assert doc["qubits"] == 3 and doc["max_qubits"] == 2
+        code, doc = run(capsys, argv + ["3"])
+        assert code == 0 and doc["deterministic"]
 
     def test_corrective_maps_missing_vertex(self, capsys, graph_file, tmp_path):
         maps = {"x": {"1": [2]}, "z": {"1": [3]}}

@@ -15,13 +15,17 @@ from gflownf import (
     check_normal_form,
     corrective_maps,
     extensivity_order,
+    find_gflow,
     odd_neighbourhood,
     parse_gflow,
     verify_gflow,
 )
+import gflownf.gflow as gflow
 from gflownf.gflow import parse_corrective_maps
 from gflownf.opengraph import OpenGraphError
 from gflownf.instances import random_instance
+
+from test_search import grid_cluster
 
 
 class TestExtensivityOrder:
@@ -101,6 +105,22 @@ class TestVerifyGflow:
                     odd = odd_neighbourhood(eog.graph, g[u])
                     assert (u in g[u]) == (eog.planes[u] in (Plane.XZ, Plane.YZ))
                     assert (u in odd) == (eog.planes[u] in (Plane.XY, Plane.XZ))
+
+    def test_one_odd_mask_per_measured_vertex(self, monkeypatch):
+        # The plane check and the f-map order share each Odd(g(u)).
+        eog, _ = grid_cluster(random.Random(3), 16, 6)
+        g = find_gflow(eog)
+        calls = []
+        original = gflow.odd_mask
+
+        def counting(graph, mask):
+            calls.append(mask)
+            return original(graph, mask)
+
+        monkeypatch.setattr(gflow, "odd_mask", counting)
+        assert verify_gflow(eog, g).valid
+        assert len(eog.measured) == 90
+        assert len(calls) == 90
 
 
 class TestInputPlanes:

@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -381,3 +383,143 @@ class TestSharedPrefixWalk:
         calls = self.count_measure(monkeypatch)
         run_all_branches(pattern, inp)
         assert len(calls) == 4
+
+
+def index_array_prepare(graph, inputs, input_state):
+    """The index-array build the tensor prepare replaced, kept as its oracle.
+
+    One int64 bit array of length 2**n per qubit, a gathered input index and
+    a product of edge signs, all of length 2**n.
+    """
+    inputs = frozenset(inputs)
+    qubits = tuple(sorted(graph.vertices))
+    n = len(qubits)
+    pos = {v: i for i, v in enumerate(qubits)}
+    idx = np.arange(2**n)
+    bit = {v: (idx >> (n - 1 - pos[v])) & 1 for v in qubits}
+    in_index = np.zeros(2**n, dtype=np.int64)
+    for v in input_state.qubits:
+        in_index = (in_index << 1) | bit[v]
+    sign = np.ones(2**n)
+    for u, v in graph.edges:
+        sign *= 1.0 - 2.0 * (bit[u] & bit[v])
+    amps = input_state.amplitudes[in_index] * sign / math.sqrt(2 ** (n - len(inputs)))
+    return Statevector(qubits, amps)
+
+
+def path_graph(ids):
+    return Graph(frozenset(ids), frozenset(zip(ids, ids[1:])))
+
+
+class TestTensorPrepare:
+    """prepare equals the index-array oracle value for value.
+
+    Only the sign of an exact zero may differ, which np.array_equal ignores.
+    """
+
+    @staticmethod
+    def assert_same(graph, inputs, input_state):
+        got = prepare(graph, inputs, input_state)
+        want = index_array_prepare(graph, inputs, input_state)
+        assert got.qubits == want.qubits
+        assert np.array_equal(got.amplitudes, want.amplitudes)
+
+    def test_census_graphs(self):
+        nrng = np.random.default_rng(41)
+        checked = 0
+        for n in range(5):
+            pairs = list(itertools.combinations(range(n), 2))
+            for edge_bits in range(1 << len(pairs)):
+                graph = Graph(
+                    frozenset(range(n)),
+                    frozenset(p for i, p in enumerate(pairs) if edge_bits >> i & 1),
+                )
+                for r in range(n + 1):
+                    for inputs in itertools.combinations(range(n), r):
+                        for x in range(2**r):
+                            self.assert_same(graph, inputs, basis_state(inputs, x))
+                        self.assert_same(graph, inputs, random_input(inputs, nrng))
+                        checked += 1
+        assert checked == 1 + 2 + 2 * 4 + 8 * 8 + 64 * 16
+
+    def test_random_instances_with_permuted_ids(self):
+        rng = random.Random(43)
+        nrng = np.random.default_rng(43)
+        for _ in range(1000):
+            eog = random_instance(rng, rng.randint(0, 10))
+            # non-contiguous ids in an order unrelated to the drawn one
+            ids = rng.sample(range(100), len(eog.vertices))
+            relabel = dict(zip(sorted(eog.vertices), ids))
+            graph = Graph(
+                frozenset(relabel.values()),
+                frozenset((relabel[u], relabel[v]) for u, v in eog.graph.edges),
+            )
+            inputs = tuple(sorted(relabel[v] for v in eog.inputs))
+            self.assert_same(graph, inputs, random_input(inputs, nrng))
+            x = rng.randrange(2 ** len(inputs))
+            self.assert_same(graph, inputs, basis_state(inputs, x))
+
+    @pytest.mark.parametrize("n", [15, 16, 17, 18])
+    def test_wide_paths(self, n):
+        rng = random.Random(n)
+        ids = rng.sample(range(3 * n), n)
+        graph = path_graph(ids)
+        inputs = tuple(sorted(rng.sample(ids, 2)))
+        self.assert_same(graph, inputs, basis_state(inputs, 1))
+        self.assert_same(graph, inputs, random_input(inputs, np.random.default_rng(n)))
+
+    def test_branches_and_isometries_on_gflow_patterns(self, monkeypatch):
+        rng = random.Random(47)
+        nrng = np.random.default_rng(47)
+        checked = 0
+        while checked < 200:
+            eog = random_instance(rng, rng.randint(2, 7), force_input_xy=True)
+            if len(eog.inputs) > 3:
+                continue
+            g = find_gflow(eog)
+            if g is None:
+                continue
+            checked += 1
+            angles = {u: rng.uniform(0.1, 6.2) for u in eog.measured}
+            pattern = pattern_from_gflow(eog, angles, g)
+            inp = random_input(tuple(sorted(eog.inputs)), nrng)
+            results, matrix = run_all_branches(pattern, inp), extract_isometry(pattern)
+            with monkeypatch.context() as m:
+                m.setattr(sim, "prepare", index_array_prepare)
+                assert_bit_identical(results, run_all_branches(pattern, inp))
+                assert np.array_equal(matrix, extract_isometry(pattern))
+
+    def test_peak_memory_is_one_register(self):
+        graph = path_graph(list(range(20)))
+        inp = basis_state((0,), 0)
+        state_bytes = 16 * 2**20
+        tracemalloc.start()
+        try:
+            prepare(graph, (0,), inp)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * state_bytes
+
+    def test_width_bound_checked_before_prepare(self, monkeypatch):
+        # 40 qubits, one measured: the register would take 16 * 2**40 bytes
+        n = 40
+        eog = ExtendedOpenGraph(
+            path_graph(list(range(n))),
+            frozenset(),
+            frozenset(range(1, n)),
+            {0: Plane.XY},
+        )
+        pattern = pattern_from_gflow(eog, {0: 0.4}, Gflow({0: {1}}))
+
+        def refuse(*args):
+            raise AssertionError("prepare reached past the width bound")
+
+        monkeypatch.setattr(sim, "prepare", refuse)
+        with pytest.raises(BranchLimitError, match="40 qubits"):
+            run_all_branches(pattern, basis_state((), 0))
+        with pytest.raises(BranchLimitError):
+            extract_isometry(pattern)
+        with pytest.raises(BranchLimitError):
+            run_all_branches(pattern, basis_state((), 0), max_qubits=n - 1)
+        assert sim.DEFAULT_MAX_QUBITS == 24
