@@ -24,7 +24,6 @@ from .opengraph import (
     _vertex_mask,
     mask_to_set,
     odd_mask,
-    odd_neighbourhood,
     set_to_mask,
 )
 
@@ -241,6 +240,11 @@ def verify_gflow(eog: ExtendedOpenGraph, g: Gflow) -> VerificationReport:
     A mismatch between the gflow's domain and the measured vertices is a
     usage error and raises; condition failures come back as violations.
     """
+    return _verify(eog, g)[0]
+
+
+def _verify(eog, g):
+    """The report, each (g(u), Odd(g(u))) mask built, and the order or None."""
     measured = eog.measured
     if g.domain() != measured:
         raise ValueError(
@@ -261,14 +265,15 @@ def verify_gflow(eog: ExtendedOpenGraph, g: Gflow) -> VerificationReport:
         plane = eog.planes[u]
         if not _plane_holds(plane, u, k, odd):
             violations.append(Violation(u, f"plane-{plane.value}", mask_to_set(odd)))
+    order = None
     if len(masks) == len(measured):
         try:
-            _f_order(eog, g, masks)
+            order = _f_order(eog, g, masks)
         except CycleError as exc:
             violations.append(
                 Violation(exc.cycle[0], "extensivity", frozenset(exc.cycle))
             )
-    return VerificationReport(not violations, tuple(violations))
+    return VerificationReport(not violations, tuple(violations)), masks, order
 
 
 def check_input_planes(eog: ExtendedOpenGraph) -> bool:
@@ -301,30 +306,35 @@ def parse_corrective_maps(text: str) -> CorrectiveMaps:
 
 def corrective_maps(eog: ExtendedOpenGraph, g: Gflow) -> CorrectiveMaps:
     """Derive the correction strategy x(u) = g(u)\\{u}, z(u) = Odd(g(u))\\{u}."""
-    report = verify_gflow(eog, g)
+    return _corrections(eog, g)[0]
+
+
+def _corrections(eog, g):
+    """corrective_maps and the f-map order, one Odd(g(u)) per measured u."""
+    report, masks, order = _verify(eog, g)
     if not report.valid:
         first = report.violations[0]
         raise ValueError(
             f"not a valid gflow: {first.condition} violated at vertex {first.vertex}"
         )
-    x = {u: g[u] - {u} for u in eog.measured}
-    z = {u: odd_neighbourhood(eog.graph, g[u]) - {u} for u in eog.measured}
-    return CorrectiveMaps(x, z)
+    x = {u: mask_to_set(k & ~(1 << u)) for u, (k, _) in masks.items()}
+    z = {u: mask_to_set(odd & ~(1 << u)) for u, (_, odd) in masks.items()}
+    return CorrectiveMaps(x, z), order
 
 
 def check_normal_form(eog: ExtendedOpenGraph, g: Gflow, sigma: str) -> bool:
     """Whether the sigma-specific corrector inclusion holds at every vertex.
 
     X bounds Odd(g(u)), Z bounds g(u), Y bounds their symmetric difference,
-    each inside {u} union the outputs.
+    each inside {u} union the outputs; any non-vertex corrector raises first.
     """
     if sigma not in AXES:
         raise ValueError(f"sigma must be one of {AXES}, got {sigma!r}")
     if g.domain() != eog.measured:
         raise ValueError("gflow must assign exactly the measured vertices")
+    masks = {u: _vertex_mask(eog.graph, g[u]) for u in eog.measured}
     out_mask = set_to_mask(eog.outputs)
-    for u in eog.measured:
-        k = _vertex_mask(eog.graph, g[u])
-        if _sigma_target(sigma, k, odd_mask(eog.graph, k)) & ~(out_mask | 1 << u):
-            return False
-    return True
+    return not any(
+        _sigma_target(sigma, k, odd_mask(eog.graph, k)) & ~(out_mask | 1 << u)
+        for u, k in masks.items()
+    )

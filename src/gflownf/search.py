@@ -1,9 +1,9 @@
 """Gflow discovery: layered GF(2) finder plus a brute-force oracle.
 
 The finder works backwards from the outputs, one round per layer; each
-round runs a single GF(2) elimination whose right-hand sides cover every
-unsolved vertex at once. The enumerator keeps, per vertex, the corrector
-masks that pass the plane condition (and the sigma-NF inclusion when asked),
+round runs one GF(2) elimination for every unsolved vertex at once, with
+sigma-NF rows when asked. The enumerator keeps, per vertex, the corrector
+masks passing the plane condition (and the sigma-NF inclusion when asked),
 checks every combination with the shared Kahn peel, and serves as the
 correctness oracle. Both use the gflow rules of ``gflow.py``.
 """
@@ -20,7 +20,7 @@ from .opengraph import (
     odd_mask,
     set_to_mask,
 )
-from .gflow import AXES, Gflow, _off_sigma, _peel, _plane_holds, _sigma_target
+from .gflow import AXES, Gflow, _peel, _plane_holds, _sigma_target
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,7 @@ def brute_force_enumerate(
     return GflowEnumeration(eog, tuple(found), exhausted)
 
 
-def _find_gflow_rounds(eog: ExtendedOpenGraph):
+def _find_gflow_rounds(eog: ExtendedOpenGraph, sigma: str | None = None):
     """Backward layered search; returns (gflow-or-None, rounds).
 
     rounds[u] counts from the outputs: round 1 holds the last-measured
@@ -122,10 +122,18 @@ def _find_gflow_rounds(eog: ExtendedOpenGraph):
     unread). Each row pivots on its lowest set bit, which picks the
     lowest-first column basis, so u's solution with free variables 0 is
     the one a separate elimination for u gives.
+
+    With ``sigma`` only sigma-NF correctors count. Z keeps ``cols`` at the
+    outputs minus the inputs. X and Y add a row, same right-hand side, for
+    each solved non-output w: w must miss Odd(K) (X), or lie in K exactly
+    when in Odd(K) (Y, so the row also toggles w's own column). The
+    inclusion is linear in K and blind to the order, so the maximally
+    delayed layering (Mhalla and Perdrix, ICALP 2008) finds a sigma-NF
+    gflow whenever one exists.
     """
     adj = eog.graph.adjacency_masks
     i_mask = set_to_mask(eog.inputs)
-    c_mask = set_to_mask(eog.outputs)
+    o_mask = c_mask = set_to_mask(eog.outputs)
     force = rhs1 = 0
     for u, plane in eog.planes.items():
         if plane is not Plane.XY:
@@ -137,15 +145,16 @@ def _find_gflow_rounds(eog: ExtendedOpenGraph):
     rounds: dict[int, int] = {}
     round_no = 0
     while unsolved:
-        cols = c_mask & ~i_mask
+        cols = (o_mask if sigma == "Z" else c_mask) & ~i_mask
+        own = cols if sigma == "Y" else 0
         failed = force & i_mask
         pivots: dict[int, list[int]] = {}
-        m = unsolved
+        m = unsolved | (c_mask & ~o_mask) if sigma in ("X", "Y") else unsolved
         while m:
             b = m & -m
             m ^= b
             nbrs = adj[b.bit_length() - 1]
-            coeff = nbrs & cols
+            coeff = nbrs & cols ^ b & own
             rhs = (nbrs & force) | (b & rhs1)
             for p, (pc, pr) in pivots.items():
                 if coeff & p:
@@ -187,28 +196,11 @@ def find_gflow(eog: ExtendedOpenGraph) -> Gflow | None:
     return g
 
 
-def exists_normal_form(
-    eog: ExtendedOpenGraph, sigma: str, limit: int = 1_000_000
-) -> bool | None:
-    """Decide sigma-NF gflow existence; None when the search limit is hit.
+def exists_normal_form(eog: ExtendedOpenGraph, sigma: str) -> bool:
+    """Whether the instance has a sigma-NF gflow, in polynomial time.
 
-    Pipeline: no gflow -> False; sigma in every measured non-input plane
-    -> True; input-defect bound exceeded (Z only) -> False; otherwise
-    restricted exhaustive search.  The bound is only a sound rejection
-    for Z: a Y-NF gflow can exist with more XZ-measured non-inputs than
-    the defect (complete 3-vertex graph, one output, both measured
-    vertices XZ), so Y falls through to the search.
+    The layered finder carries the sigma-NF inclusion, so it always decides.
     """
     if sigma not in AXES:
         raise ValueError(f"sigma must be one of {AXES}, got {sigma!r}")
-    if find_gflow(eog) is None:
-        return False
-    off = _off_sigma(eog, sigma)
-    if not off:
-        return True
-    if sigma == "Z" and len(off) > eog.input_defect:
-        return False
-    enum = brute_force_enumerate(eog, limit, nf_sigma=sigma, stop_after=1)
-    if enum.gflows:
-        return True
-    return False if enum.exhausted else None
+    return _find_gflow_rounds(eog, sigma)[0] is not None

@@ -23,7 +23,7 @@ from typing import Mapping
 import numpy as np
 
 from .opengraph import ExtendedOpenGraph, Graph, Plane
-from .gflow import CorrectiveMaps, Gflow, _f_order, corrective_maps
+from .gflow import CorrectiveMaps, Gflow, _corrections
 
 STATE_TOL = 1e-9
 NORM_TOL = 1e-12
@@ -207,8 +207,7 @@ def pattern_from_gflow(
     eog: ExtendedOpenGraph, angles: Mapping[int, float], g: Gflow
 ) -> Pattern:
     """Corrections from the gflow, schedule from its dependency layers."""
-    maps = corrective_maps(eog, g)
-    order = _f_order(eog, g)
+    maps, order = _corrections(eog, g)
     return Pattern(eog, angles, maps, order.schedule(eog.measured))
 
 
@@ -248,9 +247,10 @@ def _run_measurements(pattern: Pattern, state: Statevector, signals) -> BranchRe
 
 
 def run_branch(pattern: Pattern, input_state: Statevector, signals) -> BranchResult:
-    """Run one signal assignment end to end."""
+    """Run one signal assignment end to end, within ``DEFAULT_MAX_QUBITS``."""
     if frozenset(signals) != pattern.eog.measured:
         raise ValueError("signals must be given for exactly the measured vertices")
+    _check_bounds(pattern, len(pattern.schedule), DEFAULT_MAX_QUBITS)  # width only
     state = prepare(pattern.eog.graph, pattern.eog.inputs, input_state)
     return _run_measurements(pattern, state, dict(signals))
 

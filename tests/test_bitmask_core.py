@@ -215,9 +215,10 @@ def oracle_verify_gflow(eog, g):
 
 
 def oracle_check_normal_form(eog, g, sigma):
-    for u in eog.measured:
+    # Range-check every corrector before testing any inclusion.
+    odds = {u: odd_neighbourhood(eog.graph, g[u]) for u in eog.measured}
+    for u, odd in odds.items():
         gu = g[u]
-        odd = odd_neighbourhood(eog.graph, gu)
         target = {"X": odd, "Y": gu ^ odd, "Z": gu}[sigma]
         if not target <= ({u} | eog.outputs):
             return False

@@ -18,9 +18,11 @@ from gflownf import (
     find_gflow,
     odd_neighbourhood,
     parse_gflow,
+    pattern_from_gflow,
     verify_gflow,
 )
 import gflownf.gflow as gflow
+import gflownf.opengraph as opengraph
 from gflownf.gflow import parse_corrective_maps
 from gflownf.opengraph import OpenGraphError
 from gflownf.instances import random_instance
@@ -122,6 +124,23 @@ class TestVerifyGflow:
         assert len(eog.measured) == 90
         assert len(calls) == 90
 
+    def test_one_odd_mask_per_measured_vertex_in_pattern(self, monkeypatch):
+        # Corrections and schedule share the masks verification computed.
+        eog, _ = grid_cluster(random.Random(3), 16, 6)
+        g = find_gflow(eog)
+        calls = []
+        for module in (gflow, opengraph):
+            original = module.odd_mask
+
+            def counting(graph, mask, original=original):
+                calls.append(mask)
+                return original(graph, mask)
+
+            monkeypatch.setattr(module, "odd_mask", counting)
+        pattern = pattern_from_gflow(eog, dict.fromkeys(eog.measured, 0.5), g)
+        assert len(calls) == 90
+        assert pattern.corrections == corrective_maps(eog, g)
+
 
 class TestInputPlanes:
     def test_path_true(self, path_eog):
@@ -185,6 +204,12 @@ class TestNormalFormPredicate:
     def test_bad_sigma(self, path_eog, path_gflow):
         with pytest.raises(ValueError):
             check_normal_form(path_eog, path_gflow, "W")
+
+    @pytest.mark.parametrize("g", [{1: {3}, 2: {99}}, {1: {99}, 2: {2}}])
+    def test_non_vertex_raises_whatever_the_order(self, path_eog, g):
+        # {1: {3}} breaks the X inclusion, but the unknown id 99 wins.
+        with pytest.raises(OpenGraphError, match=r"\[99\]"):
+            check_normal_form(path_eog, Gflow(g), "X")
 
     def test_focused_equivalence_all_xy(self):
         # On all-XY instances, X-NF means Odd(g(u)) meets the measured set in {u}.

@@ -220,6 +220,18 @@ class TestDefectBound:
             assert not hit.gflows
             assert hit.exhausted  # a search cut off by its limit decides nothing
 
+    def test_z_bound_holds_on_random_instances(self):
+        # Every Z-NF gflow the finder decides on 5-30 vertices keeps the bound.
+        rng = random.Random(73)
+        decided = 0
+        for _ in range(2_000):
+            n = rng.randint(5, 30)
+            eog = random_instance(rng, n, rng.uniform(0.1, 0.6), force_input_xy=True)
+            if exists_normal_form(eog, "Z"):
+                decided += 1
+                assert check_defect_bound(eog, "Z")[2]
+        assert decided > 100
+
     def test_four_vertex_non_necessity_shape(self):
         # Search the 4-vertex family for an instance with one XZ-measured
         # non-input, defect 1, admitting a Y-NF gflow.
@@ -277,3 +289,19 @@ class TestBalancedDecision:
                 assert check_balanced_nf(eog, sigma) == (
                     exists_normal_form(eog, sigma) is True
                 )
+
+    def test_matches_nf_existence_random(self):
+        # Balanced instances on 5-30 vertices: the plane test is the finder's
+        # sigma-NF verdict, which comes out both ways for Y and for Z.
+        rng = random.Random(79)
+        verdicts = set()
+        for _ in range(8_000):
+            n = rng.randint(5, 30)
+            eog = random_instance(rng, n, rng.uniform(0.1, 0.6), force_input_xy=True)
+            if len(eog.inputs) != len(eog.outputs) or find_gflow(eog) is None:
+                continue
+            for sigma in ("Y", "Z"):
+                exists = exists_normal_form(eog, sigma)
+                assert check_balanced_nf(eog, sigma) == exists
+                verdicts.add((sigma, exists))
+        assert len(verdicts) == 4

@@ -7,12 +7,13 @@ from gflownf import (
     Graph,
     Plane,
     brute_force_enumerate,
+    check_normal_form,
     exists_normal_form,
     find_gflow,
     odd_neighbourhood,
     verify_gflow,
 )
-from gflownf.gflow import Gflow
+from gflownf.gflow import AXES, Gflow
 from gflownf.opengraph import mask_to_set, set_to_mask
 from gflownf.search import _find_gflow_rounds
 from gflownf.instances import all_instances, random_instance
@@ -147,6 +148,20 @@ def assert_same_as_oracle(eog):
         assert got_g.assignments == want_g.assignments
     assert got_rounds == want_rounds
     return want_g is not None
+
+
+def assert_sigma_finder_as_oracle(eog, sigma):
+    """The sigma finder's verdict is the NF-restricted oracle's, and its gflow
+    is a valid sigma-NF gflow."""
+    g, _ = _find_gflow_rounds(eog, sigma)
+    witness = brute_force_enumerate(eog, 500_000, nf_sigma=sigma, stop_after=1)
+    assert (g is not None) == bool(witness.gflows)
+    if g is None:
+        assert witness.exhausted
+    else:
+        assert verify_gflow(eog, g).valid
+        assert check_normal_form(eog, g, sigma)
+    return g is not None
 
 
 class TestBruteForce:
@@ -301,3 +316,32 @@ class TestSharedElimination:
         assert rounds == {
             vid(x, y): w - 1 - x for x in range(w - 1) for y in range(h)
         }
+
+
+class TestSigmaFinder:
+    """The finder with sigma-NF rows against the NF-restricted oracle."""
+
+    def test_census(self, small_sweep):
+        for sigma in AXES:
+            found = sum(
+                assert_sigma_finder_as_oracle(eog, sigma) for eog, _ in small_sweep
+            )
+            assert 0 < found < len(small_sweep)
+
+    def test_census_without_gflow(self):
+        for eog in all_instances(3):
+            if find_gflow(eog) is None:
+                for sigma in AXES:
+                    assert _find_gflow_rounds(eog, sigma)[0] is None
+
+    def test_random_instances(self):
+        rng = random.Random(67)
+        found = dict.fromkeys(AXES, 0)
+        for _ in range(3_000):
+            eog = random_instance(rng, rng.randint(5, 8), force_input_xy=True)
+            has_gflow = find_gflow(eog) is not None
+            for sigma in AXES:
+                hit = assert_sigma_finder_as_oracle(eog, sigma)
+                assert has_gflow or not hit
+                found[sigma] += hit
+        assert min(found.values()) > 300

@@ -142,6 +142,13 @@ class TestRunBranch:
         with pytest.raises(ValueError):
             run_branch(pattern, basis_state((1,), 0), {1: 0})
 
+    def test_width_bound_read_at_call_time(self, monkeypatch, path_eog, path_gflow):
+        pattern = path_pattern(path_eog, path_gflow, {1: 0.0, 2: 0.0})
+        monkeypatch.setattr(sim, "DEFAULT_MAX_QUBITS", 2)
+        with pytest.raises(BranchLimitError) as info:
+            run_branch(pattern, basis_state((1,), 0), {1: 0, 2: 0})
+        assert info.value.limit == {"qubits": 3, "max_qubits": 2}
+
 
 class TestDeterminism:
     def test_gflow_pattern_deterministic(self, path_eog, path_gflow):
