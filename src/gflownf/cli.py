@@ -201,7 +201,7 @@ def cmd_oracle_compare(args):
         nonlocal instances, disagreements, invalid
         instances += 1
         found = find_gflow(eog)
-        witness = brute_force_enumerate(eog, args.limit, stop_after=1)
+        witness = brute_force_enumerate(eog, stop_after=1)
         if (found is not None) != bool(witness.gflows):
             disagreements += 1
             return
@@ -284,7 +284,6 @@ def build_parser():
     p.add_argument("--max-vertices", type=int, default=3)
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--limit", type=int, default=1_000_000)
     p.set_defaults(func=cmd_oracle_compare)
     return parser
 

@@ -21,7 +21,6 @@ from .opengraph import (
     Plane,
     _id_set_map,
     _load_json,
-    _vertex_mask,
     mask_to_set,
     odd_mask,
     set_to_mask,
@@ -33,9 +32,9 @@ AXES = ("X", "Y", "Z")
 _PLANE_BITS = {Plane.XY: (0, 1), Plane.XZ: (1, 1), Plane.YZ: (1, 0)}
 
 
-def _plane_holds(plane: Plane, u: int, g: int, odd: int) -> bool:
-    """The gflow condition at u, for corrector mask g and odd = Odd(g)."""
-    return (g >> u & 1, odd >> u & 1) == _PLANE_BITS[plane]
+def _plane_holds(plane: Plane, i: int, g: int, odd: int) -> bool:
+    """The gflow condition at bit i, for corrector mask g and odd = Odd(g)."""
+    return (g >> i & 1, odd >> i & 1) == _PLANE_BITS[plane]
 
 
 def _sigma_target(sigma: str, g: int, odd: int) -> int:
@@ -106,9 +105,9 @@ class CycleError(ValueError):
 def _peel(succ: Mapping[int, int]) -> tuple[dict[int, int] | None, int]:
     """Kahn's algorithm, linear in vertices plus arcs u -> v, v a bit of succ[u].
 
-    Arc heads must be keys, and no mask holds its own key. Returns (depth, 0),
-    depth[v] the longest path ending at v, or (None, mask of the vertices left
-    unpeeled) on a cycle; neither depends on the peel order.
+    Keys are bit positions, arc heads are keys, no mask holds its own key.
+    Returns (depth, 0), depth[v] the longest path ending at v, or (None, mask
+    of the vertices left unpeeled) on a cycle; neither depends on the peel order.
     """
     left = heads = 0
     for u, m in succ.items():
@@ -158,12 +157,14 @@ def _witness_cycle(succ, stuck):
         path.append(nxt)
 
 
-def _order(succ: Mapping[int, int], outputs: Iterable[int]) -> DependencyOrder:
-    """Depth layers of an arc-mask digraph, outputs lifted to the top one."""
-    layers, stuck = _peel(succ)
+def _order(ids, succ: Mapping[int, int], outputs) -> DependencyOrder:
+    """Depth layers of an arc-mask digraph keyed by every bit of ids in order,
+    outputs lifted to the top one."""
+    depth, stuck = _peel(succ)
     if stuck:
-        raise CycleError(_witness_cycle(succ, stuck))
-    top = max(layers.values(), default=0)
+        raise CycleError([ids[i] for i in _witness_cycle(succ, stuck)])
+    layers = dict(zip(ids, depth.values()))
+    top = max(depth.values(), default=0)
     for o in outputs:
         layers[o] = top
     return DependencyOrder(layers)
@@ -177,35 +178,30 @@ def extensivity_order(
     Raises CycleError (carrying one witness cycle) when no such order
     exists. Outputs are lifted to the shared maximal layer.
     """
-    succ = dict.fromkeys(graph.vertices, 0)
+    index = graph.index
+    succ = dict.fromkeys(range(len(index)), 0)
     for u, image in f.items():
-        if u not in succ:
+        i = index.get(u)
+        if i is None:
             raise OpenGraphError(f"map is keyed by unknown vertex {u}")
         for v in image:
-            if v not in succ:
+            j = index.get(v)
+            if j is None:
                 raise OpenGraphError(f"image of {u} contains unknown vertex {v}")
-            if v != u:
-                succ[u] |= 1 << v
-    return _order(succ, outputs)
+            if j != i:
+                succ[i] |= 1 << j
+    return _order(graph.ids, succ, outputs)
 
 
-def _f_order(
-    eog: ExtendedOpenGraph, g: Gflow, masks: Mapping[int, tuple[int, int]] | None = None
-) -> DependencyOrder:
+def _f_order(eog: ExtendedOpenGraph, masks) -> DependencyOrder:
     """The order of f(u) = g(u) | Odd(g(u)); CycleError when g is not extensive.
 
-    ``masks`` maps each measured u to the bitmasks (g(u), Odd(g(u))) when the
-    caller already holds them; otherwise they are computed from g.
+    ``masks`` maps each measured u's bit position to (g(u), Odd(g(u))).
     """
-    if masks is None:
-        masks = {}
-        for u in eog.measured:
-            k = _vertex_mask(eog.graph, g[u])
-            masks[u] = (k, odd_mask(eog.graph, k))
-    succ = dict.fromkeys(eog.vertices, 0)
-    for u, (k, odd) in masks.items():
-        succ[u] = (k | odd) & ~(1 << u)
-    return _order(succ, eog.outputs)
+    succ = dict.fromkeys(range(len(eog.graph.ids)), 0)
+    for i, (k, odd) in masks.items():
+        succ[i] = (k | odd) & ~(1 << i)
+    return _order(eog.graph.ids, succ, eog.outputs)
 
 
 @dataclass(frozen=True)
@@ -244,7 +240,7 @@ def verify_gflow(eog: ExtendedOpenGraph, g: Gflow) -> VerificationReport:
 
 
 def _verify(eog, g):
-    """The report, each (g(u), Odd(g(u))) mask built, and the order or None."""
+    """The report, the (g(u), Odd(g(u))) masks by bit position, and the order."""
     measured = eog.measured
     if g.domain() != measured:
         raise ValueError(
@@ -252,23 +248,25 @@ def _verify(eog, g):
             f"{sorted(measured)}, got {sorted(g.domain())}"
         )
     violations = []
+    graph, ids = eog.graph, eog.graph.ids
     non_inputs = eog.vertices - eog.inputs
     masks = {}
     for u in sorted(measured):
         bad = g[u] - non_inputs
         if bad:
             violations.append(Violation(u, "codomain", frozenset(bad)))
-        if g[u] <= eog.vertices:  # ids outside the graph never size a mask
-            k = set_to_mask(g[u])
-            masks[u] = (k, odd_mask(eog.graph, k))
-    for u, (k, odd) in masks.items():
+        if g[u] <= eog.vertices:  # an id outside the graph has no bit
+            k = graph.mask(g[u])
+            masks[graph.index[u]] = (k, odd_mask(graph, k))
+    for i, (k, odd) in masks.items():
+        u = ids[i]
         plane = eog.planes[u]
-        if not _plane_holds(plane, u, k, odd):
-            violations.append(Violation(u, f"plane-{plane.value}", mask_to_set(odd)))
+        if not _plane_holds(plane, i, k, odd):
+            violations.append(Violation(u, f"plane-{plane.value}", graph.members(odd)))
     order = None
     if len(masks) == len(measured):
         try:
-            order = _f_order(eog, g, masks)
+            order = _f_order(eog, masks)
         except CycleError as exc:
             violations.append(
                 Violation(exc.cycle[0], "extensivity", frozenset(exc.cycle))
@@ -317,8 +315,9 @@ def _corrections(eog, g):
         raise ValueError(
             f"not a valid gflow: {first.condition} violated at vertex {first.vertex}"
         )
-    x = {u: mask_to_set(k & ~(1 << u)) for u, (k, _) in masks.items()}
-    z = {u: mask_to_set(odd & ~(1 << u)) for u, (_, odd) in masks.items()}
+    members, ids = eog.graph.members, eog.graph.ids
+    x = {ids[i]: members(k & ~(1 << i)) for i, (k, _) in masks.items()}
+    z = {ids[i]: members(odd & ~(1 << i)) for i, (_, odd) in masks.items()}
     return CorrectiveMaps(x, z), order
 
 
@@ -332,9 +331,10 @@ def check_normal_form(eog: ExtendedOpenGraph, g: Gflow, sigma: str) -> bool:
         raise ValueError(f"sigma must be one of {AXES}, got {sigma!r}")
     if g.domain() != eog.measured:
         raise ValueError("gflow must assign exactly the measured vertices")
-    masks = {u: _vertex_mask(eog.graph, g[u]) for u in eog.measured}
-    out_mask = set_to_mask(eog.outputs)
+    graph = eog.graph
+    masks = {graph.index[u]: graph.mask(g[u]) for u in eog.measured}
+    out_mask = graph.mask(eog.outputs)
     return not any(
-        _sigma_target(sigma, k, odd_mask(eog.graph, k)) & ~(out_mask | 1 << u)
-        for u, k in masks.items()
+        _sigma_target(sigma, k, odd_mask(graph, k)) & ~(out_mask | 1 << i)
+        for i, k in masks.items()
     )

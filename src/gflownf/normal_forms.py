@@ -9,14 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .opengraph import (
-    ExtendedOpenGraph,
-    Graph,
-    Plane,
-    mask_to_set,
-    odd_mask,
-    set_to_mask,
-)
+from .opengraph import ExtendedOpenGraph, Graph, Plane, odd_mask
 from .gflow import (
     AXES,
     Gflow,
@@ -53,18 +46,23 @@ def focus(eog: ExtendedOpenGraph, g: Gflow, sigma: str) -> Gflow:
             f"vertex {off[0]} is measured in the {eog.planes[off[0]].value} plane, "
             f"which does not contain {sigma}"
         )
-    order = _f_order(eog, g)
-    out_mask = set_to_mask(eog.outputs)
+    graph = eog.graph
+    masks = {}
+    for u in eog.measured:
+        k = graph.mask(g[u])
+        masks[graph.index[u]] = (k, odd_mask(graph, k))
+    order = _f_order(eog, masks)
+    out_mask = graph.mask(eog.outputs)
     refocused: dict[int, int] = {}
-    for u in sorted(eog.measured, key=lambda v: (-order.layers[v], v)):
-        k = set_to_mask(g[u])
-        pool = _sigma_target(sigma, k, odd_mask(eog.graph, k)) & ~(out_mask | 1 << u)
+    for i in sorted(masks, key=lambda i: (-order.layers[graph.ids[i]], i)):
+        k, odd = masks[i]
+        pool = _sigma_target(sigma, k, odd) & ~(out_mask | 1 << i)
         while pool:
             b = pool & -pool
             pool ^= b
             k ^= refocused[b.bit_length() - 1]
-        refocused[u] = k
-    return Gflow({u: mask_to_set(k) for u, k in refocused.items()})
+        refocused[i] = k
+    return Gflow({graph.ids[i]: graph.members(k) for i, k in refocused.items()})
 
 
 def _check_promotion_pre(eog, g, u0, sigma):

@@ -1,9 +1,9 @@
 """Open graphs with measurement planes and GF(2) vertex-set algebra.
 
-Vertex sets are frozensets of small non-negative integer ids. Hot paths
-(candidate enumeration, GF(2) solving) work on int bitmasks where bit i
-stands for vertex i; ``set_to_mask``/``mask_to_set`` convert between the
-two views.
+Vertex sets are frozensets of non-negative integer ids. Hot paths work on
+int bitmasks where bit i stands for the i-th smallest vertex, so a mask has
+|V| bits whatever the ids; ``Graph.mask`` and ``Graph.members`` convert
+between the two views.
 """
 
 from __future__ import annotations
@@ -51,7 +51,11 @@ def mask_to_set(mask: int) -> frozenset[int]:
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph over non-negative integer vertex ids."""
+    """Simple undirected graph over non-negative integer vertex ids.
+
+    Bit i of a vertex mask stands for ``ids[i]``, the i-th smallest vertex
+    (``index`` inverts ``ids``), so a mask has |V| bits whatever the ids.
+    """
 
     vertices: frozenset[int]
     edges: frozenset[tuple[int, int]]
@@ -75,19 +79,44 @@ class Graph:
             norm.add((u, v) if u < v else (v, u))
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "edges", frozenset(norm))
+        object.__setattr__(self, "ids", tuple(sorted(verts)))
+        object.__setattr__(self, "index", {v: i for i, v in enumerate(self.ids)})
 
     @cached_property
-    def adjacency_masks(self) -> dict[int, int]:
-        masks = {v: 0 for v in self.vertices}
+    def adjacency_masks(self) -> tuple[int, ...]:
+        """The neighbour mask of each vertex, by bit position."""
+        index = self.index
+        masks = [0] * len(index)
         for u, v in self.edges:
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        return masks
+            masks[index[u]] |= 1 << index[v]
+            masks[index[v]] |= 1 << index[u]
+        return tuple(masks)
+
+    def mask(self, vertices: Iterable[int]) -> int:
+        """Bitmask of a vertex set, refusing members outside the graph."""
+        index, m = self.index, 0
+        try:
+            for v in vertices:
+                m |= 1 << index[v]
+        except KeyError:
+            bad = sorted({v, *vertices} - self.vertices)
+            raise OpenGraphError(f"set members {bad} are not graph vertices") from None
+        return m
+
+    def members(self, mask: int) -> frozenset[int]:
+        """The vertex set of a bitmask."""
+        ids = self.ids
+        out = []
+        while mask:
+            b = mask & -mask
+            out.append(ids[b.bit_length() - 1])
+            mask ^= b
+        return frozenset(out)
 
     def neighbours(self, v: int) -> frozenset[int]:
         if v not in self.vertices:
             raise OpenGraphError(f"vertex {v} not in graph")
-        return mask_to_set(self.adjacency_masks[v])
+        return self.members(self.adjacency_masks[self.index[v]])
 
 
 def odd_mask(graph: Graph, mask: int) -> int:
@@ -101,19 +130,9 @@ def odd_mask(graph: Graph, mask: int) -> int:
     return acc
 
 
-def _vertex_mask(graph: Graph, a: Iterable[int]) -> int:
-    """Bitmask of a vertex set, refusing members outside the graph."""
-    a = frozenset(a)
-    if not a <= graph.vertices:
-        raise OpenGraphError(
-            f"set members {sorted(a - graph.vertices)} are not graph vertices"
-        )
-    return set_to_mask(a)
-
-
 def odd_neighbourhood(graph: Graph, a: Iterable[int]) -> frozenset[int]:
     """Vertices adjacent to an odd number of members of ``a``."""
-    return mask_to_set(odd_mask(graph, _vertex_mask(graph, a)))
+    return graph.members(odd_mask(graph, graph.mask(a)))
 
 
 @dataclass(frozen=True)

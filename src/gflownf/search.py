@@ -13,13 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .opengraph import (
-    ExtendedOpenGraph,
-    Plane,
-    mask_to_set,
-    odd_mask,
-    set_to_mask,
-)
+from .opengraph import ExtendedOpenGraph, Plane, odd_mask, set_to_mask
 from .gflow import AXES, Gflow, _peel, _plane_holds, _sigma_target
 
 
@@ -34,17 +28,17 @@ class GflowEnumeration:
         return len(self.gflows)
 
 
-def _local_candidates(eog, u, allowed_mask, nf_sigma=None):
-    """All corrector masks satisfying the plane (and optional NF) condition at u."""
+def _local_candidates(eog, i, allowed_mask, meas_mask, nf_sigma=None):
+    """All corrector masks satisfying the plane (and optional NF) condition at bit i."""
     graph = eog.graph
-    plane = eog.planes[u]
-    nf_allowed = (1 << u) | set_to_mask(eog.outputs)
+    plane = eog.planes[graph.ids[i]]
+    nf_off = meas_mask & ~(1 << i)  # a sigma-NF target keeps to i and the outputs
     cands = []
     k = allowed_mask
     while True:
         odd = odd_mask(graph, k)
-        if _plane_holds(plane, u, k, odd):
-            if nf_sigma is None or not _sigma_target(nf_sigma, k, odd) & ~nf_allowed:
+        if _plane_holds(plane, i, k, odd):
+            if nf_sigma is None or not _sigma_target(nf_sigma, k, odd) & nf_off:
                 cands.append(k)
         if k == 0:
             break
@@ -69,20 +63,20 @@ def brute_force_enumerate(
     to the sigma normal form; ``stop_after`` stops early once that many
     gflows are collected (also marking the run non-exhausted).
     """
-    measured = sorted(eog.measured)
+    graph = eog.graph
+    measured = sorted(map(graph.index.__getitem__, eog.planes))  # the measured
     if not measured:
         return GflowEnumeration(eog, (Gflow({}),), True)
-    allowed = set_to_mask(eog.vertices - eog.inputs)
-    graph = eog.graph
+    allowed = ((1 << len(graph.ids)) - 1) & ~graph.mask(eog.inputs)
     meas_mask = set_to_mask(measured)
     per_vertex = []
-    for u in measured:
-        cands = _local_candidates(eog, u, allowed, nf_sigma)
+    for i in measured:
+        cands = _local_candidates(eog, i, allowed, meas_mask, nf_sigma)
         if not cands:
             return GflowEnumeration(eog, (), True)
-        ubit = 1 << u
+        ibit = 1 << i
         per_vertex.append(
-            [(k, (k | odd_mask(graph, k)) & meas_mask & ~ubit) for k in cands]
+            [(k, (k | odd_mask(graph, k)) & meas_mask & ~ibit) for k in cands]
         )
     found = []
     examined = 0
@@ -92,11 +86,10 @@ def brute_force_enumerate(
         if examined > limit:
             exhausted = False
             break
-        deps = {u: d for u, (_, d) in zip(measured, combo)}
+        deps = {i: d for i, (_, d) in zip(measured, combo)}
         if not _peel(deps)[1]:
-            found.append(
-                Gflow({u: mask_to_set(k) for u, (k, _) in zip(measured, combo)})
-            )
+            g = {graph.ids[i]: graph.members(k) for i, (k, _) in zip(measured, combo)}
+            found.append(Gflow(g))
             if stop_after is not None and len(found) >= stop_after:
                 exhausted = False
                 break
@@ -116,8 +109,8 @@ def _find_gflow_rounds(eog: ExtendedOpenGraph, sigma: str | None = None):
     only at u, and at u exactly when u is XY or XZ (``rhs1``). The matrix,
     row w = adj[w] & cols for each unsolved w, is the same for every u;
     only the right-hand side depends on u, so row w carries it as a
-    bitmask over vertex ids: bit u is set when u is forced and adjacent
-    to w, or when w = u lies in rhs1. A row reduced to zero fails every u
+    vertex mask: u's bit is set when u is forced and adjacent to w, or
+    when w = u lies in rhs1. A row reduced to zero fails every u
     in its right-hand side (bits of vertices solved earlier ride along
     unread). Each row pivots on its lowest set bit, which picks the
     lowest-first column basis, so u's solution with free variables 0 is
@@ -131,16 +124,18 @@ def _find_gflow_rounds(eog: ExtendedOpenGraph, sigma: str | None = None):
     delayed layering (Mhalla and Perdrix, ICALP 2008) finds a sigma-NF
     gflow whenever one exists.
     """
-    adj = eog.graph.adjacency_masks
-    i_mask = set_to_mask(eog.inputs)
-    o_mask = c_mask = set_to_mask(eog.outputs)
+    graph = eog.graph
+    adj, ids, index = graph.adjacency_masks, graph.ids, graph.index
+    i_mask = graph.mask(eog.inputs)
     force = rhs1 = 0
     for u, plane in eog.planes.items():
+        b = 1 << index[u]
         if plane is not Plane.XY:
-            force |= 1 << u
+            force |= b
         if plane is not Plane.YZ:
-            rhs1 |= 1 << u
+            rhs1 |= b
     unsolved = force | rhs1  # the measured vertices: each has a plane
+    o_mask = c_mask = ((1 << len(ids)) - 1) & ~unsolved
     assignment: dict[int, int] = {}
     rounds: dict[int, int] = {}
     round_no = 0
@@ -181,12 +176,12 @@ def _find_gflow_rounds(eog: ExtendedOpenGraph, sigma: str | None = None):
             for p, (_, pr) in pivots.items():
                 if pr & b:
                     k |= p
-            u = b.bit_length() - 1
+            u = ids[b.bit_length() - 1]
             assignment[u] = k
             rounds[u] = round_no
         c_mask |= solved
         unsolved ^= solved
-    gflow = Gflow({u: mask_to_set(k) for u, k in assignment.items()})
+    gflow = Gflow({u: graph.members(k) for u, k in assignment.items()})
     return gflow, rounds
 
 

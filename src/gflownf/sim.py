@@ -92,9 +92,8 @@ def prepare(graph: Graph, inputs, input_state: Statevector) -> Statevector:
     inputs = frozenset(inputs)
     if input_state.qubits != tuple(sorted(inputs)):
         raise ValueError("input state must be defined exactly on the input qubits")
-    qubits = tuple(sorted(graph.vertices))
+    qubits, pos = graph.ids, graph.index
     n = len(qubits)
-    pos = {v: i for i, v in enumerate(qubits)}
     # Inputs and register are both sorted, so the input axes are in order.
     spread = input_state.amplitudes.reshape([2 if v in inputs else 1 for v in qubits])
     amps = np.broadcast_to(spread / math.sqrt(2 ** (n - len(inputs))), (2,) * n).copy()
@@ -367,35 +366,34 @@ def extract_isometry(
     branch_bound: int = DEFAULT_BRANCH_BOUND,
     max_qubits: int = DEFAULT_MAX_QUBITS,
 ) -> np.ndarray:
-    """The implemented input-to-output map as a 2^|O| x 2^|I| matrix.
+    """The implemented input-to-output map as a 2^|O| x 2^|I| matrix, up to
+    one global phase.
 
-    Column x is the (unit-norm, phase-gauged) branch output on basis input
-    x; determinism is certified on every basis input and on the uniform
-    superposition, and a non-deterministic pattern raises. The bounds are
-    those of `run_all_branches`, checked before the matrix is allocated.
+    Column x is the unit-norm branch output on basis input x, turned by the
+    phase of its overlap with the branch output on the uniform superposition
+    (e^{i theta_x} / sqrt(2^|I|) for an isometry), so all columns share one
+    phase; that phase makes the first nonzero entry real and positive.
+    Determinism is certified on every basis input and on the superposition;
+    a non-deterministic pattern raises. The bounds are those of
+    `run_all_branches`, checked before the matrix is allocated.
     """
     _check_bounds(pattern, branch_bound, max_qubits)
     in_qubits = tuple(sorted(pattern.eog.inputs))
     n_in = len(in_qubits)
-    dim_out = 2 ** len(pattern.eog.outputs)
-    matrix = np.zeros((dim_out, 2**n_in), dtype=complex)
-    for x in range(2**n_in):
-        results = run_all_branches(
-            pattern, basis_state(in_qubits, x), branch_bound, max_qubits
-        )
-        report = check_determinism(results, tol)
-        if not report.deterministic:
-            raise ValueError(f"pattern is not deterministic on basis input {x}")
-        col = next(r.output_state for r in results if r.probability > 0).amplitudes
-        col = col / np.linalg.norm(col)
-        lead = col[np.flatnonzero(np.abs(col) > 1e-12)[0]]
-        matrix[:, x] = col * (abs(lead) / lead)
+
+    def output(state, what):
+        results = run_all_branches(pattern, state, branch_bound, max_qubits)
+        if not check_determinism(results, tol).deterministic:
+            raise ValueError(f"pattern is not deterministic on {what}")
+        out = next(r.output_state for r in results if r.probability > 0).amplitudes
+        return out / np.linalg.norm(out)
+
+    basis = range(2**n_in)
+    cols = [output(basis_state(in_qubits, x), f"basis input {x}") for x in basis]
+    matrix = np.stack(cols, axis=1)
     if n_in > 0:
-        sup = Statevector(
-            in_qubits, np.full(2**n_in, 2 ** (-n_in / 2), dtype=complex)
-        )
-        if not check_determinism(
-            run_all_branches(pattern, sup, branch_bound, max_qubits), tol
-        ).deterministic:
-            raise ValueError("pattern is not deterministic on a superposed input")
-    return matrix
+        amps = np.full(2**n_in, 2 ** (-n_in / 2), dtype=complex)
+        sup = output(Statevector(in_qubits, amps), "a superposed input")
+        matrix = matrix * np.exp(1j * np.angle(matrix.conj().T @ sup))
+    lead = matrix.flat[np.flatnonzero(np.abs(matrix) > 1e-12)[0]]
+    return matrix * (abs(lead) / lead)

@@ -16,12 +16,14 @@ from gflownf import (
     corrective_maps,
     extensivity_order,
     find_gflow,
+    focus,
     odd_neighbourhood,
     parse_gflow,
     pattern_from_gflow,
     verify_gflow,
 )
 import gflownf.gflow as gflow
+import gflownf.normal_forms as normal_forms
 import gflownf.opengraph as opengraph
 from gflownf.gflow import parse_corrective_maps
 from gflownf.opengraph import OpenGraphError
@@ -140,6 +142,23 @@ class TestVerifyGflow:
         pattern = pattern_from_gflow(eog, dict.fromkeys(eog.measured, 0.5), g)
         assert len(calls) == 90
         assert pattern.corrections == corrective_maps(eog, g)
+
+    def test_one_odd_mask_per_measured_vertex_in_focus(self, monkeypatch):
+        # The order and the sweep share each Odd(g(u)).
+        eog, _ = grid_cluster(random.Random(3), 16, 6)
+        g = find_gflow(eog)
+        calls = []
+        for module in (gflow, opengraph, normal_forms):
+            original = module.odd_mask
+
+            def counting(graph, mask, original=original):
+                calls.append(mask)
+                return original(graph, mask)
+
+            monkeypatch.setattr(module, "odd_mask", counting)
+        focused = focus(eog, g, "X")
+        assert len(calls) == 90
+        assert check_normal_form(eog, focused, "X")
 
 
 class TestInputPlanes:

@@ -223,6 +223,36 @@ class TestIsometry:
         matrix = extract_isometry(pattern)
         assert np.allclose(matrix.conj().T @ matrix, np.eye(4), atol=1e-9)
 
+    def test_cz_map_up_to_global_phase(self):
+        graph = Graph(frozenset({0, 1}), frozenset({(0, 1)}))
+        eog = ExtendedOpenGraph(graph, frozenset({0, 1}), frozenset({0, 1}), {})
+        matrix = extract_isometry(Pattern(eog, {}, CorrectiveMaps({}, {}), ()))
+        phase = matrix[0, 0]
+        assert abs(abs(phase) - 1) < 1e-12
+        assert np.allclose(matrix, phase * np.diag([1, 1, 1, -1]), atol=1e-12)
+
+    def test_matrix_maps_inputs_as_the_branches_do(self):
+        # U @ psi equals the branch output on psi up to one global phase, so
+        # the columns carry their relative phases.
+        rng = random.Random(37)
+        nrng = np.random.default_rng(37)
+        checked = 0
+        while checked < 200:
+            eog = random_instance(rng, rng.randint(2, 6), force_input_xy=True)
+            g = find_gflow(eog)
+            if not 1 <= len(eog.inputs) <= 2 or g is None:
+                continue
+            checked += 1
+            angles = {u: rng.uniform(0.1, 6.2) for u in eog.measured}
+            pattern = pattern_from_gflow(eog, angles, g)
+            inp = random_input(tuple(sorted(eog.inputs)), nrng)
+            branch = next(r for r in run_all_branches(pattern, inp) if r.probability)
+            out = branch.output_state.amplitudes
+            want = extract_isometry(pattern) @ inp.amplitudes
+            phase = np.vdot(want, out)
+            assert abs(abs(phase) - 1) < 1e-9
+            assert np.max(np.abs(out - phase * want)) < 1e-9
+
     def test_path_pattern_unitary(self, path_eog, path_gflow):
         pattern = path_pattern(path_eog, path_gflow, {1: 0.7, 2: 1.3})
         matrix = extract_isometry(pattern)
