@@ -1,4 +1,8 @@
-"""Extended-MBQC open graphs, gflow normal forms and branch simulation."""
+"""Extended-MBQC open graphs, gflow normal forms and branch simulation.
+
+Only the branch simulator, ``gflownf.sim``, needs numpy: ``import gflownf``
+loads both on the first use of a simulator name, such as ``Statevector``.
+"""
 
 from .opengraph import (
     ExtendedOpenGraph,
@@ -39,22 +43,24 @@ from .normal_forms import (
     promote_input_y,
     promote_input_z,
 )
-from .sim import (
-    BranchLimitError,
-    BranchResult,
-    DeterminismReport,
-    Pattern,
-    Statevector,
-    apply_correction,
-    basis_state,
-    check_determinism,
-    extract_isometry,
-    measure,
-    pattern_from_gflow,
-    prepare,
-    run_all_branches,
-    run_branch,
-    strip_corrections,
-)
+
+# The simulator's names, served from ``.sim`` by ``__getattr__`` on first use
+_SIM_NAMES = frozenset({
+    "BranchLimitError", "BranchResult", "DeterminismReport", "Pattern", "Statevector",
+    "apply_correction", "basis_state", "check_determinism", "extract_isometry",
+    "measure", "pattern_from_gflow", "prepare", "run_all_branches", "run_branch",
+    "strip_corrections",
+})
+
+
+def __getattr__(name):
+    if name != "sim" and name not in _SIM_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib  # ``from . import sim`` would call this hook again
+
+    sim = importlib.import_module(f"{__name__}.sim")
+    return sim if name == "sim" else getattr(sim, name)
+
 
 __all__ = [name for name in dir() if not name.startswith("_")]
+__all__ += ["sim", *sorted(_SIM_NAMES)]

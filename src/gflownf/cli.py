@@ -12,8 +12,6 @@ import math
 import random
 import sys
 
-import numpy as np
-
 from .opengraph import (
     OpenGraphError,
     _load_json,
@@ -33,17 +31,6 @@ from .instances import all_instances, random_instance
 from .normal_forms import promote_input_y, promote_input_z
 from .normal_forms import focus as focus_gflow
 from .search import brute_force_enumerate, find_gflow
-from .sim import (
-    DEFAULT_BRANCH_BOUND,
-    DEFAULT_MAX_QUBITS,
-    BranchLimitError,
-    Pattern,
-    Statevector,
-    basis_state,
-    check_determinism,
-    pattern_from_gflow,
-    run_all_branches,
-)
 
 OK, NEGATIVE, INPUT_ERROR, RESOURCE = 0, 1, 2, 3
 
@@ -130,6 +117,8 @@ def cmd_promote(args):
 
 
 def _build_pattern(eog, angles, correction_text, seed):
+    from .sim import Pattern, pattern_from_gflow
+
     rng = random.Random(seed)
     if angles is None:
         angles = {u: rng.uniform(0.1, math.tau - 0.1) for u in sorted(eog.measured)}
@@ -155,27 +144,32 @@ def _build_pattern(eog, angles, correction_text, seed):
 
 
 def cmd_simulate(args):
+    # numpy loads here, in the one command that needs it
+    import numpy as np
+
+    from . import sim
+
     eog, angles = parse_open_graph_document(_read(args.graph))
     correction_text = _read(args.gflow) if args.gflow else None
     pattern, angles = _build_pattern(eog, angles, correction_text, args.seed)
     in_qubits = tuple(sorted(eog.inputs))
     if args.input == "basis":
-        input_state = basis_state(in_qubits, 0)
+        input_state = sim.basis_state(in_qubits, 0)
     else:
         rng = np.random.default_rng(args.seed)
         amps = rng.normal(size=2 ** len(in_qubits)) + 1j * rng.normal(
             size=2 ** len(in_qubits)
         )
-        input_state = Statevector(in_qubits, amps / np.linalg.norm(amps))
+        input_state = sim.Statevector(in_qubits, amps / np.linalg.norm(amps))
+    bound = sim.DEFAULT_BRANCH_BOUND if args.branch_bound is None else args.branch_bound
+    width = sim.DEFAULT_MAX_QUBITS if args.max_qubits is None else args.max_qubits
     try:
-        results = run_all_branches(
-            pattern, input_state, args.branch_bound, args.max_qubits
-        )
-    except BranchLimitError as exc:
+        results = sim.run_all_branches(pattern, input_state, bound, width)
+    except sim.BranchLimitError as exc:
         _emit({"error": str(exc), **exc.limit})
         print(str(exc), file=sys.stderr)
         return RESOURCE
-    report = check_determinism(results, args.tol)
+    report = sim.check_determinism(results, args.tol)
     doc = report.to_dict()
     doc["seed"] = args.seed
     doc["angles"] = {str(u): angles[u] for u in sorted(angles)}
@@ -273,8 +267,9 @@ def build_parser():
     p.add_argument("--input", choices=("basis", "random"), default="basis")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--branch-bound", type=int, default=DEFAULT_BRANCH_BOUND)
-    p.add_argument("--max-qubits", type=int, default=DEFAULT_MAX_QUBITS)
+    # None reads sim's DEFAULT_BRANCH_BOUND and DEFAULT_MAX_QUBITS when run
+    p.add_argument("--branch-bound", type=int, default=None)
+    p.add_argument("--max-qubits", type=int, default=None)
     p.add_argument("--dump-branches", action="store_true")
     p.set_defaults(func=cmd_simulate)
 

@@ -255,9 +255,11 @@ def _verify(eog, g):
         bad = g[u] - non_inputs
         if bad:
             violations.append(Violation(u, "codomain", frozenset(bad)))
-        if g[u] <= eog.vertices:  # an id outside the graph has no bit
+        try:
             k = graph.mask(g[u])
-            masks[graph.index[u]] = (k, odd_mask(graph, k))
+        except OpenGraphError:  # an id outside the graph has no bit
+            continue
+        masks[graph.index[u]] = (k, odd_mask(graph, k))
     for i, (k, odd) in masks.items():
         u = ids[i]
         plane = eog.planes[u]

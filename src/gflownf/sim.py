@@ -343,7 +343,13 @@ class DeterminismReport:
 
 
 def check_determinism(results, tol: float = STATE_TOL) -> DeterminismReport:
-    """Compare branch outputs up to global phase and probabilities to 2**-k."""
+    """Compare branch outputs up to global phase and probabilities to 2**-k.
+
+    Every live output b must lie within ``tol`` of the first, a, twice: by
+    the reported deviation 1 - |<a|b>|, and by the phase-aligned distance
+    min_phi ||a - e^{i phi} b||. The first alone is quadratic in the state
+    error and would pass states about sqrt(2 tol) apart.
+    """
     if not results:
         raise ValueError("no branch results given")
     live = [r for r in results if r.probability > 0]
@@ -351,13 +357,23 @@ def check_determinism(results, tol: float = STATE_TOL) -> DeterminismReport:
         raise ValueError("every branch has zero probability")
     k = len(live[0].signals)
     ref = live[0].output_state
-    max_dev = 0.0
-    for r in live[1:]:
-        max_dev = max(max_dev, 1.0 - abs(inner(ref, r.output_state)))
+    if any(r.output_state.qubits != ref.qubits for r in live):
+        raise ValueError("states live on different registers")
+    others = np.stack([r.output_state.amplitudes for r in live])[1:]
+    overlap = others @ ref.amplitudes.conj()  # <a|b> per row b
+    size = np.abs(overlap)
+    max_dev = float(np.max(1.0 - size, initial=0.0))
+    # Turn each b by <b|a>/|<b|a>| and measure ||a - b|| directly: the
+    # closed form sqrt(2 - 2|<a|b>|) reads about 1e-8 from rounding alone.
+    others *= (overlap.conj() / np.where(size > 0, size, 1.0))[:, None]
+    others -= ref.amplitudes
+    flat = others.view(float)  # re, im side by side: |row|^2 is row . row
+    max_dist = math.sqrt(np.max(flat[:, None, :] @ flat[:, :, None], initial=0.0))
     uniform = 2.0**-k
     probs = tuple(r.probability for r in results)
     strong = all(abs(p - uniform) <= tol for p in probs)
-    return DeterminismReport(max_dev <= tol, max_dev, probs, strong, tol)
+    deterministic = max_dev <= tol and max_dist <= tol
+    return DeterminismReport(deterministic, max_dev, probs, strong, tol)
 
 
 def extract_isometry(

@@ -262,6 +262,15 @@ class TestSimulate:
         code, doc = run(capsys, argv + ["3"])
         assert code == 0 and doc["deterministic"]
 
+    @pytest.mark.parametrize(
+        "flag, key", [("--branch-bound", "branch_bound"), ("--max-qubits", "max_qubits")]
+    )
+    def test_zero_is_a_bound_not_the_default(
+        self, capsys, graph_file, gflow_file, flag, key
+    ):
+        code, doc = run(capsys, ["simulate", graph_file, gflow_file, flag, "0"])
+        assert code == 3 and doc[key] == 0
+
     def test_corrective_maps_missing_vertex(self, capsys, graph_file, tmp_path):
         maps = {"x": {"1": [2]}, "z": {"1": [3]}}
         mp = tmp_path / "maps.json"

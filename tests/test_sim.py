@@ -8,6 +8,7 @@ import pytest
 
 from gflownf import (
     BranchLimitError,
+    BranchResult,
     ExtendedOpenGraph,
     Gflow,
     Graph,
@@ -194,6 +195,41 @@ class TestDeterminism:
         assert check_determinism(results).to_dict() == check_determinism(
             rotated
         ).to_dict()
+
+    @staticmethod
+    def two_branches(a, b):
+        qubits = tuple(range(a.size.bit_length() - 1))
+        return [
+            BranchResult({9: s}, 0.5, Statevector(qubits, amps))
+            for s, amps in ((0, a), (1, b))
+        ]
+
+    def test_phase_aligned_distance_gated(self):
+        # b is 1e-6 from a in norm, so 1 - |<a|b>| is only about 5e-13: the
+        # overlap alone passes at 1e-9, the phase-aligned distance does not.
+        a = np.array([1.0, 0.0], dtype=complex)
+        b = np.array([1.0, 1e-6j]) / math.hypot(1.0, 1e-6) * np.exp(0.7j)
+        report = check_determinism(self.two_branches(a, b), 1e-9)
+        assert report.max_state_deviation < 1e-12
+        assert not report.deterministic
+        assert check_determinism(self.two_branches(a, b), 2e-6).deterministic
+
+    def test_phase_aligned_distance_has_no_rounding_floor(self):
+        # sqrt(2 - 2|<a|b>|) would read about 1e-8 whenever rounding leaves
+        # |<a|b>| one ulp below 1; the direct distance stays near 1e-16.
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            a = rng.normal(size=8) + 1j * rng.normal(size=8)
+            a /= np.linalg.norm(a)
+            b = a * np.exp(1j * rng.uniform(0, math.tau))
+            assert check_determinism(self.two_branches(a, b), 1e-12).deterministic
+
+    def test_orthogonal_outputs_not_deterministic(self):
+        # <a|b> = 0 leaves the aligning phase undefined; no 0/0 may occur
+        a, b = np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex)
+        with np.errstate(all="raise"):
+            report = check_determinism(self.two_branches(a, b), 1e-9)
+        assert report.max_state_deviation == 1.0 and not report.deterministic
 
     def test_schedule_independence(self, path_eog):
         # Two linear extensions of the order give the same outputs up to phase.
