@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 valid-but-negative answer, 2 input error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import random
@@ -95,7 +96,11 @@ def cmd_focus(args):
 def cmd_check_nf(args):
     eog = parse_open_graph_document(_read(args.graph))[0]
     g = parse_gflow(_read(args.gflow))
+    # check_normal_form range-checks first, so a non-vertex id is reported
+    # as such rather than as an invalid gflow
     ok = check_normal_form(eog, g, args.sigma)
+    if not verify_gflow(eog, g).valid:
+        raise OpenGraphError("input gflow is not valid for this graph")
     _emit({"normal_form": ok, "sigma": args.sigma})
     return OK if ok else NEGATIVE
 
@@ -149,6 +154,7 @@ def cmd_simulate(args):
 
     from . import sim
 
+    sim._check_tolerance(args.tol)
     eog, angles = parse_open_graph_document(_read(args.graph))
     correction_text = _read(args.gflow) if args.gflow else None
     pattern, angles = _build_pattern(eog, angles, correction_text, args.seed)
@@ -221,7 +227,9 @@ def cmd_oracle_compare(args):
     return OK if disagreements == 0 and invalid == 0 else NEGATIVE
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parsing leaves it as is."""
     parser = argparse.ArgumentParser(
         prog="gflownf",
         description="gflow verification, search, normal forms and simulation",

@@ -10,6 +10,13 @@ a depth-first walk measures each prefix state once per outcome and shares
 it with both subtrees, so all branches cost 2**(k+1) - 2 measurements
 instead of k * 2**k. Branches come out in binary-counter order and their
 outputs are compared up to global phase.
+
+The per-step kernels run 2**(k+1) - 2 times per walk, on registers of at
+most a few thousand amplitudes, where numpy's per-call overhead outweighs
+the arithmetic. So `measure` contracts the outcome axis as two weighted
+slices, and `apply_correction` makes one copy of the register per
+correction. A kernel writes in place only on arrays it allocated, so a
+prefix state shared by both subtrees of the walk is never changed.
 """
 
 from __future__ import annotations
@@ -111,19 +118,32 @@ def plane_observable(plane: Plane, alpha: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=4096)
-def _eigenvectors(plane: Plane, alpha: float):
-    # columns: eigenvector for outcome s=0 (eigenvalue +1), then s=1 (-1)
+def _bras(plane: Plane, alpha: float):
+    """Per outcome s=0 (eigenvalue +1), then s=1: the conjugated eigenvector
+    (c0, c1) of the plane observable as (i, r, c) with c = c_i its larger
+    entry and r = c_{1-i} / c_i, all Python numbers.
+    """
     vals, vecs = np.linalg.eigh(plane_observable(plane, alpha))
     plus = int(np.argmax(vals))
-    vecs.flags.writeable = False
-    return vecs[:, plus], vecs[:, 1 - plus]
+    out = []
+    for col in (plus, 1 - plus):
+        c0, c1 = (complex(c) for c in vecs[:, col].conj())
+        out.append((0, c1 / c0, c0) if abs(c0) >= abs(c1) else (1, c0 / c1, c1))
+    return tuple(out)
 
 
 def measure(state: Statevector, u: int, plane: Plane, alpha: float, s: int):
     """Project qubit u onto the (-1)^s eigenspace of the plane observable.
 
     Returns (probability, post state with u factored out); a numerically
-    zero projection yields (0.0, None).
+    zero projection yields (0.0, None). The outcome axis is contracted as
+    two weighted slices, c0 * block[:, 0] + c1 * block[:, 1], with (c0, c1)
+    the conjugated eigenvector. It is computed as c_i * (block[:, i] +
+    r * block[:, 1 - i]) around the larger entry c_i: one product into a
+    fresh array and one in-place add, with c_i folded into the in-place
+    normalisation. At these widths that beats a general contraction, whose
+    set-up outweighs its arithmetic, and it needs no temporary. The input
+    state is only read.
     """
     if u not in state.qubits:
         raise ValueError(f"qubit {u} not present in the register")
@@ -131,42 +151,48 @@ def measure(state: Statevector, u: int, plane: Plane, alpha: float, s: int):
         raise ValueError("signal must be 0 or 1")
     n = len(state.qubits)
     p = state.qubits.index(u)
-    phi = _eigenvectors(plane, alpha)[s]
+    i, r, c = _bras(plane, alpha)[s]
     block = state.amplitudes.reshape(2**p, 2, 2 ** (n - 1 - p))
-    rest = np.tensordot(phi.conj(), block, axes=([0], [1])).reshape(-1)
+    rest = block[:, 1 - i] * r
+    rest += block[:, i]
     total = float(np.vdot(state.amplitudes, state.amplitudes).real)
     if total <= 0.0:
         raise ValueError("cannot measure a zero state")
-    weight = float(np.vdot(rest, rest).real)
+    weight = float(np.vdot(rest, rest).real) * abs(c) ** 2
     prob = weight / total
     if weight < 1e-24:
         return 0.0, None
-    post = Statevector(
-        tuple(q for q in state.qubits if q != u), rest / math.sqrt(weight)
-    )
-    return prob, post
+    rest *= c / math.sqrt(weight)
+    return prob, Statevector(state.qubits[:p] + state.qubits[p + 1 :], rest.reshape(-1))
 
 
 def apply_correction(state: Statevector, pauli: str, targets, s: int) -> Statevector:
-    """X or Z on every target, conditioned on the signal bit."""
+    """X or Z on every target, conditioned on the signal bit.
+
+    One copy of the register either way: X flips every target axis in one
+    view and copies it, and Z negates, in its own copy, the 1 slice of each
+    target axis.
+    """
     if pauli not in ("X", "Z"):
         raise ValueError("correction operators are X or Z")
     targets = frozenset(targets)
     missing = targets - set(state.qubits)
     if missing:
         raise ValueError(f"correction targets {sorted(missing)} not in register")
-    if s == 0:
+    if s == 0 or not targets:
         return state
-    n = len(state.qubits)
-    amps = state.amplitudes
-    for t in sorted(targets):
-        p = state.qubits.index(t)
-        block = amps.reshape(2**p, 2, 2 ** (n - 1 - p)).copy()
-        if pauli == "X":
-            block = block[:, ::-1, :]
-        else:
-            block[:, 1, :] *= -1
-        amps = block.reshape(-1)
+    axes = [state.qubits.index(t) for t in targets]
+    if pauli == "X":
+        # the view np.flip builds, without its argument handling
+        flip = [slice(None)] * len(state.qubits)
+        for p in axes:
+            flip[p] = slice(None, None, -1)
+        amps = state.amplitudes.reshape((2,) * len(state.qubits))[tuple(flip)]
+        return Statevector(state.qubits, amps.copy().reshape(-1))
+    amps = state.amplitudes.copy()
+    for p in axes:
+        one = amps.reshape(2**p, 2, -1)[:, 1]
+        np.negative(one, out=one)
     return Statevector(state.qubits, amps)
 
 
@@ -342,14 +368,25 @@ class DeterminismReport:
         }
 
 
+def _check_tolerance(tol: float) -> None:
+    """Refuse a NaN, infinite or negative tolerance with ``ValueError``.
+
+    A NaN would fail every comparison and would not serialise as JSON.
+    """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tolerance must be finite and >= 0, got {tol}")
+
+
 def check_determinism(results, tol: float = STATE_TOL) -> DeterminismReport:
     """Compare branch outputs up to global phase and probabilities to 2**-k.
 
     Every live output b must lie within ``tol`` of the first, a, twice: by
     the reported deviation 1 - |<a|b>|, and by the phase-aligned distance
     min_phi ||a - e^{i phi} b||. The first alone is quadratic in the state
-    error and would pass states about sqrt(2 tol) apart.
+    error and would pass states about sqrt(2 tol) apart. ``tol`` must be
+    finite and non-negative.
     """
+    _check_tolerance(tol)
     if not results:
         raise ValueError("no branch results given")
     live = [r for r in results if r.probability > 0]
@@ -391,8 +428,10 @@ def extract_isometry(
     phase; that phase makes the first nonzero entry real and positive.
     Determinism is certified on every basis input and on the superposition;
     a non-deterministic pattern raises. The bounds are those of
-    `run_all_branches`, checked before the matrix is allocated.
+    `run_all_branches`; they and ``tol`` are checked before the matrix is
+    allocated.
     """
+    _check_tolerance(tol)
     _check_bounds(pattern, branch_bound, max_qubits)
     in_qubits = tuple(sorted(pattern.eog.inputs))
     n_in = len(in_qubits)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import gflownf.sim as sim
-from gflownf.cli import main
+from gflownf.cli import build_parser, main
 
 from conftest import PATH_DOC
 
@@ -154,6 +154,17 @@ class TestNormalFormCommands:
         assert captured.out == ""
         assert "[99]" in captured.err
 
+    def test_check_nf_rejects_invalid_gflow(self, capsys, graph_file, tmp_path):
+        # every id is a vertex, but g(1) = {3} breaks the XY plane condition
+        bad = tmp_path / "bad.json"
+        bad.write_text(BAD_GFLOW)
+        for sigma in "XYZ":
+            code = main(["check-nf", graph_file, str(bad), "--sigma", sigma])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert "not valid" in captured.err
+
     def test_promote_z(self, capsys, tmp_path):
         graph = {
             "vertices": [1, 2],
@@ -270,6 +281,23 @@ class TestSimulate:
     ):
         code, doc = run(capsys, ["simulate", graph_file, gflow_file, flag, "0"])
         assert code == 3 and doc[key] == 0
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1", "-1e-300"])
+    def test_tol_must_be_finite_and_non_negative(
+        self, capsys, graph_file, gflow_file, tol
+    ):
+        # an input error, also where the branch bound would be hit (exit 3)
+        for bound in ([], ["--branch-bound", "0"]):
+            code = main(["simulate", graph_file, gflow_file, f"--tol={tol}", *bound])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert "tolerance" in captured.err
+
+    def test_tol_zero_is_a_tolerance(self, capsys, graph_file, gflow_file):
+        code, doc = run(capsys, ["simulate", graph_file, gflow_file, "--tol", "0"])
+        assert code in (0, 1)
+        assert doc["tolerance"] == 0.0
 
     def test_corrective_maps_missing_vertex(self, capsys, graph_file, tmp_path):
         maps = {"x": {"1": [2]}, "z": {"1": [3]}}
@@ -489,6 +517,27 @@ class TestGoldenOutput:
             assert _round_floats(json.loads(out)) == want
         else:
             assert out == case["stdout"]
+
+
+    def test_one_parser_serves_every_call(self, tmp_path):
+        # main builds its parser once per process; parsing must leave it as
+        # it was, so a second subcommand run in the same process still gives
+        # its recorded output
+        cases = {" ".join(c["argv"]): c for c in self.CASES}
+        _write_golden_docs(tmp_path)
+        for key in ("simulate path.json path_g.json --dump-branches",
+                    "check-nf path.json path_g.json --sigma Y",
+                    "promote edge_xy.json edge_xy_g.json --sigma Z --vertex 1",
+                    "simulate tri.json", "check-nf tri.json tri_g.json --sigma X"):
+            case = cases[key]
+            code, out = _run_golden(case["argv"], str(tmp_path))
+            assert code == case["exit"]
+            if case["argv"][0] == "simulate":
+                out, want = json.loads(out), json.loads(case["stdout"])
+                assert _round_floats(out) == _round_floats(want)
+            else:
+                assert out == case["stdout"]
+        assert build_parser() is build_parser()
 
 
 # The golden runs once more with every positive id moved past 10**12. A mask

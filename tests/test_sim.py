@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -247,6 +248,23 @@ class TestDeterminism:
         pattern = path_pattern(path_eog, path_gflow, {1: 0.0, 2: 0.0})
         with pytest.raises(BranchLimitError):
             run_all_branches(pattern, basis_state((1,), 0), branch_bound=1)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+    def test_tolerance_must_be_finite_and_non_negative(
+        self, monkeypatch, path_eog, path_gflow, tol
+    ):
+        pattern = path_pattern(path_eog, path_gflow, {1: 0.9, 2: 2.2})
+        results = run_all_branches(pattern, basis_state((1,), 0))
+        assert check_determinism(results, 0.0).tolerance == 0.0
+        with pytest.raises(ValueError, match="tolerance"):
+            check_determinism(results, tol)
+
+        def refuse(*args):
+            raise AssertionError("a branch ran before the tolerance was checked")
+
+        monkeypatch.setattr(sim, "prepare", refuse)
+        with pytest.raises(ValueError, match="tolerance"):
+            extract_isometry(pattern, tol)
 
 
 class TestIsometry:
@@ -596,3 +614,129 @@ class TestTensorPrepare:
         with pytest.raises(BranchLimitError):
             run_all_branches(pattern, basis_state((), 0), max_qubits=n - 1)
         assert sim.DEFAULT_MAX_QUBITS == 24
+
+
+@functools.lru_cache(maxsize=None)
+def eigh_eigenvectors(plane, alpha):
+    """The kernels' eigenvectors as arrays: outcome 0 (+1), then 1 (-1)."""
+    vals, vecs = np.linalg.eigh(sim.plane_observable(plane, alpha))
+    plus = int(np.argmax(vals))
+    return vecs[:, plus], vecs[:, 1 - plus]
+
+
+def tensordot_measure(state, u, plane, alpha, s):
+    """The tensordot `measure` the two-slice contraction replaced, as oracle."""
+    n = len(state.qubits)
+    p = state.qubits.index(u)
+    phi = eigh_eigenvectors(plane, alpha)[s]
+    block = state.amplitudes.reshape(2**p, 2, 2 ** (n - 1 - p))
+    rest = np.tensordot(phi.conj(), block, axes=([0], [1])).reshape(-1)
+    total = float(np.vdot(state.amplitudes, state.amplitudes).real)
+    weight = float(np.vdot(rest, rest).real)
+    if weight < 1e-24:
+        return 0.0, None
+    post = Statevector(
+        tuple(q for q in state.qubits if q != u), rest / math.sqrt(weight)
+    )
+    return weight / total, post
+
+
+def per_target_correction(state, pauli, targets, s):
+    """The per-target `apply_correction` (one copy per target), as oracle."""
+    if s == 0:
+        return state
+    n = len(state.qubits)
+    amps = state.amplitudes
+    for t in sorted(targets):
+        p = state.qubits.index(t)
+        block = amps.reshape(2**p, 2, 2 ** (n - 1 - p)).copy()
+        if pauli == "X":
+            block = block[:, ::-1, :]
+        else:
+            block[:, 1, :] *= -1
+        amps = block.reshape(-1)
+    return Statevector(state.qubits, amps)
+
+
+class TestLeanKernels:
+    """`measure` and `apply_correction` against the kernels they replaced.
+
+    Measurements agree to 1e-14 per amplitude and in probability, with the
+    same zero-probability verdicts; corrections agree exactly, since both
+    only move and negate amplitudes. Kernel and oracle read the same input
+    state, which the kernel must leave unchanged.
+    """
+
+    ANGLES = (0.0, math.pi / 2, math.pi, 3 * math.pi / 2)
+
+    @staticmethod
+    def check_measure(state, u, plane, alpha, s, counts):
+        before = state.amplitudes.copy()
+        prob, post = measure(state, u, plane, alpha, s)
+        want_prob, want = tensordot_measure(state, u, plane, alpha, s)
+        assert np.array_equal(state.amplitudes, before)
+        assert (post is None) == (want is None)
+        assert abs(prob - want_prob) <= 1e-14
+        counts["measure"] += 1
+        if post is None:
+            assert prob == 0.0
+            counts["zero"] += 1
+        else:
+            assert post.qubits == want.qubits
+            assert np.max(np.abs(post.amplitudes - want.amplitudes)) <= 1e-14
+        return prob, post
+
+    @staticmethod
+    def check_correction(state, pauli, targets, s, counts):
+        before = state.amplitudes.copy()
+        out = apply_correction(state, pauli, targets, s)
+        want = per_target_correction(state, pauli, targets, s)
+        assert np.array_equal(state.amplitudes, before)
+        assert out.qubits == want.qubits
+        assert np.array_equal(out.amplitudes, want.amplitudes)
+        counts[pauli] += bool(s and targets)
+        return out
+
+    def test_census_branches(self, monkeypatch, small_sweep):
+        # each step of one branch, with random signals, on every |V| <= 4
+        # pattern with Pauli angles; a gflow makes every outcome live
+        counts = dict.fromkeys(("measure", "zero", "X", "Z"), 0)
+        monkeypatch.setattr(
+            sim, "measure", lambda *args: self.check_measure(*args, counts)
+        )
+        monkeypatch.setattr(
+            sim, "apply_correction", lambda *args: self.check_correction(*args, counts)
+        )
+        rng = random.Random(53)
+        for eog, g in small_sweep:
+            angles = {u: rng.choice(self.ANGLES) for u in eog.measured}
+            pattern = pattern_from_gflow(eog, angles, g)
+            signals = {u: rng.randrange(2) for u in eog.measured}
+            run_branch(pattern, basis_state(tuple(sorted(eog.inputs)), 0), signals)
+        assert len(small_sweep) == 15962
+        assert counts["zero"] == 0
+        assert min(counts["measure"], counts["X"], counts["Z"]) > 1000, counts
+
+    def test_random_states(self):
+        rng = random.Random(59)
+        nrng = np.random.default_rng(59)
+        counts = dict.fromkeys(("measure", "zero", "X", "Z"), 0)
+        for i in range(1000):
+            n = 2 + i % 10
+            qubits = tuple(sorted(rng.sample(range(30), n)))
+            amps = nrng.normal(size=2**n) + 1j * nrng.normal(size=2**n)
+            p = rng.randrange(n)
+            if i % 3 == 0:  # qubit p in |0>: its Z measurement has a zero outcome
+                amps.reshape(2**p, 2, -1)[:, 1] = 0
+            state = Statevector(qubits, amps / np.linalg.norm(amps))
+            for s in (0, 1):
+                self.check_measure(state, qubits[p], Plane.XZ, math.pi / 2, s, counts)
+                for u in qubits:
+                    plane = rng.choice(list(Plane))
+                    alpha = rng.choice(self.ANGLES + (rng.uniform(0, math.tau),))
+                    self.check_measure(state, u, plane, alpha, s, counts)
+            for pauli in "XZ":
+                targets = rng.sample(qubits, rng.randint(0, n))
+                for s in (0, 1):
+                    self.check_correction(state, pauli, targets, s, counts)
+        assert min(counts.values()) > 300, counts
