@@ -156,6 +156,15 @@ def cmd_simulate(args):
 
     sim._check_tolerance(args.tol)
     eog, angles = parse_open_graph_document(_read(args.graph))
+    bound = sim.DEFAULT_BRANCH_BOUND if args.branch_bound is None else args.branch_bound
+    width = sim.DEFAULT_MAX_QUBITS if args.max_qubits is None else args.max_qubits
+    try:
+        # before the corrections are read: their checks grow with |V|
+        sim._check_bounds(eog, bound, width)
+    except sim.BranchLimitError as exc:
+        _emit({"error": str(exc), **exc.limit})
+        print(str(exc), file=sys.stderr)
+        return RESOURCE
     correction_text = _read(args.gflow) if args.gflow else None
     pattern, angles = _build_pattern(eog, angles, correction_text, args.seed)
     in_qubits = tuple(sorted(eog.inputs))
@@ -167,14 +176,7 @@ def cmd_simulate(args):
             size=2 ** len(in_qubits)
         )
         input_state = sim.Statevector(in_qubits, amps / np.linalg.norm(amps))
-    bound = sim.DEFAULT_BRANCH_BOUND if args.branch_bound is None else args.branch_bound
-    width = sim.DEFAULT_MAX_QUBITS if args.max_qubits is None else args.max_qubits
-    try:
-        results = sim.run_all_branches(pattern, input_state, bound, width)
-    except sim.BranchLimitError as exc:
-        _emit({"error": str(exc), **exc.limit})
-        print(str(exc), file=sys.stderr)
-        return RESOURCE
+    results = sim.run_all_branches(pattern, input_state, bound, width)
     report = sim.check_determinism(results, args.tol)
     doc = report.to_dict()
     doc["seed"] = args.seed

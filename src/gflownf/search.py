@@ -124,6 +124,8 @@ def _find_gflow_rounds(eog: ExtendedOpenGraph, sigma: str | None = None):
     delayed layering (Mhalla and Perdrix, ICALP 2008) finds a sigma-NF
     gflow whenever one exists.
     """
+    if sigma is not None and sigma not in AXES:
+        raise ValueError(f"sigma must be one of {AXES}, got {sigma!r}")
     graph = eog.graph
     adj, ids, index = graph.adjacency_masks, graph.ids, graph.index
     i_mask = graph.mask(eog.inputs)
@@ -185,17 +187,11 @@ def _find_gflow_rounds(eog: ExtendedOpenGraph, sigma: str | None = None):
     return gflow, rounds
 
 
-def find_gflow(eog: ExtendedOpenGraph) -> Gflow | None:
-    """A valid gflow of the instance, or None when none exists."""
-    g, _ = _find_gflow_rounds(eog)
-    return g
+def find_gflow(eog: ExtendedOpenGraph, sigma: str | None = None) -> Gflow | None:
+    """A valid gflow, in sigma-NF when ``sigma`` is given, or None when none exists."""
+    return _find_gflow_rounds(eog, sigma)[0]
 
 
 def exists_normal_form(eog: ExtendedOpenGraph, sigma: str) -> bool:
-    """Whether the instance has a sigma-NF gflow, in polynomial time.
-
-    The layered finder carries the sigma-NF inclusion, so it always decides.
-    """
-    if sigma not in AXES:
-        raise ValueError(f"sigma must be one of {AXES}, got {sigma!r}")
+    """Whether the instance has a sigma-NF gflow, decided in polynomial time."""
     return _find_gflow_rounds(eog, sigma)[0] is not None

@@ -33,7 +33,6 @@ from .opengraph import ExtendedOpenGraph, Graph, Plane
 from .gflow import CorrectiveMaps, Gflow, _corrections
 
 STATE_TOL = 1e-9
-NORM_TOL = 1e-12
 DEFAULT_BRANCH_BOUND = 12
 DEFAULT_MAX_QUBITS = 24
 
@@ -275,19 +274,19 @@ def run_branch(pattern: Pattern, input_state: Statevector, signals) -> BranchRes
     """Run one signal assignment end to end, within ``DEFAULT_MAX_QUBITS``."""
     if frozenset(signals) != pattern.eog.measured:
         raise ValueError("signals must be given for exactly the measured vertices")
-    _check_bounds(pattern, len(pattern.schedule), DEFAULT_MAX_QUBITS)  # width only
+    _check_bounds(pattern.eog, math.inf, DEFAULT_MAX_QUBITS)
     state = prepare(pattern.eog.graph, pattern.eog.inputs, input_state)
     return _run_measurements(pattern, state, dict(signals))
 
 
-def _check_bounds(pattern: Pattern, branch_bound: int, max_qubits: int) -> None:
-    k = len(pattern.schedule)
+def _check_bounds(eog: ExtendedOpenGraph, branch_bound: float, max_qubits: int) -> None:
+    k = len(eog.measured)
     if k > branch_bound:
         raise BranchLimitError(
             f"{k} measured qubits exceed the branch bound {branch_bound}",
             {"measured": k, "branch_bound": branch_bound},
         )
-    n = len(pattern.eog.vertices)
+    n = len(eog.vertices)
     if n > max_qubits:
         raise BranchLimitError(
             f"a register of {n} qubits exceeds the bound of {max_qubits} qubits",
@@ -312,7 +311,7 @@ def run_all_branches(
     checked before the register is allocated: at most ``branch_bound``
     measured qubits and at most ``max_qubits`` qubits in all.
     """
-    _check_bounds(pattern, branch_bound, max_qubits)
+    _check_bounds(pattern.eog, branch_bound, max_qubits)
     schedule = pattern.schedule
     k = len(schedule)
     prepared = prepare(pattern.eog.graph, pattern.eog.inputs, input_state)
@@ -432,7 +431,7 @@ def extract_isometry(
     allocated.
     """
     _check_tolerance(tol)
-    _check_bounds(pattern, branch_bound, max_qubits)
+    _check_bounds(pattern.eog, branch_bound, max_qubits)
     in_qubits = tuple(sorted(pattern.eog.inputs))
     n_in = len(in_qubits)
 

@@ -265,6 +265,44 @@ class TestSimulate:
         assert doc == {"error": doc["error"], "qubits": n, "max_qubits": 24}
         assert doc["error"] in captured.err
 
+    @pytest.mark.parametrize(
+        "flags, limit",
+        [
+            ([], {"measured": 39, "branch_bound": 12}),
+            (["--branch-bound", "39"], {"qubits": 40, "max_qubits": 24}),
+        ],
+    )
+    def test_bounds_checked_before_pattern_build(
+        self, capsys, tmp_path, monkeypatch, flags, limit
+    ):
+        # a 40-vertex chain with its gflow: verifying the gflow or ordering
+        # the maps costs Theta(n^2) bits, so neither may run past a bound
+        n = 40
+        graph = {
+            "vertices": list(range(n)),
+            "edges": [[i, i + 1] for i in range(n - 1)],
+            "inputs": [0],
+            "outputs": [n - 1],
+            "planes": {str(i): "XY" for i in range(n - 1)},
+        }
+        gp = tmp_path / "chain.json"
+        gp.write_text(json.dumps(graph))
+        fp = tmp_path / "g.json"
+        fp.write_text(json.dumps({"g": {str(i): [i + 1] for i in range(n - 1)}}))
+
+        def refuse(*args):
+            raise AssertionError("the pattern was built past a bound")
+
+        monkeypatch.setattr("gflownf.cli._build_pattern", refuse)
+        code = main(["simulate", str(gp), str(fp), *flags])
+        captured = capsys.readouterr()
+        assert code == 3
+        lines = captured.out.splitlines()
+        assert len(lines) == 1
+        doc = json.loads(lines[0])
+        assert doc == {"error": doc["error"], **limit}
+        assert doc["error"] in captured.err
+
     def test_max_qubits_flag(self, capsys, graph_file, gflow_file):
         argv = ["simulate", graph_file, gflow_file, "--max-qubits"]
         code, doc = run(capsys, argv + ["2"])

@@ -265,6 +265,21 @@ class TestExistsNormalForm:
     def test_bad_sigma(self, path_eog):
         with pytest.raises(ValueError):
             exists_normal_form(path_eog, "Q")
+        with pytest.raises(ValueError):
+            find_gflow(path_eog, sigma="Q")
+
+    def test_find_gflow_sigma_census(self):
+        # the gflow find_gflow(eog, sigma) returns is the one that decides
+        found = dict.fromkeys(AXES, 0)
+        for eog in all_instances(3):
+            for sigma in AXES:
+                g = find_gflow(eog, sigma)
+                assert (g is not None) is exists_normal_form(eog, sigma)
+                if g is not None:
+                    assert verify_gflow(eog, g).valid
+                    assert check_normal_form(eog, g, sigma)
+                    found[sigma] += 1
+        assert min(found.values()) > 0
 
     def test_agrees_with_filtered_enumeration(self):
         from gflownf import check_normal_form
