@@ -29,8 +29,7 @@ from .gflow import (
     verify_gflow,
 )
 from .instances import all_instances, random_instance
-from .normal_forms import promote_input_y, promote_input_z
-from .normal_forms import focus as focus_gflow
+from .normal_forms import _PROMOTE, focus as focus_gflow
 from .search import brute_force_enumerate, find_gflow
 
 OK, NEGATIVE, INPUT_ERROR, RESOURCE = 0, 1, 2, 3
@@ -85,9 +84,6 @@ def cmd_enumerate(args):
 def cmd_focus(args):
     eog = parse_open_graph_document(_read(args.graph))[0]
     g = parse_gflow(_read(args.gflow))
-    report = verify_gflow(eog, g)
-    if not report.valid:
-        raise OpenGraphError("input gflow is not valid for this graph")
     focused = focus_gflow(eog, g, args.sigma)
     _emit(_gflow_doc(focused))
     return OK
@@ -108,8 +104,7 @@ def cmd_check_nf(args):
 def cmd_promote(args):
     eog = parse_open_graph_document(_read(args.graph))[0]
     g = parse_gflow(_read(args.gflow))
-    step_fn = promote_input_z if args.sigma == "Z" else promote_input_y
-    result = step_fn(eog, g, args.vertex)
+    result = _PROMOTE[args.sigma](eog, g, args.vertex)
     _emit(
         {
             "graph": json.loads(serialize_open_graph(result.rewritten)),

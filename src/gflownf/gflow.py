@@ -4,8 +4,11 @@ A gflow assigns each measured vertex a corrector set drawn from the
 non-inputs; it is valid when the plane condition holds at every vertex and
 f(u) = g(u) | Odd(g(u)) has an acyclic dependency digraph (Browne, Kashefi,
 Mhalla and Perdrix, NJP 2007). Each rule is defined once, on int bitmasks,
-and shared by search, focusing and simulation: ``_plane_holds``,
-``_sigma_target``, ``_off_sigma``, ``_f_order`` and the Kahn peel ``_peel``.
+and shared by search, focusing and simulation: ``_PLANE_BITS``,
+``_nf_excess``, ``_off_sigma``, ``_f_order`` and the Kahn peel ``_peel``.
+So is each precondition: ``_check_sigma``, ``_check_domain`` and ``_valid``,
+through which ``focus``, the promotions and ``corrective_maps`` raise
+ValueError on an invalid gflow.
 """
 
 from __future__ import annotations
@@ -37,9 +40,15 @@ def _plane_holds(plane: Plane, i: int, g: int, odd: int) -> bool:
     return (g >> i & 1, odd >> i & 1) == _PLANE_BITS[plane]
 
 
-def _sigma_target(sigma: str, g: int, odd: int) -> int:
-    """The set a sigma-NF gflow keeps in {u} + outputs: Odd(g), g ^ Odd(g) or g."""
-    return odd if sigma == "X" else odd ^ g if sigma == "Y" else g
+def _check_sigma(sigma: str, allowed: tuple[str, ...] = AXES) -> None:
+    if sigma not in allowed:
+        raise ValueError(f"sigma must be one of {allowed}, got {sigma!r}")
+
+
+def _nf_excess(sigma: str, i: int, g: int, odd: int, out_mask: int) -> int:
+    """u's sigma-set (Odd(g), g ^ Odd(g) or g) outside {u} + outputs, u at bit i."""
+    s = odd if sigma == "X" else odd ^ g if sigma == "Y" else g
+    return s & ~(out_mask | 1 << i)
 
 
 def _off_sigma(eog: ExtendedOpenGraph, sigma: str) -> list[int]:
@@ -239,14 +248,18 @@ def verify_gflow(eog: ExtendedOpenGraph, g: Gflow) -> VerificationReport:
     return _verify(eog, g)[0]
 
 
-def _verify(eog, g):
-    """The report, the (g(u), Odd(g(u))) masks by bit position, and the order."""
-    measured = eog.measured
-    if g.domain() != measured:
+def _check_domain(eog: ExtendedOpenGraph, g: Gflow) -> None:
+    if g.domain() != eog.measured:
         raise ValueError(
             f"gflow must assign exactly the measured vertices "
-            f"{sorted(measured)}, got {sorted(g.domain())}"
+            f"{sorted(eog.measured)}, got {sorted(g.domain())}"
         )
+
+
+def _verify(eog, g):
+    """The report, the (g(u), Odd(g(u))) masks by bit position, and the order."""
+    _check_domain(eog, g)
+    measured = eog.measured
     violations = []
     graph, ids = eog.graph, eog.graph.ids
     non_inputs = eog.vertices - eog.inputs
@@ -274,6 +287,17 @@ def _verify(eog, g):
                 Violation(exc.cycle[0], "extensivity", frozenset(exc.cycle))
             )
     return VerificationReport(not violations, tuple(violations)), masks, order
+
+
+def _valid(eog, g):
+    """The masks and order of ``_verify``; ValueError unless g is a valid gflow."""
+    report, masks, order = _verify(eog, g)
+    if not report.valid:
+        first = report.violations[0]
+        raise ValueError(
+            f"not a valid gflow: {first.condition} violated at vertex {first.vertex}"
+        )
+    return masks, order
 
 
 def check_input_planes(eog: ExtendedOpenGraph) -> bool:
@@ -311,12 +335,7 @@ def corrective_maps(eog: ExtendedOpenGraph, g: Gflow) -> CorrectiveMaps:
 
 def _corrections(eog, g):
     """corrective_maps and the f-map order, one Odd(g(u)) per measured u."""
-    report, masks, order = _verify(eog, g)
-    if not report.valid:
-        first = report.violations[0]
-        raise ValueError(
-            f"not a valid gflow: {first.condition} violated at vertex {first.vertex}"
-        )
+    masks, order = _valid(eog, g)
     members, ids = eog.graph.members, eog.graph.ids
     x = {ids[i]: members(k & ~(1 << i)) for i, (k, _) in masks.items()}
     z = {ids[i]: members(odd & ~(1 << i)) for i, (_, odd) in masks.items()}
@@ -329,14 +348,11 @@ def check_normal_form(eog: ExtendedOpenGraph, g: Gflow, sigma: str) -> bool:
     X bounds Odd(g(u)), Z bounds g(u), Y bounds their symmetric difference,
     each inside {u} union the outputs; any non-vertex corrector raises first.
     """
-    if sigma not in AXES:
-        raise ValueError(f"sigma must be one of {AXES}, got {sigma!r}")
-    if g.domain() != eog.measured:
-        raise ValueError("gflow must assign exactly the measured vertices")
+    _check_sigma(sigma)
+    _check_domain(eog, g)
     graph = eog.graph
     masks = {graph.index[u]: graph.mask(g[u]) for u in eog.measured}
     out_mask = graph.mask(eog.outputs)
     return not any(
-        _sigma_target(sigma, k, odd_mask(graph, k)) & ~(out_mask | 1 << i)
-        for i, k in masks.items()
+        _nf_excess(sigma, i, k, odd_mask(graph, k), out_mask) for i, k in masks.items()
     )

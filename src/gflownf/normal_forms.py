@@ -9,15 +9,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .opengraph import ExtendedOpenGraph, Graph, Plane, odd_mask
+from .opengraph import ExtendedOpenGraph, Graph, Plane
 from .gflow import (
-    AXES,
     Gflow,
-    _f_order,
+    _check_sigma,
+    _nf_excess,
     _off_sigma,
-    _sigma_target,
+    _valid,
     check_normal_form,
-    verify_gflow,
 )
 from .search import find_gflow
 
@@ -33,30 +32,25 @@ class PromotionResult:
 def focus(eog: ExtendedOpenGraph, g: Gflow, sigma: str) -> Gflow:
     """Rewrite g so the sigma-specific corrector set stays in {u} + outputs.
 
-    Requires sigma to lie in the plane of every measured non-input; the
-    sweep runs from the latest layer down so each substituted set is
-    already final. The result is a valid sigma-NF gflow extensive under
-    g's own order.
+    Requires a valid gflow g and sigma in the plane of every measured
+    non-input, and raises ValueError otherwise; the sweep runs from the
+    latest layer down so each substituted set is already final. The result
+    is a valid sigma-NF gflow extensive under g's own order.
     """
-    if sigma not in AXES:
-        raise ValueError(f"sigma must be one of {AXES}, got {sigma!r}")
+    _check_sigma(sigma)
     off = _off_sigma(eog, sigma)
     if off:
         raise ValueError(
             f"vertex {off[0]} is measured in the {eog.planes[off[0]].value} plane, "
             f"which does not contain {sigma}"
         )
+    masks, order = _valid(eog, g)
     graph = eog.graph
-    masks = {}
-    for u in eog.measured:
-        k = graph.mask(g[u])
-        masks[graph.index[u]] = (k, odd_mask(graph, k))
-    order = _f_order(eog, masks)
     out_mask = graph.mask(eog.outputs)
     refocused: dict[int, int] = {}
     for i in sorted(masks, key=lambda i: (-order.layers[graph.ids[i]], i)):
         k, odd = masks[i]
-        pool = _sigma_target(sigma, k, odd) & ~(out_mask | 1 << i)
+        pool = _nf_excess(sigma, i, k, odd, out_mask)
         while pool:
             b = pool & -pool
             pool ^= b
@@ -66,13 +60,7 @@ def focus(eog: ExtendedOpenGraph, g: Gflow, sigma: str) -> Gflow:
 
 
 def _check_promotion_pre(eog, g, u0, sigma):
-    report = verify_gflow(eog, g)
-    if not report.valid:
-        first = report.violations[0]
-        raise ValueError(
-            f"promotion requires a valid gflow "
-            f"({first.condition} violated at vertex {first.vertex})"
-        )
+    _valid(eog, g)
     if not check_normal_form(eog, g, sigma):
         raise ValueError(f"promotion requires a {sigma}-NF gflow")
     if u0 not in eog.measured_non_inputs:
@@ -138,14 +126,17 @@ def promote_input_y(eog: ExtendedOpenGraph, g: Gflow, u0: int) -> PromotionResul
     return PromotionResult(rewritten, Gflow(g2), u0, u1)
 
 
+# The rewrite that promotes an off-sigma vertex, by sigma
+_PROMOTE = {"Y": promote_input_y, "Z": promote_input_z}
+
+
 def promote_all(eog: ExtendedOpenGraph, g: Gflow, sigma: str):
     """Promote eligible vertices in ascending id order until none remain.
 
     Returns (rewritten instance, gflow, list of promotion steps).
     """
-    if sigma not in ("Y", "Z"):
-        raise ValueError("promotion applies to the Y and Z normal forms only")
-    step_fn = promote_input_z if sigma == "Z" else promote_input_y
+    _check_sigma(sigma, ("Y", "Z"))
+    step_fn = _PROMOTE[sigma]
     steps = []
     while True:
         eligible = _off_sigma(eog, sigma)
@@ -165,8 +156,7 @@ def check_defect_bound(eog: ExtendedOpenGraph, sigma: str):
     sound rejection — a complete 3-vertex graph with one output and both
     measured vertices in XZ has a Y-NF gflow with count 2 > defect 1.
     """
-    if sigma not in ("Y", "Z"):
-        raise ValueError("the input-defect bound applies to Y- and Z-NF only")
+    _check_sigma(sigma, ("Y", "Z"))
     count = len(_off_sigma(eog, sigma))
     defect = eog.input_defect
     return count, defect, count <= defect
@@ -179,8 +169,7 @@ def check_balanced_nf(eog: ExtendedOpenGraph, sigma: str) -> bool:
     (sigma in {Y, Z}) exists exactly when every measured non-input plane
     contains sigma.
     """
-    if sigma not in ("Y", "Z"):
-        raise ValueError("the equivalence is stated for sigma in {Y, Z}")
+    _check_sigma(sigma, ("Y", "Z"))
     if len(eog.inputs) != len(eog.outputs):
         raise ValueError("the equivalence requires as many inputs as outputs")
     if find_gflow(eog) is None:

@@ -13,8 +13,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .opengraph import ExtendedOpenGraph, Plane, odd_mask, set_to_mask
-from .gflow import AXES, Gflow, _peel, _plane_holds, _sigma_target
+from .opengraph import ExtendedOpenGraph, odd_mask
+from .gflow import _PLANE_BITS, Gflow, _check_sigma, _nf_excess, _peel, _plane_holds
 
 
 @dataclass(frozen=True)
@@ -28,18 +28,17 @@ class GflowEnumeration:
         return len(self.gflows)
 
 
-def _local_candidates(eog, i, allowed_mask, meas_mask, nf_sigma=None):
-    """All corrector masks satisfying the plane (and optional NF) condition at bit i."""
+def _local_candidates(eog, i, allowed_mask, out_mask, nf_sigma=None):
+    """All (g, Odd g) pairs passing the plane (and optional NF) condition at bit i."""
     graph = eog.graph
     plane = eog.planes[graph.ids[i]]
-    nf_off = meas_mask & ~(1 << i)  # a sigma-NF target keeps to i and the outputs
     cands = []
     k = allowed_mask
     while True:
         odd = odd_mask(graph, k)
         if _plane_holds(plane, i, k, odd):
-            if nf_sigma is None or not _sigma_target(nf_sigma, k, odd) & nf_off:
-                cands.append(k)
+            if nf_sigma is None or not _nf_excess(nf_sigma, i, k, odd, out_mask):
+                cands.append((k, odd))
         if k == 0:
             break
         k = (k - 1) & allowed_mask
@@ -63,21 +62,21 @@ def brute_force_enumerate(
     to the sigma normal form; ``stop_after`` stops early once that many
     gflows are collected (also marking the run non-exhausted).
     """
+    if nf_sigma is not None:
+        _check_sigma(nf_sigma)
     graph = eog.graph
     measured = sorted(map(graph.index.__getitem__, eog.planes))  # the measured
     if not measured:
         return GflowEnumeration(eog, (Gflow({}),), True)
     allowed = ((1 << len(graph.ids)) - 1) & ~graph.mask(eog.inputs)
-    meas_mask = set_to_mask(measured)
+    out_mask = graph.mask(eog.outputs)
     per_vertex = []
     for i in measured:
-        cands = _local_candidates(eog, i, allowed, meas_mask, nf_sigma)
+        cands = _local_candidates(eog, i, allowed, out_mask, nf_sigma)
         if not cands:
             return GflowEnumeration(eog, (), True)
-        ibit = 1 << i
-        per_vertex.append(
-            [(k, (k | odd_mask(graph, k)) & meas_mask & ~ibit) for k in cands]
-        )
+        # f(u) \ {u} among the measured: the arcs the peel reads
+        per_vertex.append([(k, (k | odd) & ~(out_mask | 1 << i)) for k, odd in cands])
     found = []
     examined = 0
     exhausted = True
@@ -106,15 +105,15 @@ def _find_gflow_rounds(eog: ExtendedOpenGraph, sigma: str | None = None):
     C the outputs plus the vertices solved so far, u is solvable when some
     K inside C minus the inputs, joined by u itself when u is not XY
     (``force``), has an odd neighbourhood that meets the unsolved vertices
-    only at u, and at u exactly when u is XY or XZ (``rhs1``). The matrix,
-    row w = adj[w] & cols for each unsolved w, is the same for every u;
-    only the right-hand side depends on u, so row w carries it as a
-    vertex mask: u's bit is set when u is forced and adjacent to w, or
-    when w = u lies in rhs1. A row reduced to zero fails every u
-    in its right-hand side (bits of vertices solved earlier ride along
-    unread). Each row pivots on its lowest set bit, which picks the
-    lowest-first column basis, so u's solution with free variables 0 is
-    the one a separate elimination for u gives.
+    only at u, and at u exactly when u is XY or XZ (``rhs1``), both read
+    from ``_PLANE_BITS``. The matrix, row w = adj[w] & cols for each
+    unsolved w, is the same for every u; only the right-hand side depends
+    on u, so row w carries it as a vertex mask: u's bit is set when u is
+    forced and adjacent to w, or when w = u lies in rhs1. A row reduced to
+    zero fails every u in its right-hand side (bits of vertices solved
+    earlier ride along unread). Each row pivots on its lowest set bit,
+    which picks the lowest-first column basis, so u's solution with free
+    variables 0 is the one a separate elimination for u gives.
 
     With ``sigma`` only sigma-NF correctors count. Z keeps ``cols`` at the
     outputs minus the inputs. X and Y add a row, same right-hand side, for
@@ -124,18 +123,16 @@ def _find_gflow_rounds(eog: ExtendedOpenGraph, sigma: str | None = None):
     delayed layering (Mhalla and Perdrix, ICALP 2008) finds a sigma-NF
     gflow whenever one exists.
     """
-    if sigma is not None and sigma not in AXES:
-        raise ValueError(f"sigma must be one of {AXES}, got {sigma!r}")
+    if sigma is not None:
+        _check_sigma(sigma)
     graph = eog.graph
     adj, ids, index = graph.adjacency_masks, graph.ids, graph.index
     i_mask = graph.mask(eog.inputs)
     force = rhs1 = 0
     for u, plane in eog.planes.items():
-        b = 1 << index[u]
-        if plane is not Plane.XY:
-            force |= b
-        if plane is not Plane.YZ:
-            rhs1 |= b
+        in_g, in_odd = _PLANE_BITS[plane]
+        force |= in_g << index[u]
+        rhs1 |= in_odd << index[u]
     unsolved = force | rhs1  # the measured vertices: each has a plane
     o_mask = c_mask = ((1 << len(ids)) - 1) & ~unsolved
     assignment: dict[int, int] = {}

@@ -91,6 +91,26 @@ class TestFocus:
         with pytest.raises(ValueError, match="vertex 2"):
             focus(star_eog, g, "X")
 
+    def test_rejects_invalid_gflow(self, path_eog):
+        # g(1) = {3} breaks the XY condition at 1
+        g = Gflow({1: {3}, 2: {3}})
+        for sigma in "XY":
+            with pytest.raises(ValueError, match="not a valid gflow: plane-XY"):
+                focus(path_eog, g, sigma)
+
+    def test_rejects_cyclic_map(self):
+        # every plane condition holds, but f(1) and f(2) each hold the other
+        graph = Graph(frozenset({1, 2, 3}), frozenset({(1, 2), (2, 3)}))
+        eog = ExtendedOpenGraph(
+            graph, frozenset(), frozenset({3}), {1: Plane.XY, 2: Plane.XY}
+        )
+        g = Gflow({1: {2}, 2: {1}})
+        assert [v.condition for v in verify_gflow(eog, g).violations] == [
+            "extensivity"
+        ]
+        with pytest.raises(ValueError, match="not a valid gflow: extensivity"):
+            focus(eog, g, "X")
+
     def test_soundness_exhaustive_small(self):
         # Every |V| <= 3 instance with a gflow, every admissible sigma.
         for eog in all_instances(3):

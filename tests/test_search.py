@@ -13,8 +13,10 @@ from gflownf import (
     odd_neighbourhood,
     verify_gflow,
 )
+from conftest import PATH_DOC
+from gflownf import opengraph, search
 from gflownf.gflow import AXES, Gflow
-from gflownf.opengraph import mask_to_set, set_to_mask
+from gflownf.opengraph import mask_to_set, parse_open_graph_document, set_to_mask
 from gflownf.search import _find_gflow_rounds
 from gflownf.instances import all_instances, random_instance
 
@@ -192,6 +194,22 @@ class TestBruteForce:
         enum = brute_force_enumerate(path_eog, limit=1)
         assert not enum.exhausted
 
+    def test_one_odd_mask_per_candidate(self, monkeypatch):
+        # Odd(g) is computed once per corrector set and kept with it:
+        # four sets within {2, 3} for each of the two measured vertices.
+        eog = parse_open_graph_document(PATH_DOC)[0]
+        calls = []
+        original = opengraph.odd_mask
+
+        def counting(graph, mask):
+            calls.append(mask)
+            return original(graph, mask)
+
+        for module in (opengraph, search):
+            monkeypatch.setattr(module, "odd_mask", counting)
+        assert brute_force_enumerate(eog).count == 2
+        assert len(calls) == 8
+
     def test_every_listed_gflow_verifies(self):
         rng = random.Random(3)
         for _ in range(200):
@@ -267,6 +285,8 @@ class TestExistsNormalForm:
             exists_normal_form(path_eog, "Q")
         with pytest.raises(ValueError):
             find_gflow(path_eog, sigma="Q")
+        with pytest.raises(ValueError):
+            brute_force_enumerate(path_eog, nf_sigma="Q")
 
     def test_find_gflow_sigma_census(self):
         # the gflow find_gflow(eog, sigma) returns is the one that decides
