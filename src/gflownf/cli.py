@@ -20,9 +20,8 @@ from .opengraph import (
     serialize_open_graph,
 )
 from .gflow import (
-    CorrectiveMaps,
     check_normal_form,
-    extensivity_order,
+    corrective_maps,
     parse_corrective_maps,
     parse_gflow,
     serialize_gflow,
@@ -117,30 +116,18 @@ def cmd_promote(args):
 
 
 def _build_pattern(eog, angles, correction_text, seed):
-    from .sim import Pattern, pattern_from_gflow
+    from .sim import _no_corrections, _scheduled
 
     rng = random.Random(seed)
     if angles is None:
         angles = {u: rng.uniform(0.1, math.tau - 0.1) for u in sorted(eog.measured)}
     if correction_text is None:
-        empty = {u: frozenset() for u in eog.measured}
-        maps = CorrectiveMaps(empty, dict(empty))
-        schedule = tuple(sorted(eog.measured))
-        return Pattern(eog, angles, maps, schedule), angles
-    doc = _load_json(correction_text)
-    if isinstance(doc, dict) and "g" in doc:
-        g = parse_gflow(correction_text)
-        return pattern_from_gflow(eog, angles, g), angles
-    maps = parse_corrective_maps(correction_text)
-    for side, keyed in (("x", maps.x), ("z", maps.z)):
-        if frozenset(keyed) != eog.measured:
-            raise OpenGraphError(
-                f'corrective map "{side}" must assign exactly the measured '
-                f"vertices {sorted(eog.measured)}, got {sorted(keyed)}"
-            )
-    f = {u: maps.x[u] | maps.z[u] for u in eog.measured}
-    order = extensivity_order(eog.graph, eog.outputs, f)
-    return Pattern(eog, angles, maps, order.schedule(eog.measured)), angles
+        maps = _no_corrections(eog)
+    elif isinstance(doc := _load_json(correction_text), dict) and "g" in doc:
+        maps = corrective_maps(eog, parse_gflow(correction_text))
+    else:
+        maps = parse_corrective_maps(correction_text)
+    return _scheduled(eog, angles, maps), angles
 
 
 def cmd_simulate(args):
@@ -156,22 +143,23 @@ def cmd_simulate(args):
     try:
         # before the corrections are read: their checks grow with |V|
         sim._check_bounds(eog, bound, width)
+        correction_text = _read(args.gflow) if args.gflow else None
+        pattern, angles = _build_pattern(eog, angles, correction_text, args.seed)
+        in_qubits = tuple(sorted(eog.inputs))
+        if args.input == "basis":
+            input_state = sim.basis_state(in_qubits, 0)
+        else:
+            rng = np.random.default_rng(args.seed)
+            amps = rng.normal(size=2 ** len(in_qubits)) + 1j * rng.normal(
+                size=2 ** len(in_qubits)
+            )
+            input_state = sim.Statevector(in_qubits, amps / np.linalg.norm(amps))
+        # a register within the bound can still be refused by the allocator
+        results = sim.run_all_branches(pattern, input_state, bound, width)
     except sim.BranchLimitError as exc:
         _emit({"error": str(exc), **exc.limit})
         print(str(exc), file=sys.stderr)
         return RESOURCE
-    correction_text = _read(args.gflow) if args.gflow else None
-    pattern, angles = _build_pattern(eog, angles, correction_text, args.seed)
-    in_qubits = tuple(sorted(eog.inputs))
-    if args.input == "basis":
-        input_state = sim.basis_state(in_qubits, 0)
-    else:
-        rng = np.random.default_rng(args.seed)
-        amps = rng.normal(size=2 ** len(in_qubits)) + 1j * rng.normal(
-            size=2 ** len(in_qubits)
-        )
-        input_state = sim.Statevector(in_qubits, amps / np.linalg.norm(amps))
-    results = sim.run_all_branches(pattern, input_state, bound, width)
     report = sim.check_determinism(results, args.tol)
     doc = report.to_dict()
     doc["seed"] = args.seed

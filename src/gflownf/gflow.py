@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping
 
 from .opengraph import (
     ExtendedOpenGraph,
@@ -248,17 +248,17 @@ def verify_gflow(eog: ExtendedOpenGraph, g: Gflow) -> VerificationReport:
     return _verify(eog, g)[0]
 
 
-def _check_domain(eog: ExtendedOpenGraph, g: Gflow) -> None:
-    if g.domain() != eog.measured:
+def _check_domain(eog: ExtendedOpenGraph, keys: Collection[int], what: str) -> None:
+    if frozenset(keys) != eog.measured:
         raise ValueError(
-            f"gflow must assign exactly the measured vertices "
-            f"{sorted(eog.measured)}, got {sorted(g.domain())}"
+            f"{what} must assign exactly the measured vertices "
+            f"{sorted(eog.measured)}, got {sorted(keys)}"
         )
 
 
 def _verify(eog, g):
     """The report, the (g(u), Odd(g(u))) masks by bit position, and the order."""
-    _check_domain(eog, g)
+    _check_domain(eog, g.domain(), "gflow")
     measured = eog.measured
     violations = []
     graph, ids = eog.graph, eog.graph.ids
@@ -330,16 +330,11 @@ def parse_corrective_maps(text: str) -> CorrectiveMaps:
 
 def corrective_maps(eog: ExtendedOpenGraph, g: Gflow) -> CorrectiveMaps:
     """Derive the correction strategy x(u) = g(u)\\{u}, z(u) = Odd(g(u))\\{u}."""
-    return _corrections(eog, g)[0]
-
-
-def _corrections(eog, g):
-    """corrective_maps and the f-map order, one Odd(g(u)) per measured u."""
-    masks, order = _valid(eog, g)
+    masks, _ = _valid(eog, g)
     members, ids = eog.graph.members, eog.graph.ids
     x = {ids[i]: members(k & ~(1 << i)) for i, (k, _) in masks.items()}
     z = {ids[i]: members(odd & ~(1 << i)) for i, (_, odd) in masks.items()}
-    return CorrectiveMaps(x, z), order
+    return CorrectiveMaps(x, z)
 
 
 def check_normal_form(eog: ExtendedOpenGraph, g: Gflow, sigma: str) -> bool:
@@ -349,7 +344,7 @@ def check_normal_form(eog: ExtendedOpenGraph, g: Gflow, sigma: str) -> bool:
     each inside {u} union the outputs; any non-vertex corrector raises first.
     """
     _check_sigma(sigma)
-    _check_domain(eog, g)
+    _check_domain(eog, g.domain(), "gflow")
     graph = eog.graph
     masks = {graph.index[u]: graph.mask(g[u]) for u in eog.measured}
     out_mask = graph.mask(eog.outputs)

@@ -16,7 +16,6 @@ from .gflow import (
     _nf_excess,
     _off_sigma,
     _valid,
-    check_normal_form,
 )
 from .search import find_gflow
 
@@ -60,8 +59,9 @@ def focus(eog: ExtendedOpenGraph, g: Gflow, sigma: str) -> Gflow:
 
 
 def _check_promotion_pre(eog, g, u0, sigma):
-    _valid(eog, g)
-    if not check_normal_form(eog, g, sigma):
+    masks, _ = _valid(eog, g)
+    out_mask = eog.graph.mask(eog.outputs)
+    if any(_nf_excess(sigma, i, k, odd, out_mask) for i, (k, odd) in masks.items()):
         raise ValueError(f"promotion requires a {sigma}-NF gflow")
     if u0 not in eog.measured_non_inputs:
         raise ValueError(f"vertex {u0} is not a measured non-input")

@@ -6,10 +6,11 @@ the input amplitudes broadcast over |+> on the other qubits, then one
 in-place sign flip of a strided slice per CZ edge. Measured qubits are
 factored out immediately, so memory stays at 2**(alive qubits). The 2**k
 signal assignments of k measurements form a binary tree over the schedule:
-a depth-first walk measures each prefix state once per outcome and shares
-it with both subtrees, so all branches cost 2**(k+1) - 2 measurements
-instead of k * 2**k. Branches come out in binary-counter order and their
-outputs are compared up to global phase.
+a depth-first walk takes each prefix state through one `_step` (measure,
+then X, then Z on outcome 1) per outcome and shares it with both subtrees,
+so all branches cost 2**(k+1) - 2 measurements instead of k * 2**k; a
+one-branch replay takes the same step. Branches come out in binary-counter
+order and their outputs are compared up to global phase.
 
 The per-step kernels run 2**(k+1) - 2 times per walk, on registers of at
 most a few thousand amplitudes, where numpy's per-call overhead outweighs
@@ -23,14 +24,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
 
 from .opengraph import ExtendedOpenGraph, Graph, Plane
-from .gflow import CorrectiveMaps, Gflow, _corrections
+from .gflow import CorrectiveMaps, Gflow, _check_domain
+from .gflow import corrective_maps, extensivity_order
 
 STATE_TOL = 1e-9
 DEFAULT_BRANCH_BOUND = 12
@@ -102,7 +104,12 @@ def prepare(graph: Graph, inputs, input_state: Statevector) -> Statevector:
     n = len(qubits)
     # Inputs and register are both sorted, so the input axes are in order.
     spread = input_state.amplitudes.reshape([2 if v in inputs else 1 for v in qubits])
-    amps = np.broadcast_to(spread / math.sqrt(2 ** (n - len(inputs))), (2,) * n).copy()
+    amps = spread / math.sqrt(2 ** (n - len(inputs)))
+    try:
+        amps = np.broadcast_to(amps, (2,) * n).copy()
+    except MemoryError:  # within max_qubits, but more than the host can hold
+        msg = f"a register of {n} qubits cannot be allocated"
+        raise BranchLimitError(msg, {"qubits": n}) from None
     for u, v in graph.edges:
         both = [slice(None)] * n
         both[pos[u]] = both[pos[v]] = slice(1, 2)  # a view even when n == 2
@@ -212,10 +219,7 @@ class Pattern:
             raise ValueError("schedule must order the measured vertices exactly")
         if not measured <= frozenset(self.angles):
             raise ValueError("angles must cover every measured vertex")
-        if frozenset(self.corrections.x) != measured or frozenset(
-            self.corrections.z
-        ) != measured:
-            raise ValueError("corrective maps must be keyed by the measured vertices")
+        _check_maps(self.eog, self.corrections)
         position = {u: i for i, u in enumerate(self.schedule)}
         for u in self.schedule:
             for v in self.corrections.x[u] | self.corrections.z[u]:
@@ -227,19 +231,34 @@ class Pattern:
                     )
 
 
+def _check_maps(eog: ExtendedOpenGraph, maps: CorrectiveMaps) -> None:
+    for side, keyed in (("x", maps.x), ("z", maps.z)):
+        _check_domain(eog, keyed, f'corrective map "{side}"')
+
+
+def _no_corrections(eog: ExtendedOpenGraph) -> CorrectiveMaps:
+    empty = {u: frozenset() for u in eog.measured}
+    return CorrectiveMaps(empty, empty)
+
+
+def _scheduled(eog, angles, maps) -> Pattern:
+    """The pattern measured in the order of x(u) | z(u), ties broken by id:
+    for a gflow's maps, x(u) | z(u) = f(u) \\ {u}, so its own order."""
+    _check_maps(eog, maps)
+    f = {u: maps.x[u] | maps.z[u] for u in eog.measured}
+    order = extensivity_order(eog.graph, eog.outputs, f)
+    return Pattern(eog, angles, maps, order.schedule(eog.measured))
+
+
 def pattern_from_gflow(
     eog: ExtendedOpenGraph, angles: Mapping[int, float], g: Gflow
 ) -> Pattern:
     """Corrections from the gflow, schedule from its dependency layers."""
-    maps, order = _corrections(eog, g)
-    return Pattern(eog, angles, maps, order.schedule(eog.measured))
+    return _scheduled(eog, angles, corrective_maps(eog, g))
 
 
 def strip_corrections(pattern: Pattern) -> Pattern:
-    empty = {u: frozenset() for u in pattern.eog.measured}
-    return Pattern(
-        pattern.eog, pattern.angles, CorrectiveMaps(empty, dict(empty)), pattern.schedule
-    )
+    return replace(pattern, corrections=_no_corrections(pattern.eog))
 
 
 @dataclass(frozen=True)
@@ -252,21 +271,28 @@ class BranchResult:
         object.__setattr__(self, "signals", dict(self.signals))
 
 
+def _step(pattern: Pattern, state: Statevector, u: int, s: int):
+    """`measure` u with outcome s, then on s = 1 apply u's X, then its Z."""
+    p, post = measure(state, u, pattern.eog.planes[u], pattern.angles[u], s)
+    if post is not None and s:
+        post = apply_correction(post, "X", pattern.corrections.x[u], s)
+        post = apply_correction(post, "Z", pattern.corrections.z[u], s)
+    return p, post
+
+
+def _zero_branch(pattern: Pattern, signals) -> BranchResult:
+    """Probability 0.0 and a zero vector on the sorted outputs."""
+    out = tuple(sorted(pattern.eog.outputs))
+    return BranchResult(signals, 0.0, Statevector(out, np.zeros(2 ** len(out))))
+
+
 def _run_measurements(pattern: Pattern, state: Statevector, signals) -> BranchResult:
     prob = 1.0
     for u in pattern.schedule:
-        s = signals[u]
-        p, post = measure(state, u, pattern.eog.planes[u], pattern.angles[u], s)
+        p, state = _step(pattern, state, u, signals[u])
+        if state is None:
+            return _zero_branch(pattern, signals)
         prob *= p
-        if post is None:
-            out_qubits = tuple(sorted(pattern.eog.outputs))
-            return BranchResult(
-                signals, 0.0, Statevector(out_qubits, np.zeros(2 ** len(out_qubits)))
-            )
-        state = post
-        if s:
-            state = apply_correction(state, "X", pattern.corrections.x[u], s)
-            state = apply_correction(state, "Z", pattern.corrections.z[u], s)
     return BranchResult(signals, prob, state)
 
 
@@ -317,7 +343,6 @@ def run_all_branches(
     prepared = prepare(pattern.eog.graph, pattern.eog.inputs, input_state)
     if k == 0:
         return [BranchResult({}, 1.0, prepared)]
-    out_qubits = tuple(sorted(pattern.eog.outputs))
     results = []
     # Pending measurements: the state before schedule[len(bits) - 1], the
     # probability of the prefix, and the signal bits with the outcome last.
@@ -325,21 +350,11 @@ def run_all_branches(
     while stack:
         state, prob, bits = stack.pop()
         depth = len(bits) - 1
-        u, s = schedule[depth], bits[-1]
-        p, post = measure(state, u, pattern.eog.planes[u], pattern.angles[u], s)
+        p, post = _step(pattern, state, schedule[depth], bits[-1])
         if post is None:
             for tail in itertools.product((0, 1), repeat=k - 1 - depth):
-                results.append(
-                    BranchResult(
-                        dict(zip(schedule, bits + tail)),
-                        0.0,
-                        Statevector(out_qubits, np.zeros(2 ** len(out_qubits))),
-                    )
-                )
+                results.append(_zero_branch(pattern, dict(zip(schedule, bits + tail))))
             continue
-        if s:
-            post = apply_correction(post, "X", pattern.corrections.x[u], s)
-            post = apply_correction(post, "Z", pattern.corrections.z[u], s)
         prob *= p
         if depth + 1 == k:
             results.append(BranchResult(dict(zip(schedule, bits)), prob, post))

@@ -311,6 +311,31 @@ class TestSimulate:
         code, doc = run(capsys, argv + ["3"])
         assert code == 0 and doc["deterministic"]
 
+    def test_unallocatable_register_is_a_resource_limit(self, capsys, tmp_path):
+        # 2**50 amplitudes are 16 PiB, beyond any user address space, so the
+        # allocator refuses the register whatever the host's overcommit policy
+        n = 50
+        graph = {
+            "vertices": list(range(n)),
+            "edges": [[i, i + 1] for i in range(n - 1)],
+            "inputs": [],
+            "outputs": list(range(1, n)),
+            "planes": {"0": "XY"},
+        }
+        gp = tmp_path / "chain.json"
+        gp.write_text(json.dumps(graph))
+        fp = tmp_path / "g.json"
+        fp.write_text(json.dumps({"g": {"0": [1]}}))
+        code = main(["simulate", str(gp), str(fp), "--max-qubits", str(n)])
+        captured = capsys.readouterr()
+        assert code == 3
+        lines = captured.out.splitlines()
+        assert len(lines) == 1
+        doc = json.loads(lines[0])
+        assert doc == {"error": doc["error"], "qubits": n}
+        assert doc["error"] in captured.err
+        assert "Traceback" not in captured.err
+
     @pytest.mark.parametrize(
         "flag, key", [("--branch-bound", "branch_bound"), ("--max-qubits", "max_qubits")]
     )

@@ -20,6 +20,7 @@ from gflownf import (
     promote_input_z,
     verify_gflow,
 )
+from gflownf import gflow, normal_forms, opengraph
 from gflownf.instances import all_instances, random_instance
 
 
@@ -192,6 +193,24 @@ class TestPromotions:
         defect = eog.input_defect
         _, _, steps = promote_all(eog, g, "Z")
         assert 1 <= len(steps) <= defect
+
+    def test_one_odd_mask_per_measured_vertex(self, monkeypatch):
+        # The validity check and the Z-NF inclusion share each Odd(g(u)).
+        rng = random.Random(505)
+        eog, g, u0 = find_nf_instance(rng, "Z")
+        while len(eog.measured) != 2:
+            eog, g, u0 = find_nf_instance(rng, "Z")
+        calls = []
+        original = opengraph.odd_mask
+
+        def counting(graph, mask):
+            calls.append(mask)
+            return original(graph, mask)
+
+        for module in (gflow, opengraph, normal_forms):
+            monkeypatch.setattr(module, "odd_mask", counting, raising=False)
+        promote_input_z(eog, g, u0)
+        assert len(calls) == 2
 
     def test_precondition_errors(self, path_eog, path_gflow):
         # path gflow is not Z-NF

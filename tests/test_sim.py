@@ -17,6 +17,7 @@ from gflownf import (
     Statevector,
     apply_correction,
     basis_state,
+    brute_force_enumerate,
     check_determinism,
     extract_isometry,
     find_gflow,
@@ -30,8 +31,8 @@ from gflownf import (
 )
 import gflownf.sim as sim
 from gflownf.sim import Pattern, _run_measurements, inner
-from gflownf.gflow import CorrectiveMaps
-from gflownf.instances import random_instance
+from gflownf.gflow import CorrectiveMaps, _valid
+from gflownf.instances import all_instances, random_instance
 
 
 def path_pattern(path_eog, path_gflow, angles):
@@ -150,6 +151,36 @@ class TestRunBranch:
         with pytest.raises(BranchLimitError) as info:
             run_branch(pattern, basis_state((1,), 0), {1: 0, 2: 0})
         assert info.value.limit == {"qubits": 3, "max_qubits": 2}
+
+
+class TestSchedule:
+    """Every built pattern is ordered by x(u) | z(u); for a gflow's maps that
+    is f(u) \\ {u}, so the schedule is the one its own order gives."""
+
+    @staticmethod
+    def assert_gflow_order(eog, g):
+        pattern = pattern_from_gflow(eog, dict.fromkeys(eog.measured, 0.5), g)
+        assert pattern.schedule == _valid(eog, g)[1].schedule(eog.measured)
+
+    def test_every_gflow_up_to_three_vertices(self):
+        checked = 0
+        for eog in all_instances(3):
+            for g in brute_force_enumerate(eog).gflows:
+                self.assert_gflow_order(eog, g)
+                checked += 1
+        assert checked > 0
+
+    def test_census(self, small_sweep):
+        for eog, g in small_sweep:
+            self.assert_gflow_order(eog, g)
+
+    def test_map_missing_a_measured_vertex(self, path_eog):
+        maps = CorrectiveMaps({1: {2}}, {1: {3}, 2: set()})
+        with pytest.raises(ValueError) as info:
+            Pattern(path_eog, {1: 0.0, 2: 0.0}, maps, (1, 2))
+        message = str(info.value)
+        assert "must assign exactly the measured vertices [1, 2]" in message
+        assert "got [1]" in message
 
 
 class TestDeterminism:
