@@ -20,7 +20,9 @@ from .opengraph import (
     serialize_open_graph,
 )
 from .gflow import (
-    check_normal_form,
+    _check_domain,
+    _nf_excess,
+    _verify,
     corrective_maps,
     parse_corrective_maps,
     parse_gflow,
@@ -91,11 +93,16 @@ def cmd_focus(args):
 def cmd_check_nf(args):
     eog = parse_open_graph_document(_read(args.graph))[0]
     g = parse_gflow(_read(args.gflow))
-    # check_normal_form range-checks first, so a non-vertex id is reported
-    # as such rather than as an invalid gflow
-    ok = check_normal_form(eog, g, args.sigma)
-    if not verify_gflow(eog, g).valid:
+    _check_domain(eog, g.domain(), "gflow")
+    for u in eog.measured:  # a non-vertex id is reported as such, not as invalid
+        eog.graph.mask(g[u])
+    report, masks, _ = _verify(eog, g)
+    if not report.valid:
         raise OpenGraphError("input gflow is not valid for this graph")
+    out = eog.graph.mask(eog.outputs)
+    ok = not any(
+        _nf_excess(args.sigma, i, k, odd, out) for i, (k, odd) in masks.items()
+    )
     _emit({"normal_form": ok, "sigma": args.sigma})
     return OK if ok else NEGATIVE
 

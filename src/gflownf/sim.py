@@ -4,25 +4,18 @@ States live on an ordered qubit register (first qubit is the most
 significant bit). The prepared graph state is a single 2**n complex array:
 the input amplitudes broadcast over |+> on the other qubits, then one
 in-place sign flip of a strided slice per CZ edge. Measured qubits are
-factored out immediately, so memory stays at 2**(alive qubits). The 2**k
-signal assignments of k measurements form a binary tree over the schedule:
-a depth-first walk takes each prefix state through one `_step` (measure,
-then X, then Z on outcome 1) per outcome and shares it with both subtrees,
-so all branches cost 2**(k+1) - 2 measurements instead of k * 2**k; a
-one-branch replay takes the same step. Branches come out in binary-counter
-order and their outputs are compared up to global phase.
-
-The per-step kernels run 2**(k+1) - 2 times per walk, on registers of at
-most a few thousand amplitudes, where numpy's per-call overhead outweighs
-the arithmetic. So `measure` contracts the outcome axis as two weighted
-slices, and `apply_correction` makes one copy of the register per
-correction. A kernel writes in place only on arrays it allocated, so a
-prefix state shared by both subtrees of the walk is never changed.
+factored out at once. After d measurements the 2**d signal prefixes all
+live on the same qubits, so one level walk keeps them as the rows of one
+array, in binary-counter order: each measured qubit takes one row kernel
+call per outcome over every row, 2k calls for all 2**k branches, and the
+levels take turns in two 2**n buffers whatever k is. One branch is the
+same walk with one row. Outputs are compared up to global phase.
+`measure` and `apply_correction` are one-row calls of the same kernels,
+which keep the arithmetic of a single state for each row, bit for bit.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -72,9 +65,6 @@ class Statevector:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
-
-    def copy(self) -> "Statevector":
-        return Statevector(self.qubits, self.amplitudes.copy())
 
 
 def basis_state(qubits, bits: int) -> Statevector:
@@ -138,47 +128,70 @@ def _bras(plane: Plane, alpha: float):
     return tuple(out)
 
 
+def _measure_rows(rows, p: int, bra, totals, out) -> np.ndarray:
+    """Project each row, of squared norm ``totals``, on the bra at qubit p.
+
+    ``out`` gets the rows with that qubit factored out, normalised; each
+    row's probability is returned, 0.0 with a zero row where numerically 0.
+    The bra (c0, c1) contracts as c_i * (block[:, i] + r * block[:, 1 - i])
+    around its larger entry c_i, folded into the normalisation.
+    """
+    i, r, c = bra
+    n = len(rows)
+    block = rows.reshape(n, 2**p, 2, -1)
+    rest = out.reshape(n, 2**p, -1)
+    np.multiply(block[:, :, 1 - i], r, out=rest)
+    rest += block[:, :, i]
+    weight = np.vecdot(out, out).real * abs(c) ** 2
+    live = weight >= 1e-24
+    root = np.sqrt(weight, out=np.full(n, np.inf), where=live)
+    scale = np.empty(n, dtype=complex)  # c / root part by part, as Python divides
+    scale.real, scale.imag = c.real / root, c.imag / root
+    if out.shape[1] > 1:
+        out *= scale[:, None]
+    else:  # numpy rounds a one-element product unlike a run of them
+        for row, f in zip(out, scale):
+            row *= complex(f)
+    return np.divide(weight, totals, out=np.zeros(n), where=live)
+
+
+def _flip_rows(rows, axes, out) -> None:
+    """X on the qubits at ``axes``: one copy of the rows, reversed there."""
+    shape = (len(rows),) + (2,) * (rows.shape[1].bit_length() - 1)
+    flip = [slice(None, None, -1 if q - 1 in axes else 1) for q in range(len(shape))]
+    np.copyto(out.reshape(shape), rows.reshape(shape)[tuple(flip)])
+
+
+def _negate_rows(rows, axes) -> None:
+    """Z on the qubits at ``axes``, in place: negate each row's 1 slices."""
+    for p in axes:
+        one = rows.reshape(len(rows), 2**p, 2, -1)[:, :, 1]
+        np.negative(one, out=one)
+
+
 def measure(state: Statevector, u: int, plane: Plane, alpha: float, s: int):
     """Project qubit u onto the (-1)^s eigenspace of the plane observable.
 
     Returns (probability, post state with u factored out); a numerically
-    zero projection yields (0.0, None). The outcome axis is contracted as
-    two weighted slices, c0 * block[:, 0] + c1 * block[:, 1], with (c0, c1)
-    the conjugated eigenvector. It is computed as c_i * (block[:, i] +
-    r * block[:, 1 - i]) around the larger entry c_i: one product into a
-    fresh array and one in-place add, with c_i folded into the in-place
-    normalisation. At these widths that beats a general contraction, whose
-    set-up outweighs its arithmetic, and it needs no temporary. The input
-    state is only read.
+    zero projection yields (0.0, None). The input state is only read.
     """
     if u not in state.qubits:
         raise ValueError(f"qubit {u} not present in the register")
     if s not in (0, 1):
         raise ValueError("signal must be 0 or 1")
-    n = len(state.qubits)
-    p = state.qubits.index(u)
-    i, r, c = _bras(plane, alpha)[s]
-    block = state.amplitudes.reshape(2**p, 2, 2 ** (n - 1 - p))
-    rest = block[:, 1 - i] * r
-    rest += block[:, i]
-    total = float(np.vdot(state.amplitudes, state.amplitudes).real)
-    if total <= 0.0:
+    rows = state.amplitudes.reshape(1, -1)
+    totals = np.vecdot(rows, rows).real
+    if totals[0] <= 0.0:
         raise ValueError("cannot measure a zero state")
-    weight = float(np.vdot(rest, rest).real) * abs(c) ** 2
-    prob = weight / total
-    if weight < 1e-24:
-        return 0.0, None
-    rest *= c / math.sqrt(weight)
-    return prob, Statevector(state.qubits[:p] + state.qubits[p + 1 :], rest.reshape(-1))
+    p = state.qubits.index(u)
+    out = np.empty((1, rows.shape[1] // 2), dtype=complex)
+    prob = float(_measure_rows(rows, p, _bras(plane, alpha)[s], totals, out)[0])
+    post = Statevector(state.qubits[:p] + state.qubits[p + 1 :], out[0])
+    return (prob, post) if prob else (0.0, None)
 
 
 def apply_correction(state: Statevector, pauli: str, targets, s: int) -> Statevector:
-    """X or Z on every target, conditioned on the signal bit.
-
-    One copy of the register either way: X flips every target axis in one
-    view and copies it, and Z negates, in its own copy, the 1 slice of each
-    target axis.
-    """
+    """X or Z on every target, conditioned on the signal bit; one copy."""
     if pauli not in ("X", "Z"):
         raise ValueError("correction operators are X or Z")
     targets = frozenset(targets)
@@ -188,18 +201,11 @@ def apply_correction(state: Statevector, pauli: str, targets, s: int) -> Stateve
     if s == 0 or not targets:
         return state
     axes = [state.qubits.index(t) for t in targets]
-    if pauli == "X":
-        # the view np.flip builds, without its argument handling
-        flip = [slice(None)] * len(state.qubits)
-        for p in axes:
-            flip[p] = slice(None, None, -1)
-        amps = state.amplitudes.reshape((2,) * len(state.qubits))[tuple(flip)]
-        return Statevector(state.qubits, amps.copy().reshape(-1))
-    amps = state.amplitudes.copy()
-    for p in axes:
-        one = amps.reshape(2**p, 2, -1)[:, 1]
-        np.negative(one, out=one)
-    return Statevector(state.qubits, amps)
+    rows = state.amplitudes.reshape(1, -1)
+    out = np.empty_like(rows)
+    _flip_rows(rows, axes if pauli == "X" else (), out)
+    _negate_rows(out, axes if pauli == "Z" else ())
+    return Statevector(state.qubits, out[0])
 
 
 @dataclass(frozen=True)
@@ -271,29 +277,42 @@ class BranchResult:
         object.__setattr__(self, "signals", dict(self.signals))
 
 
-def _step(pattern: Pattern, state: Statevector, u: int, s: int):
-    """`measure` u with outcome s, then on s = 1 apply u's X, then its Z."""
-    p, post = measure(state, u, pattern.eog.planes[u], pattern.angles[u], s)
-    if post is not None and s:
-        post = apply_correction(post, "X", pattern.corrections.x[u], s)
-        post = apply_correction(post, "Z", pattern.corrections.z[u], s)
-    return p, post
+def _walk(pattern: Pattern, prepared: Statevector, signals=None) -> list[BranchResult]:
+    """Every branch, or the one that ``signals`` names, one level at a time.
 
-
-def _zero_branch(pattern: Pattern, signals) -> BranchResult:
-    """Probability 0.0 and a zero vector on the sorted outputs."""
-    out = tuple(sorted(pattern.eog.outputs))
-    return BranchResult(signals, 0.0, Statevector(out, np.zeros(2 ** len(out))))
-
-
-def _run_measurements(pattern: Pattern, state: Statevector, signals) -> BranchResult:
-    prob = 1.0
+    Each scheduled u projects every row once per outcome (the named one
+    only, for one branch), outcome s of row j into row 2j + s, then gives
+    the outcome-1 rows u's X and then its Z; a zero-probability row stays a
+    zero row. X is one flipped copy out of a half-size scratch buffer.
+    """
+    maps, qubits, level = pattern.corrections, prepared.qubits, prepared.amplitudes
+    spare = np.empty(level.size if pattern.schedule else 0, dtype=complex)
+    scratch = np.empty(level.size // 2 if any(maps.x.values()) else 0, dtype=complex)
+    rows, probs = level.reshape(1, -1), np.ones(1)
+    branches = [signals or {}]
     for u in pattern.schedule:
-        p, state = _step(pattern, state, u, signals[u])
-        if state is None:
-            return _zero_branch(pattern, signals)
-        prob *= p
-    return BranchResult(signals, prob, state)
+        bras = _bras(pattern.eog.planes[u], pattern.angles[u])
+        outcomes = (0, 1) if signals is None else (signals[u],)
+        p = qubits.index(u)
+        qubits = qubits[:p] + qubits[p + 1 :]
+        n, half = rows.shape[0], rows.shape[1] // 2
+        nxt = spare[: n * len(outcomes) * half].reshape(n, len(outcomes), half)
+        totals = np.vecdot(rows, rows).real
+        step = np.empty((n, len(outcomes)))
+        for j, s in enumerate(outcomes):
+            x, z = (maps.x[u], maps.z[u]) if s else ((), ())
+            out = scratch[: n * half].reshape(n, half) if x else nxt[:, j]
+            step[:, j] = _measure_rows(rows, p, bras[s], totals, out)
+            if x:
+                _flip_rows(out, [qubits.index(t) for t in x], nxt[:, j])
+            _negate_rows(nxt[:, j], [qubits.index(t) for t in z])
+        rows, probs = nxt.reshape(-1, half), (probs[:, None] * step).reshape(-1)
+        level, spare = spare, level
+        branches = [{**bits, u: s} for bits in branches for s in outcomes]
+    return [
+        BranchResult(bits, float(prob), Statevector(qubits, row))
+        for bits, prob, row in zip(branches, probs, rows)
+    ]
 
 
 def run_branch(pattern: Pattern, input_state: Statevector, signals) -> BranchResult:
@@ -302,7 +321,7 @@ def run_branch(pattern: Pattern, input_state: Statevector, signals) -> BranchRes
         raise ValueError("signals must be given for exactly the measured vertices")
     _check_bounds(pattern.eog, math.inf, DEFAULT_MAX_QUBITS)
     state = prepare(pattern.eog.graph, pattern.eog.inputs, input_state)
-    return _run_measurements(pattern, state, dict(signals))
+    return _walk(pattern, state, dict(signals))[0]
 
 
 def _check_bounds(eog: ExtendedOpenGraph, branch_bound: float, max_qubits: int) -> None:
@@ -328,40 +347,14 @@ def run_all_branches(
 ) -> list[BranchResult]:
     """One branch per signal assignment, ordered as a binary counter.
 
-    A depth-first walk over the schedule, outcome 0 first: each prefix
-    state is measured once for s=0 and once for s=1 and reused by both
-    subtrees, 2**(k+1) - 2 `measure` calls in all. A zero-probability
-    outcome is not descended; every branch below it gets probability 0.0
-    and a zero vector on the sorted outputs. Each result equals the one
-    `run_branch` gives for its signals, bit for bit. Both bounds are
-    checked before the register is allocated: at most ``branch_bound``
-    measured qubits and at most ``max_qubits`` qubits in all.
+    A zero-probability outcome gives every branch below it probability 0.0
+    and a zero vector on the sorted outputs. Each result equals `run_branch`
+    for its signals, bit for bit. Both bounds are checked before the
+    register is allocated: at most ``branch_bound`` measured qubits and at
+    most ``max_qubits`` qubits in all.
     """
     _check_bounds(pattern.eog, branch_bound, max_qubits)
-    schedule = pattern.schedule
-    k = len(schedule)
-    prepared = prepare(pattern.eog.graph, pattern.eog.inputs, input_state)
-    if k == 0:
-        return [BranchResult({}, 1.0, prepared)]
-    results = []
-    # Pending measurements: the state before schedule[len(bits) - 1], the
-    # probability of the prefix, and the signal bits with the outcome last.
-    stack = [(prepared, 1.0, (1,)), (prepared, 1.0, (0,))]
-    while stack:
-        state, prob, bits = stack.pop()
-        depth = len(bits) - 1
-        p, post = _step(pattern, state, schedule[depth], bits[-1])
-        if post is None:
-            for tail in itertools.product((0, 1), repeat=k - 1 - depth):
-                results.append(_zero_branch(pattern, dict(zip(schedule, bits + tail))))
-            continue
-        prob *= p
-        if depth + 1 == k:
-            results.append(BranchResult(dict(zip(schedule, bits)), prob, post))
-        else:
-            stack.append((post, prob, bits + (1,)))
-            stack.append((post, prob, bits + (0,)))
-    return results
+    return _walk(pattern, prepare(pattern.eog.graph, pattern.eog.inputs, input_state))
 
 
 @dataclass(frozen=True)

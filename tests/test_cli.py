@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+import gflownf.gflow as gflow
+import gflownf.opengraph as opengraph
 import gflownf.sim as sim
 from gflownf.cli import build_parser, main
 
@@ -126,6 +128,23 @@ class TestNormalFormCommands:
         code, doc = run(capsys, ["check-nf", graph_file, gflow_file, "--sigma", "X"])
         assert code == 0
         assert doc["normal_form"] is True
+
+    def test_check_nf_one_odd_mask_per_measured_vertex(
+        self, capsys, monkeypatch, graph_file, gflow_file
+    ):
+        # the validity check and the X-NF inclusion share each Odd(g(u))
+        calls = []
+        original = opengraph.odd_mask
+
+        def counting(graph, mask):
+            calls.append(mask)
+            return original(graph, mask)
+
+        for module in (gflow, opengraph):
+            monkeypatch.setattr(module, "odd_mask", counting)
+        code, doc = run(capsys, ["check-nf", graph_file, gflow_file, "--sigma", "X"])
+        assert (code, doc["normal_form"]) == (0, True)
+        assert len(calls) == 2
 
     @pytest.mark.parametrize(
         "assignment",

@@ -30,7 +30,7 @@ from gflownf import (
     strip_corrections,
 )
 import gflownf.sim as sim
-from gflownf.sim import Pattern, _run_measurements, inner
+from gflownf.sim import Pattern, inner
 from gflownf.gflow import CorrectiveMaps, _valid
 from gflownf.instances import all_instances, random_instance
 
@@ -379,14 +379,31 @@ class TestIsometry:
             )
 
 
+def replay(pattern, state, signals):
+    """One branch through the public kernels, looked up on the module so a
+    test can swap them: measure u, then on outcome 1 apply X, then Z."""
+    prob = 1.0
+    for u in pattern.schedule:
+        s = signals[u]
+        p, state = sim.measure(state, u, pattern.eog.planes[u], pattern.angles[u], s)
+        if state is None:
+            out = tuple(sorted(pattern.eog.outputs))
+            return BranchResult(signals, 0.0, Statevector(out, np.zeros(2 ** len(out))))
+        if s:
+            state = sim.apply_correction(state, "X", pattern.corrections.x[u], s)
+            state = sim.apply_correction(state, "Z", pattern.corrections.z[u], s)
+        prob *= p
+    return BranchResult(signals, prob, state)
+
+
 def flat_replay(pattern, input_state):
     """Every branch replayed from the prepared state, in binary-counter order."""
     prepared = prepare(pattern.eog.graph, pattern.eog.inputs, input_state)
     k = len(pattern.schedule)
     return [
-        _run_measurements(
+        replay(
             pattern,
-            prepared.copy(),
+            prepared,
             {u: (code >> (k - 1 - i)) & 1 for i, u in enumerate(pattern.schedule)},
         )
         for code in range(2**k)
@@ -472,18 +489,20 @@ class TestSharedPrefixWalk:
             assert not r.output_state.amplitudes.any()
 
     @staticmethod
-    def count_measure(monkeypatch):
+    def count_rows(monkeypatch):
+        """Row counts of the calls of the projection kernel, one per call."""
         calls = []
-        original = sim.measure
+        original = sim._measure_rows
 
-        def counting(*args):
-            calls.append(args[1])
-            return original(*args)
+        def counting(rows, *args):
+            calls.append(len(rows))
+            return original(rows, *args)
 
-        monkeypatch.setattr(sim, "measure", counting)
+        monkeypatch.setattr(sim, "_measure_rows", counting)
         return calls
 
-    def test_measure_calls_shared_across_prefixes(self, monkeypatch):
+    def test_row_kernel_calls_per_level(self, monkeypatch):
+        # one call per outcome per measured qubit, over every prefix at once
         graph = Graph(
             frozenset(range(5)), frozenset((i, i + 1) for i in range(4))
         )
@@ -492,19 +511,86 @@ class TestSharedPrefixWalk:
         )
         angles = {0: 0.3, 1: 1.1, 2: 2.5, 3: 4.0}
         pattern = pattern_from_gflow(eog, angles, find_gflow(eog))
-        calls = self.count_measure(monkeypatch)
+        calls = self.count_rows(monkeypatch)
         results = run_all_branches(pattern, basis_state((0,), 0))
         assert len(results) == 16
         assert all(r.probability > 0 for r in results)
-        assert len(calls) == 2 ** (4 + 1) - 2
+        assert calls == [1, 1, 2, 2, 4, 4, 8, 8]
+        calls.clear()
+        run_branch(pattern, basis_state((0,), 0), {0: 1, 1: 0, 2: 1, 3: 1})
+        assert calls == [1, 1, 1, 1]
 
-    def test_zero_probability_outcome_not_descended(
-        self, monkeypatch, zero_branch_pattern
-    ):
+    def test_zero_rows_take_no_extra_calls(self, monkeypatch, zero_branch_pattern):
         pattern, inp = zero_branch_pattern
-        calls = self.count_measure(monkeypatch)
+        calls = self.count_rows(monkeypatch)
         run_all_branches(pattern, inp)
-        assert len(calls) == 4
+        assert calls == [1, 1, 2, 2]
+
+    @pytest.mark.parametrize("k", [10, 12])
+    def test_matches_flat_replay_deep(self, k):
+        # deeper than any benchmark pattern: an XY path with one input
+        rng = random.Random(k)
+        planes = {u: Plane.XY for u in range(k)}
+        eog = ExtendedOpenGraph(
+            path_graph(list(range(k + 1))), frozenset({0}), frozenset({k}), planes
+        )
+        angles = {u: rng.uniform(0.1, 6.2) for u in range(k)}
+        pattern = pattern_from_gflow(eog, angles, find_gflow(eog))
+        inp = random_input((0,), np.random.default_rng(k))
+        results = run_all_branches(pattern, inp)
+        assert len(results) == 2**k
+        assert_bit_identical(results, flat_replay(pattern, inp))
+
+    def test_matches_flat_replay_without_outputs(self):
+        # the last level has one amplitude per row, where numpy rounds a
+        # product of one element unlike a run of them
+        rng = random.Random(61)
+        nrng = np.random.default_rng(61)
+        for _ in range(40):
+            n = rng.randint(1, 7)
+            pairs = list(itertools.combinations(range(n), 2))
+            edges = frozenset(rng.sample(pairs, len(pairs) // 2))
+            graph = Graph(frozenset(range(n)), edges)
+            eog = ExtendedOpenGraph(
+                graph, frozenset({0}), frozenset(),
+                {u: rng.choice(list(Plane)) for u in range(n)},
+            )
+            empty = {u: frozenset() for u in range(n)}
+            angles = {u: rng.uniform(0.1, 6.2) for u in range(n)}
+            maps = CorrectiveMaps(empty, empty)
+            pattern = Pattern(eog, angles, maps, tuple(range(n)))
+            inp = random_input((0,), nrng)
+            assert_bit_identical(
+                run_all_branches(pattern, inp), flat_replay(pattern, inp)
+            )
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 6])
+    def test_peak_memory_under_three_registers(self, k):
+        # two level buffers and a half-size scratch buffer, whatever k is
+        n = 20
+        eog = ExtendedOpenGraph(
+            path_graph(list(range(n))), frozenset({0}), frozenset(range(k, n)),
+            {u: Plane.XY for u in range(k)},
+        )
+        gflow = Gflow({u: {u + 1} for u in range(k)})
+        pattern = pattern_from_gflow(eog, {u: 0.3 + u for u in range(k)}, gflow)
+        inp = basis_state((0,), 1)
+        tracemalloc.start()
+        try:
+            results = run_all_branches(pattern, inp)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(results) == 2**k
+        assert peak < 3 * 16 * 2**n
+
+    def test_input_state_unchanged(self, path_eog, path_gflow):
+        pattern = pattern_from_gflow(path_eog, {1: 0.3, 2: 1.1}, path_gflow)
+        inp = random_input((1,), np.random.default_rng(67))
+        before = inp.amplitudes.copy()
+        run_all_branches(pattern, inp)
+        run_branch(pattern, inp, {1: 1, 2: 1})
+        assert np.array_equal(inp.amplitudes, before)
 
 
 def index_array_prepare(graph, inputs, input_state):
@@ -743,7 +829,9 @@ class TestLeanKernels:
             angles = {u: rng.choice(self.ANGLES) for u in eog.measured}
             pattern = pattern_from_gflow(eog, angles, g)
             signals = {u: rng.randrange(2) for u in eog.measured}
-            run_branch(pattern, basis_state(tuple(sorted(eog.inputs)), 0), signals)
+            inp = basis_state(tuple(sorted(eog.inputs)), 0)
+            got = replay(pattern, prepare(eog.graph, eog.inputs, inp), signals)
+            assert_bit_identical([got], [run_branch(pattern, inp, signals)])
         assert len(small_sweep) == 15962
         assert counts["zero"] == 0
         assert min(counts["measure"], counts["X"], counts["Z"]) > 1000, counts
