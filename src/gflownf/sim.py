@@ -9,13 +9,16 @@ live on the same qubits, so one level walk keeps them as the rows of one
 array, in binary-counter order: each measured qubit takes one row kernel
 call per outcome over every row, 2k calls for all 2**k branches, and the
 levels take turns in two 2**n buffers whatever k is. One branch is the
-same walk with one row. Outputs are compared up to global phase.
-`measure` and `apply_correction` are one-row calls of the same kernels,
-which keep the arithmetic of a single state for each row, bit for bit.
+same walk with one row. Only `run_all_branches` and `run_branch` wrap rows
+as `BranchResult`s; `extract_isometry` certifies the walk's rows as they
+are, by the arithmetic `check_determinism` runs on its stacked results,
+comparing outputs up to global phase. `measure` and `apply_correction` are
+one-row calls of the same kernels, bit for bit.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -277,19 +280,22 @@ class BranchResult:
         object.__setattr__(self, "signals", dict(self.signals))
 
 
-def _walk(pattern: Pattern, prepared: Statevector, signals=None) -> list[BranchResult]:
-    """Every branch, or the one that ``signals`` names, one level at a time.
+def _walk(pattern: Pattern, input_state: Statevector, signals=None):
+    """Every branch from the prepared ``input_state``, or the one ``signals`` names.
 
-    Each scheduled u projects every row once per outcome (the named one
-    only, for one branch), outcome s of row j into row 2j + s, then gives
-    the outcome-1 rows u's X and then its Z; a zero-probability row stays a
-    zero row. X is one flipped copy out of a half-size scratch buffer.
+    Level by level, each scheduled u projects every row once per outcome
+    (the named one only, for one branch), outcome s of row j into row
+    2j + s, then gives the outcome-1 rows u's X and then its Z; a
+    zero-probability row stays a zero row. X is one flipped copy out of a
+    half-size scratch buffer. Returns the output qubits, the rows'
+    probabilities and the rows: row j's signals are the bits of j in
+    schedule order, most significant first.
     """
+    prepared = prepare(pattern.eog.graph, pattern.eog.inputs, input_state)
     maps, qubits, level = pattern.corrections, prepared.qubits, prepared.amplitudes
     spare = np.empty(level.size if pattern.schedule else 0, dtype=complex)
     scratch = np.empty(level.size // 2 if any(maps.x.values()) else 0, dtype=complex)
     rows, probs = level.reshape(1, -1), np.ones(1)
-    branches = [signals or {}]
     for u in pattern.schedule:
         bras = _bras(pattern.eog.planes[u], pattern.angles[u])
         outcomes = (0, 1) if signals is None else (signals[u],)
@@ -308,11 +314,7 @@ def _walk(pattern: Pattern, prepared: Statevector, signals=None) -> list[BranchR
             _negate_rows(nxt[:, j], [qubits.index(t) for t in z])
         rows, probs = nxt.reshape(-1, half), (probs[:, None] * step).reshape(-1)
         level, spare = spare, level
-        branches = [{**bits, u: s} for bits in branches for s in outcomes]
-    return [
-        BranchResult(bits, float(prob), Statevector(qubits, row))
-        for bits, prob, row in zip(branches, probs, rows)
-    ]
+    return qubits, probs, rows
 
 
 def run_branch(pattern: Pattern, input_state: Statevector, signals) -> BranchResult:
@@ -320,8 +322,8 @@ def run_branch(pattern: Pattern, input_state: Statevector, signals) -> BranchRes
     if frozenset(signals) != pattern.eog.measured:
         raise ValueError("signals must be given for exactly the measured vertices")
     _check_bounds(pattern.eog, math.inf, DEFAULT_MAX_QUBITS)
-    state = prepare(pattern.eog.graph, pattern.eog.inputs, input_state)
-    return _walk(pattern, state, dict(signals))[0]
+    qubits, probs, rows = _walk(pattern, input_state, signals)
+    return BranchResult(signals, float(probs[0]), Statevector(qubits, rows[0]))
 
 
 def _check_bounds(eog: ExtendedOpenGraph, branch_bound: float, max_qubits: int) -> None:
@@ -347,14 +349,20 @@ def run_all_branches(
 ) -> list[BranchResult]:
     """One branch per signal assignment, ordered as a binary counter.
 
-    A zero-probability outcome gives every branch below it probability 0.0
-    and a zero vector on the sorted outputs. Each result equals `run_branch`
-    for its signals, bit for bit. Both bounds are checked before the
-    register is allocated: at most ``branch_bound`` measured qubits and at
-    most ``max_qubits`` qubits in all.
+    Branch j's signals are the bits of j in schedule order, most significant
+    first. A zero-probability outcome gives every branch below it
+    probability 0.0 and a zero vector on the sorted outputs. Each result
+    equals `run_branch` for its signals, bit for bit. Both bounds are
+    checked before the register is allocated: at most ``branch_bound``
+    measured qubits and at most ``max_qubits`` qubits in all.
     """
     _check_bounds(pattern.eog, branch_bound, max_qubits)
-    return _walk(pattern, prepare(pattern.eog.graph, pattern.eog.inputs, input_state))
+    qubits, probs, rows = _walk(pattern, input_state)
+    signals = itertools.product((0, 1), repeat=len(pattern.schedule))
+    return [
+        BranchResult(dict(zip(pattern.schedule, s)), float(p), Statevector(qubits, row))
+        for s, p, row in zip(signals, probs, rows)
+    ]
 
 
 @dataclass(frozen=True)
@@ -399,33 +407,34 @@ def check_determinism(results, tol: float = STATE_TOL) -> DeterminismReport:
     live = [r for r in results if r.probability > 0]
     if not live:
         raise ValueError("every branch has zero probability")
-    k = len(live[0].signals)
     ref = live[0].output_state
     if any(r.output_state.qubits != ref.qubits for r in live):
         raise ValueError("states live on different registers")
-    others = np.stack([r.output_state.amplitudes for r in live])[1:]
-    overlap = others @ ref.amplitudes.conj()  # <a|b> per row b
+    rows = np.stack([r.output_state.amplitudes for r in live])
+    probs = tuple(r.probability for r in results)
+    return _certify(probs, rows, len(live[0].signals), tol)
+
+
+def _certify(probs, live, k: int, tol: float) -> DeterminismReport:
+    """`check_determinism` on all probabilities and on the ``live`` outputs,
+    the rows of one array, whose rows after the first it overwrites."""
+    ref, others = live[0], live[1:]
+    overlap = others @ ref.conj()  # <a|b> per row b
     size = np.abs(overlap)
     max_dev = float(np.max(1.0 - size, initial=0.0))
     # Turn each b by <b|a>/|<b|a>| and measure ||a - b|| directly: the
     # closed form sqrt(2 - 2|<a|b>|) reads about 1e-8 from rounding alone.
     others *= (overlap.conj() / np.where(size > 0, size, 1.0))[:, None]
-    others -= ref.amplitudes
+    others -= ref
     flat = others.view(float)  # re, im side by side: |row|^2 is row . row
-    max_dist = math.sqrt(np.max(flat[:, None, :] @ flat[:, :, None], initial=0.0))
+    max_dist = math.sqrt(np.max(np.vecdot(flat, flat), initial=0.0))
     uniform = 2.0**-k
-    probs = tuple(r.probability for r in results)
     strong = all(abs(p - uniform) <= tol for p in probs)
     deterministic = max_dev <= tol and max_dist <= tol
-    return DeterminismReport(deterministic, max_dev, probs, strong, tol)
+    return DeterminismReport(deterministic, max_dev, tuple(probs), strong, tol)
 
 
-def extract_isometry(
-    pattern: Pattern,
-    tol: float = STATE_TOL,
-    branch_bound: int = DEFAULT_BRANCH_BOUND,
-    max_qubits: int = DEFAULT_MAX_QUBITS,
-) -> np.ndarray:
+def extract_isometry(pattern: Pattern, tol: float = STATE_TOL) -> np.ndarray:
     """The implemented input-to-output map as a 2^|O| x 2^|I| matrix, up to
     one global phase.
 
@@ -433,22 +442,22 @@ def extract_isometry(
     phase of its overlap with the branch output on the uniform superposition
     (e^{i theta_x} / sqrt(2^|I|) for an isometry), so all columns share one
     phase; that phase makes the first nonzero entry real and positive.
-    Determinism is certified on every basis input and on the superposition;
-    a non-deterministic pattern raises. The bounds are those of
-    `run_all_branches`; they and ``tol`` are checked before the matrix is
-    allocated.
+    Each input's walk is certified by the two tests of `check_determinism`,
+    on every basis input and on the superposition; a non-deterministic
+    pattern raises. ``tol`` and the default bounds of `run_all_branches`
+    are checked once, before any register is allocated.
     """
     _check_tolerance(tol)
-    _check_bounds(pattern.eog, branch_bound, max_qubits)
+    _check_bounds(pattern.eog, DEFAULT_BRANCH_BOUND, DEFAULT_MAX_QUBITS)
     in_qubits = tuple(sorted(pattern.eog.inputs))
     n_in = len(in_qubits)
 
     def output(state, what):
-        results = run_all_branches(pattern, state, branch_bound, max_qubits)
-        if not check_determinism(results, tol).deterministic:
+        _, probs, rows = _walk(pattern, state)
+        live = rows[probs > 0]  # never empty: a row's two outcomes sum to 1
+        if not _certify(probs.tolist(), live, len(pattern.schedule), tol).deterministic:
             raise ValueError(f"pattern is not deterministic on {what}")
-        out = next(r.output_state for r in results if r.probability > 0).amplitudes
-        return out / np.linalg.norm(out)
+        return live[0] / np.linalg.norm(live[0])
 
     basis = range(2**n_in)
     cols = [output(basis_state(in_qubits, x), f"basis input {x}") for x in basis]

@@ -378,6 +378,47 @@ class TestIsometry:
                 matrix.conj().T @ matrix, np.eye(dim_in), atol=1e-8
             )
 
+    def test_certifies_the_walk_without_branch_results(
+        self, monkeypatch, path_eog, path_gflow
+    ):
+        # inputs 0 and 1, joined, each on an XY-measured path to its own output
+        edges = frozenset({(0, 1), (0, 2), (2, 4), (1, 3), (3, 5)})
+        eog = ExtendedOpenGraph(
+            Graph(frozenset(range(6)), edges), frozenset({0, 1}), frozenset({4, 5}),
+            {u: Plane.XY for u in range(4)},
+        )
+        patterns = [
+            path_pattern(path_eog, path_gflow, {1: 0.7, 2: 1.3}),
+            pattern_from_gflow(eog, {0: 0.4, 1: 2.9, 2: 1.7, 3: 5.1}, find_gflow(eog)),
+        ]
+        want = [extract_isometry(p) for p in patterns]
+        assert want[1].shape == (4, 4)
+
+        def refuse(*args):
+            raise AssertionError("extract_isometry built a branch result")
+
+        monkeypatch.setattr(sim, "BranchResult", refuse)
+        for pattern, matrix in zip(patterns, want):
+            assert np.array_equal(extract_isometry(pattern), matrix)
+
+    def test_branch_bound_checked_before_prepare(self, monkeypatch):
+        # a 14-vertex XY path: 13 measured qubits, one past the default 12
+        n = 14
+        eog = ExtendedOpenGraph(
+            path_graph(list(range(n))), frozenset({0}), frozenset({n - 1}),
+            {u: Plane.XY for u in range(n - 1)},
+        )
+        gflow = Gflow({u: {u + 1} for u in range(n - 1)})
+        pattern = pattern_from_gflow(eog, dict.fromkeys(range(n - 1), 0.3), gflow)
+
+        def refuse(*args):
+            raise AssertionError("prepare reached past the branch bound")
+
+        monkeypatch.setattr(sim, "prepare", refuse)
+        with pytest.raises(BranchLimitError) as info:
+            extract_isometry(pattern)
+        assert info.value.limit == {"measured": 13, "branch_bound": 12}
+
 
 def replay(pattern, state, signals):
     """One branch through the public kernels, looked up on the module so a
