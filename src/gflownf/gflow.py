@@ -5,10 +5,12 @@ non-inputs; it is valid when the plane condition holds at every vertex and
 f(u) = g(u) | Odd(g(u)) has an acyclic dependency digraph (Browne, Kashefi,
 Mhalla and Perdrix, NJP 2007). Each rule is defined once, on int bitmasks,
 and shared by search, focusing and simulation: ``_PLANE_BITS``,
-``_nf_excess``, ``_off_sigma``, ``_f_order`` and the Kahn peel ``_peel``.
-So is each precondition: ``_check_sigma``, ``_check_domain`` and ``_valid``,
-through which ``focus``, the promotions and ``corrective_maps`` raise
-ValueError on an invalid gflow.
+``_nf_excess``, ``_off_sigma`` and ``_f_order``. So is each precondition:
+``_check_sigma``, ``_check_domain`` and ``_valid``, through which
+``focus``, the promotions and ``corrective_maps`` raise ValueError on an
+invalid gflow. The Kahn peel ``_peel`` is the one acyclicity check, behind
+``_f_order`` and ``extensivity_order``; the enumerator in ``search.py``
+does not peel, it prunes cycles as it assigns vertices.
 """
 
 from __future__ import annotations
@@ -302,7 +304,11 @@ def _valid(eog, g):
 
 def check_input_planes(eog: ExtendedOpenGraph) -> bool:
     """Necessary for gflow existence: measured inputs sit in the XY plane."""
-    return all(eog.planes[u] is Plane.XY for u in eog.inputs & eog.measured)
+    planes = eog.planes  # keyed by exactly the measured vertices
+    for u in eog.inputs:
+        if planes.get(u, Plane.XY) is not Plane.XY:
+            return False
+    return True
 
 
 @dataclass(frozen=True)

@@ -2,19 +2,19 @@
 
 The finder works backwards from the outputs, one round per layer; each
 round runs one GF(2) elimination for every unsolved vertex at once, with
-sigma-NF rows when asked. The enumerator keeps, per vertex, the corrector
-masks passing the plane condition (and the sigma-NF inclusion when asked),
-checks every combination with the shared Kahn peel, and serves as the
-correctness oracle. Both use the gflow rules of ``gflow.py``.
+sigma-NF rows when asked. The enumerator, the correctness oracle, builds one
+(K, Odd(K)) table per instance, keeps per vertex the entries passing the
+plane condition (and the sigma-NF inclusion when asked), and walks their
+combinations depth first, pruning each partial assignment that closes a
+cycle. Both use the gflow rules of ``gflow.py``.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from .opengraph import ExtendedOpenGraph, odd_mask
-from .gflow import _PLANE_BITS, Gflow, _check_sigma, _nf_excess, _peel, _plane_holds
+from .opengraph import ExtendedOpenGraph
+from .gflow import _PLANE_BITS, Gflow, _check_sigma, _nf_excess, check_input_planes
 
 
 @dataclass(frozen=True)
@@ -28,22 +28,20 @@ class GflowEnumeration:
         return len(self.gflows)
 
 
-def _local_candidates(eog, i, allowed_mask, out_mask, nf_sigma=None):
-    """All (g, Odd g) pairs passing the plane (and optional NF) condition at bit i."""
-    graph = eog.graph
-    plane = eog.planes[graph.ids[i]]
-    cands = []
-    k = allowed_mask
-    while True:
-        odd = odd_mask(graph, k)
-        if _plane_holds(plane, i, k, odd):
-            if nf_sigma is None or not _nf_excess(nf_sigma, i, k, odd, out_mask):
-                cands.append((k, odd))
-        if k == 0:
-            break
-        k = (k - 1) & allowed_mask
-    cands.reverse()
-    return cands
+def _odd_table(graph, allowed: int) -> list[tuple[int, int]]:
+    """(K, Odd(K)) for every K within ``allowed``, ascending in K, one XOR each.
+
+    Each allowed bit, lowest first, doubles the list: the new half adds the
+    bit to every K so far, so it stays ascending.
+    """
+    adj = graph.adjacency_masks
+    table = [(0, 0)]
+    while allowed:
+        b = allowed & -allowed
+        allowed ^= b
+        a = adj[b.bit_length() - 1]
+        table += [(k | b, odd ^ a) for k, odd in table]
+    return table
 
 
 def brute_force_enumerate(
@@ -53,45 +51,98 @@ def brute_force_enumerate(
     nf_sigma: str | None = None,
     stop_after: int | None = None,
 ) -> GflowEnumeration:
-    """Enumerate every valid gflow of the instance.
+    """Enumerate every valid gflow of the instance, in product order.
 
-    Per-vertex candidates are pre-filtered by the local plane condition;
-    surviving combinations are checked for extensivity. When more than
-    ``limit`` combinations would need examining, a partial enumeration is
-    returned with ``exhausted`` False. ``nf_sigma`` restricts candidates
-    to the sigma normal form; ``stop_after`` stops early once that many
-    gflows are collected (also marking the run non-exhausted).
+    A measured input outside XY must lie in its own g(u), which avoids the
+    inputs, so such an instance has no gflow and returns at once. Otherwise
+    one table holds (K, Odd(K)) for every K within the non-inputs, in
+    ascending order of K, one XOR per entry, and each measured vertex keeps
+    the entries that pass its plane condition (and the sigma-NF inclusion
+    when ``nf_sigma`` is given). The combinations of these candidates are
+    searched depth first in ``itertools.product`` order, vertices in
+    ascending bit order. Each assigned vertex keeps the vertices it reaches
+    through assigned vertices; a candidate whose arcs f(u) \\ {u} reach u
+    again closes a cycle, and its subtree is pruned, since every completion
+    keeps that cycle.
+
+    ``limit`` counts combinations in product order, pruned ones included:
+    only gflows among the first ``limit`` are collected, and the run is
+    ``exhausted`` only when there are at most ``limit`` combinations.
+    ``stop_after`` stops once that many gflows are collected, which also
+    marks the run non-exhausted.
     """
     if nf_sigma is not None:
         _check_sigma(nf_sigma)
+    if not check_input_planes(eog):
+        return GflowEnumeration(eog, (), True)
     graph = eog.graph
     measured = sorted(map(graph.index.__getitem__, eog.planes))  # the measured
     if not measured:
         return GflowEnumeration(eog, (Gflow({}),), True)
-    allowed = ((1 << len(graph.ids)) - 1) & ~graph.mask(eog.inputs)
+    table = _odd_table(graph, ((1 << len(graph.ids)) - 1) & ~graph.mask(eog.inputs))
     out_mask = graph.mask(eog.outputs)
+    ids = graph.ids
     per_vertex = []
     for i in measured:
-        cands = _local_candidates(eog, i, allowed, out_mask, nf_sigma)
+        bit = 1 << i
+        in_g, in_odd = _PLANE_BITS[eog.planes[ids[i]]]
+        want_g, want_odd = in_g << i, in_odd << i
+        keep = ~(out_mask | bit)  # f(u) \ {u} among the measured: the arcs
+        cands = [
+            (k, (k | odd) & keep)
+            for k, odd in table
+            if k & bit == want_g
+            and odd & bit == want_odd
+            and (nf_sigma is None or not _nf_excess(nf_sigma, i, k, odd, out_mask))
+        ]
         if not cands:
             return GflowEnumeration(eog, (), True)
-        # f(u) \ {u} among the measured: the arcs the peel reads
-        per_vertex.append([(k, (k | odd) & ~(out_mask | 1 << i)) for k, odd in cands])
+        per_vertex.append(cands)
+    n = len(measured)
+    span = [1] * (n + 1)  # span[t]: the combinations below one choice at t - 1
+    for t in range(n - 1, -1, -1):
+        span[t] = span[t + 1] * len(per_vertex[t])
+    chosen = [0] * n
     found = []
-    examined = 0
-    exhausted = True
-    for combo in itertools.product(*per_vertex):
-        examined += 1
-        if examined > limit:
-            exhausted = False
-            break
-        deps = {i: d for i, (_, d) in zip(measured, combo)}
-        if not _peel(deps)[1]:
-            g = {graph.ids[i]: graph.members(k) for i, (k, _) in zip(measured, combo)}
-            found.append(Gflow(g))
-            if stop_after is not None and len(found) >= stop_after:
-                exhausted = False
-                break
+
+    def descend(t, rank, done, reach):
+        """Assign positions t.. from product rank ``rank``; False to stop.
+
+        ``done`` masks the vertices assigned so far and ``reach[j]`` is what
+        assigned j reaches through them. With k non-inputs, an acyclic
+        assignment holds at most k of them and at most k inputs (over its
+        inputs, the matrix [v in Odd(g(u))] is unitriangular in a
+        topological order and a product through k columns), so the
+        recursion is at most 2k + 1 deep; the table already has 2^k entries.
+        """
+        i = measured[t]
+        bit = 1 << i
+        below = span[t + 1]
+        for k, d in per_vertex[t]:
+            if rank >= limit:
+                return False
+            r = d
+            m = d & done
+            while m:
+                b = m & -m
+                m ^= b
+                r |= reach[b.bit_length() - 1]
+            if not r & bit:
+                chosen[t] = k
+                if t + 1 == n:
+                    g = {ids[j]: graph.members(c) for j, c in zip(measured, chosen)}
+                    found.append(Gflow(g))
+                    if stop_after is not None and len(found) >= stop_after:
+                        return False
+                else:
+                    grown = [x | r if x & bit else x for x in reach]
+                    grown[i] = r
+                    if not descend(t + 1, rank, done | bit, grown):
+                        return False
+            rank += below
+        return True
+
+    exhausted = descend(0, 0, 0, [0] * len(graph.ids)) and span[0] <= limit
     return GflowEnumeration(eog, tuple(found), exhausted)
 
 

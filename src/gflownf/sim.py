@@ -321,6 +321,8 @@ def run_branch(pattern: Pattern, input_state: Statevector, signals) -> BranchRes
     """Run one signal assignment end to end, within ``DEFAULT_MAX_QUBITS``."""
     if frozenset(signals) != pattern.eog.measured:
         raise ValueError("signals must be given for exactly the measured vertices")
+    if any(s not in (0, 1) for s in signals.values()):
+        raise ValueError("signal must be 0 or 1")
     _check_bounds(pattern.eog, math.inf, DEFAULT_MAX_QUBITS)
     qubits, probs, rows = _walk(pattern, input_state, signals)
     return BranchResult(signals, float(probs[0]), Statevector(qubits, rows[0]))

@@ -21,6 +21,7 @@ from gflownf import (
     OpenGraphError,
     Plane,
     brute_force_enumerate,
+    check_input_planes,
     check_normal_form,
     extensivity_order,
     focus,
@@ -316,12 +317,25 @@ class TestBitmaskCore:
         # Every census instance with a gflow, every one on at most three
         # vertices and every 16th of the rest: four-vertex instances without
         # a gflow make up 94% of the census, and acceptance criterion 6
-        # already pins each of them to "no gflow" against the finder.
+        # already pins each of them to "no gflow" against the finder. Runs
+        # cut off by `limit` pin the product rank that pruned subtrees skip
+        # against the oracle's combination count. Three vertices rarely prune
+        # a subtree, so sampled four-vertex instances with XY inputs (the
+        # others exit before any combination) run cut off too.
         for eog, _ in small_sweep:
             assert assert_same_enumeration(eog)
         for i, eog in enumerate(all_instances(4)):
-            if len(eog.vertices) <= 3 or i % 16 == 0:
+            if len(eog.vertices) <= 3:
                 assert_same_enumeration(eog)
+                for limit in (1, 2, 3):
+                    assert_same_enumeration(eog, limit)
+                for sigma in AXES:
+                    assert_same_enumeration(eog, nf_sigma=sigma, stop_after=1)
+            elif i % 16 == 0:
+                assert_same_enumeration(eog)
+                if check_input_planes(eog):
+                    for limit in (3, 24):
+                        assert_same_enumeration(eog, limit)
 
     def test_enumeration_random(self):
         rng = random.Random(71)

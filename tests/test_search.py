@@ -15,6 +15,7 @@ from gflownf import (
 )
 from conftest import PATH_DOC
 from gflownf import opengraph, search
+from gflownf import gflow as gflow_rules
 from gflownf.gflow import AXES, Gflow
 from gflownf.opengraph import mask_to_set, parse_open_graph_document, set_to_mask
 from gflownf.search import _find_gflow_rounds
@@ -194,21 +195,35 @@ class TestBruteForce:
         enum = brute_force_enumerate(path_eog, limit=1)
         assert not enum.exhausted
 
-    def test_one_odd_mask_per_candidate(self, monkeypatch):
-        # Odd(g) is computed once per corrector set and kept with it:
-        # four sets within {2, 3} for each of the two measured vertices.
+    def test_one_odd_table_per_instance(self, monkeypatch):
+        # Odd(K) is read from one table built per instance, one XOR per
+        # entry and no odd_mask call: four entries, the subsets of the
+        # non-inputs {2, 3}.
         eog = parse_open_graph_document(PATH_DOC)[0]
+        graph = eog.graph
         calls = []
-        original = opengraph.odd_mask
+        tables = []
+        original_odd, original_table = opengraph.odd_mask, search._odd_table
 
         def counting(graph, mask):
             calls.append(mask)
-            return original(graph, mask)
+            return original_odd(graph, mask)
 
-        for module in (opengraph, search):
-            monkeypatch.setattr(module, "odd_mask", counting)
+        def recording(graph, allowed):
+            tables.append(original_table(graph, allowed))
+            return tables[-1]
+
+        for module in (opengraph, gflow_rules, search):
+            monkeypatch.setattr(module, "odd_mask", counting, raising=False)
+        monkeypatch.setattr(search, "_odd_table", recording)
         assert brute_force_enumerate(eog).count == 2
-        assert len(calls) == 8
+        assert calls == []
+        assert len(tables) == 1
+        (table,) = tables
+        assert [k for k, _ in table] == sorted(
+            graph.mask(s) for s in ((), (2,), (3,), (2, 3))
+        )
+        assert all(odd == original_odd(graph, k) for k, odd in table)
 
     def test_every_listed_gflow_verifies(self):
         rng = random.Random(3)

@@ -145,6 +145,13 @@ class TestRunBranch:
         with pytest.raises(ValueError):
             run_branch(pattern, basis_state((1,), 0), {1: 0})
 
+    @pytest.mark.parametrize("bad", [-1, 2])
+    def test_signal_outside_zero_one_rejected(self, path_eog, path_gflow, bad):
+        # the walk indexes each outcome's bra by its signal, so both must be refused
+        pattern = path_pattern(path_eog, path_gflow, {1: 0.0, 2: 0.0})
+        with pytest.raises(ValueError, match="signal must be 0 or 1"):
+            run_branch(pattern, basis_state((1,), 0), {1: bad, 2: 0})
+
     def test_width_bound_read_at_call_time(self, monkeypatch, path_eog, path_gflow):
         pattern = path_pattern(path_eog, path_gflow, {1: 0.0, 2: 0.0})
         monkeypatch.setattr(sim, "DEFAULT_MAX_QUBITS", 2)
