@@ -23,7 +23,6 @@ from .gflow import (
     _check_domain,
     _nf_excess,
     _verify,
-    corrective_maps,
     parse_corrective_maps,
     parse_gflow,
     serialize_gflow,
@@ -123,7 +122,7 @@ def cmd_promote(args):
 
 
 def _build_pattern(eog, angles, correction_text, seed):
-    from .sim import _no_corrections, _scheduled
+    from .sim import _no_corrections, _scheduled, pattern_from_gflow
 
     rng = random.Random(seed)
     if angles is None:
@@ -131,7 +130,7 @@ def _build_pattern(eog, angles, correction_text, seed):
     if correction_text is None:
         maps = _no_corrections(eog)
     elif isinstance(doc := _load_json(correction_text), dict) and "g" in doc:
-        maps = corrective_maps(eog, parse_gflow(correction_text))
+        return pattern_from_gflow(eog, angles, parse_gflow(correction_text)), angles
     else:
         maps = parse_corrective_maps(correction_text)
     return _scheduled(eog, angles, maps), angles

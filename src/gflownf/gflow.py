@@ -9,8 +9,12 @@ and shared by search, focusing and simulation: ``_PLANE_BITS``,
 ``_check_sigma``, ``_check_domain`` and ``_valid``, through which
 ``focus``, the promotions and ``corrective_maps`` raise ValueError on an
 invalid gflow. The Kahn peel ``_peel`` is the one acyclicity check, behind
-``_f_order`` and ``extensivity_order``; the enumerator in ``search.py``
-does not peel, it prunes cycles as it assigns vertices.
+``_f_order`` and ``extensivity_order``. It walks successor lists of bit
+positions, O(V + E), since a traversal visits each arc once; the GF(2)
+algebra alone keeps bitmasks. ``_valid`` returns the masks and the order of
+one peel, from which ``sim.pattern_from_gflow`` takes both its corrections
+and its schedule. The enumerator in ``search.py`` does not peel, it prunes
+cycles as it assigns vertices.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from .opengraph import (
     _load_json,
     mask_to_set,
     odd_mask,
-    set_to_mask,
 )
 
 AXES = ("X", "Y", "Z")
@@ -113,52 +116,41 @@ class CycleError(ValueError):
         super().__init__("dependency cycle: " + " -> ".join(map(str, self.cycle)))
 
 
-def _peel(succ: Mapping[int, int]) -> tuple[dict[int, int] | None, int]:
-    """Kahn's algorithm, linear in vertices plus arcs u -> v, v a bit of succ[u].
+def _peel(succ: list[list[int]]) -> tuple[list[int] | None, set[int]]:
+    """Kahn's algorithm, linear in vertices plus arcs u -> v, v in succ[u].
 
-    Keys are bit positions, arc heads are keys, no mask holds its own key.
-    Returns (depth, 0), depth[v] the longest path ending at v, or (None, mask
-    of the vertices left unpeeled) on a cycle; neither depends on the peel order.
+    Vertices are the positions of succ, and no list holds its own position.
+    Returns (depth, set()), depth[v] the longest path ending at v, or (None,
+    the vertices left unpeeled) on a cycle; neither depends on the peel order.
     """
-    left = heads = 0
-    for u, m in succ.items():
-        left |= 1 << u
-        heads |= m
-    if left and heads == left:
-        return None, left  # no source, so nothing peels
-    indeg = dict.fromkeys(succ, 0)
-    for m in succ.values():
-        while m:
-            b = m & -m
-            m ^= b
-            indeg[b.bit_length() - 1] += 1
-    depth = dict.fromkeys(succ, 0)
-    ready = [v for v, d in indeg.items() if not d]
+    indeg = [0] * len(succ)
+    for vs in succ:
+        for v in vs:
+            indeg[v] += 1
+    depth = [0] * len(succ)
+    ready = [v for v, d in enumerate(indeg) if not d]
     for u in ready:
         du = depth[u] + 1
-        m = succ[u]
-        while m:
-            b = m & -m
-            m ^= b
-            v = b.bit_length() - 1
+        for v in succ[u]:
             if depth[v] < du:
                 depth[v] = du
             indeg[v] -= 1
             if not indeg[v]:
                 ready.append(v)
     if len(ready) == len(succ):
-        return depth, 0
-    return None, set_to_mask(v for v, d in indeg.items() if d)
+        return depth, set()
+    return None, {v for v, d in enumerate(indeg) if d}
 
 
 def _witness_cycle(succ, stuck):
     # From the lowest unpeeled vertex, step to the lowest unpeeled
     # predecessor (every one has some) until a vertex repeats.
-    pred = {v: [] for v in mask_to_set(stuck)}
-    for u in pred:
-        for v in mask_to_set(succ[u] & stuck):
-            pred[v].append(u)
-    path = [min(pred)]
+    pred = {v: [] for v in stuck}
+    for u in stuck:
+        for v in succ[u]:
+            if v in stuck:
+                pred[v].append(u)
+    path = [min(stuck)]
     seen = {path[0]: 0}
     while True:
         nxt = min(pred[path[-1]])
@@ -168,14 +160,14 @@ def _witness_cycle(succ, stuck):
         path.append(nxt)
 
 
-def _order(ids, succ: Mapping[int, int], outputs) -> DependencyOrder:
-    """Depth layers of an arc-mask digraph keyed by every bit of ids in order,
+def _order(ids, succ: list[list[int]], outputs) -> DependencyOrder:
+    """Depth layers of the successor lists over the positions of ids,
     outputs lifted to the top one."""
     depth, stuck = _peel(succ)
     if stuck:
         raise CycleError([ids[i] for i in _witness_cycle(succ, stuck)])
-    layers = dict(zip(ids, depth.values()))
-    top = max(depth.values(), default=0)
+    layers = dict(zip(ids, depth))
+    top = max(depth, default=0)
     for o in outputs:
         layers[o] = top
     return DependencyOrder(layers)
@@ -190,7 +182,7 @@ def extensivity_order(
     exists. Outputs are lifted to the shared maximal layer.
     """
     index = graph.index
-    succ = dict.fromkeys(range(len(index)), 0)
+    succ = [[] for _ in index]
     for u, image in f.items():
         i = index.get(u)
         if i is None:
@@ -200,7 +192,7 @@ def extensivity_order(
             if j is None:
                 raise OpenGraphError(f"image of {u} contains unknown vertex {v}")
             if j != i:
-                succ[i] |= 1 << j
+                succ[i].append(j)
     return _order(graph.ids, succ, outputs)
 
 
@@ -209,9 +201,9 @@ def _f_order(eog: ExtendedOpenGraph, masks) -> DependencyOrder:
 
     ``masks`` maps each measured u's bit position to (g(u), Odd(g(u))).
     """
-    succ = dict.fromkeys(range(len(eog.graph.ids)), 0)
+    succ = [[] for _ in eog.graph.ids]
     for i, (k, odd) in masks.items():
-        succ[i] = (k | odd) & ~(1 << i)
+        succ[i] = list(mask_to_set((k | odd) & ~(1 << i)))
     return _order(eog.graph.ids, succ, eog.outputs)
 
 
@@ -336,7 +328,11 @@ def parse_corrective_maps(text: str) -> CorrectiveMaps:
 
 def corrective_maps(eog: ExtendedOpenGraph, g: Gflow) -> CorrectiveMaps:
     """Derive the correction strategy x(u) = g(u)\\{u}, z(u) = Odd(g(u))\\{u}."""
-    masks, _ = _valid(eog, g)
+    return _corrections(eog, _valid(eog, g)[0])
+
+
+def _corrections(eog, masks) -> CorrectiveMaps:
+    """``corrective_maps`` from the (g(u), Odd(g(u))) masks of ``_valid``."""
     members, ids = eog.graph.members, eog.graph.ids
     x = {ids[i]: members(k & ~(1 << i)) for i, (k, _) in masks.items()}
     z = {ids[i]: members(odd & ~(1 << i)) for i, (_, odd) in masks.items()}

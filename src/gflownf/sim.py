@@ -27,8 +27,8 @@ from typing import Mapping
 import numpy as np
 
 from .opengraph import ExtendedOpenGraph, Graph, Plane
-from .gflow import CorrectiveMaps, Gflow, _check_domain
-from .gflow import corrective_maps, extensivity_order
+from .gflow import CorrectiveMaps, Gflow, _check_domain, _corrections, _valid
+from .gflow import extensivity_order
 
 STATE_TOL = 1e-9
 DEFAULT_BRANCH_BOUND = 12
@@ -74,12 +74,6 @@ def basis_state(qubits, bits: int) -> Statevector:
     amps = np.zeros(2 ** len(tuple(qubits)), dtype=complex)
     amps[bits] = 1.0
     return Statevector(tuple(qubits), amps)
-
-
-def inner(a: Statevector, b: Statevector) -> complex:
-    if a.qubits != b.qubits:
-        raise ValueError("states live on different registers")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
 def prepare(graph: Graph, inputs, input_state: Statevector) -> Statevector:
@@ -251,8 +245,9 @@ def _no_corrections(eog: ExtendedOpenGraph) -> CorrectiveMaps:
 
 
 def _scheduled(eog, angles, maps) -> Pattern:
-    """The pattern measured in the order of x(u) | z(u), ties broken by id:
-    for a gflow's maps, x(u) | z(u) = f(u) \\ {u}, so its own order."""
+    """The pattern measured in the order of x(u) | z(u), ties broken by id,
+    for a map document or no corrections; `pattern_from_gflow` orders a
+    gflow's pattern by f(u) \\ {u}, the same digraph for its own maps."""
     _check_maps(eog, maps)
     f = {u: maps.x[u] | maps.z[u] for u in eog.measured}
     order = extensivity_order(eog.graph, eog.outputs, f)
@@ -262,8 +257,9 @@ def _scheduled(eog, angles, maps) -> Pattern:
 def pattern_from_gflow(
     eog: ExtendedOpenGraph, angles: Mapping[int, float], g: Gflow
 ) -> Pattern:
-    """Corrections from the gflow, schedule from its dependency layers."""
-    return _scheduled(eog, angles, corrective_maps(eog, g))
+    """Corrections and schedule from the masks and order of one validation."""
+    masks, order = _valid(eog, g)
+    return Pattern(eog, angles, _corrections(eog, masks), order.schedule(eog.measured))
 
 
 def strip_corrections(pattern: Pattern) -> Pattern:
@@ -413,13 +409,16 @@ def check_determinism(results, tol: float = STATE_TOL) -> DeterminismReport:
     if any(r.output_state.qubits != ref.qubits for r in live):
         raise ValueError("states live on different registers")
     rows = np.stack([r.output_state.amplitudes for r in live])
+    deterministic, max_dev = _certify(rows, tol)
     probs = tuple(r.probability for r in results)
-    return _certify(probs, rows, len(live[0].signals), tol)
+    uniform = 2.0 ** -len(live[0].signals)
+    strong = all(abs(p - uniform) <= tol for p in probs)
+    return DeterminismReport(deterministic, max_dev, probs, strong, tol)
 
 
-def _certify(probs, live, k: int, tol: float) -> DeterminismReport:
-    """`check_determinism` on all probabilities and on the ``live`` outputs,
-    the rows of one array, whose rows after the first it overwrites."""
+def _certify(live, tol: float) -> tuple[bool, float]:
+    """Whether the ``live`` outputs, rows of one array, pass `check_determinism`'s
+    two tests, and their largest deviation; every row but the first is overwritten."""
     ref, others = live[0], live[1:]
     overlap = others @ ref.conj()  # <a|b> per row b
     size = np.abs(overlap)
@@ -430,10 +429,7 @@ def _certify(probs, live, k: int, tol: float) -> DeterminismReport:
     others -= ref
     flat = others.view(float)  # re, im side by side: |row|^2 is row . row
     max_dist = math.sqrt(np.max(np.vecdot(flat, flat), initial=0.0))
-    uniform = 2.0**-k
-    strong = all(abs(p - uniform) <= tol for p in probs)
-    deterministic = max_dev <= tol and max_dist <= tol
-    return DeterminismReport(deterministic, max_dev, tuple(probs), strong, tol)
+    return max_dev <= tol and max_dist <= tol, max_dev
 
 
 def extract_isometry(pattern: Pattern, tol: float = STATE_TOL) -> np.ndarray:
@@ -457,7 +453,7 @@ def extract_isometry(pattern: Pattern, tol: float = STATE_TOL) -> np.ndarray:
     def output(state, what):
         _, probs, rows = _walk(pattern, state)
         live = rows[probs > 0]  # never empty: a row's two outcomes sum to 1
-        if not _certify(probs.tolist(), live, len(pattern.schedule), tol).deterministic:
+        if not _certify(live, tol)[0]:
             raise ValueError(f"pattern is not deterministic on {what}")
         return live[0] / np.linalg.norm(live[0])
 

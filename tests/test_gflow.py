@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -25,6 +26,7 @@ from gflownf import (
 import gflownf.gflow as gflow
 import gflownf.normal_forms as normal_forms
 import gflownf.opengraph as opengraph
+import gflownf.sim as sim
 from gflownf.gflow import parse_corrective_maps
 from gflownf.opengraph import OpenGraphError
 from gflownf.instances import random_instance
@@ -59,6 +61,21 @@ class TestExtensivityOrder:
         graph = Graph(frozenset({1}), frozenset())
         order = extensivity_order(graph, frozenset(), {1: frozenset({1})})
         assert order.layers == {1: 0}
+
+    def test_long_chain_memory_linear(self):
+        # One successor list entry per arc, not one mask as wide as the
+        # highest successor: arc masks take about 110 MiB here.
+        n = 40_000
+        graph = Graph(frozenset(range(n)), frozenset())
+        f = {u: frozenset({u + 1}) for u in range(n - 1)}
+        tracemalloc.start()
+        try:
+            order = extensivity_order(graph, frozenset(), f)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert order.layers[n - 1] == n - 1
+        assert peak < 32 * 2**20
 
 
 class TestVerifyGflow:
@@ -142,6 +159,19 @@ class TestVerifyGflow:
         pattern = pattern_from_gflow(eog, dict.fromkeys(eog.measured, 0.5), g)
         assert len(calls) == 90
         assert pattern.corrections == corrective_maps(eog, g)
+
+    def test_one_peel_per_pattern(self, monkeypatch):
+        # The schedule is the order the validation peeled, not a second peel.
+        eog, _ = grid_cluster(random.Random(3), 16, 6)
+        g = find_gflow(eog)
+        peels, orders = [], []
+        peel, order = gflow._peel, sim.extensivity_order
+        monkeypatch.setattr(gflow, "_peel", lambda s: peels.append(s) or peel(s))
+        monkeypatch.setattr(
+            sim, "extensivity_order", lambda *a: orders.append(a) or order(*a)
+        )
+        pattern_from_gflow(eog, dict.fromkeys(eog.measured, 0.5), g)
+        assert (len(peels), len(orders)) == (1, 0)
 
     def test_one_odd_mask_per_measured_vertex_in_focus(self, monkeypatch):
         # The order and the sweep share each Odd(g(u)).

@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from gflownf import (
     strip_corrections,
 )
 import gflownf.sim as sim
-from gflownf.sim import Pattern, inner
+from gflownf.sim import Pattern
 from gflownf.gflow import CorrectiveMaps, _valid
 from gflownf.instances import all_instances, random_instance
 
@@ -270,17 +271,27 @@ class TestDeterminism:
             report = check_determinism(self.two_branches(a, b), 1e-9)
         assert report.max_state_deviation == 1.0 and not report.deterministic
 
-    def test_schedule_independence(self, path_eog):
+    def test_schedule_independence(self):
         # Two linear extensions of the order give the same outputs up to phase.
-        g = Gflow({1: {2, 3}, 2: {3}})
-        p1 = pattern_from_gflow(path_eog, {1: 1.1, 2: 0.4}, g)
-        assert p1.schedule == (1, 2)
-        inp = basis_state((1,), 1)
-        r1 = run_all_branches(p1, inp)
-        for r in r1:
-            assert abs(inner(r1[0].output_state, r.output_state)) == pytest.approx(
-                1.0, abs=1e-9
-            )
+        # On the path 0 - 2 - 3 - 1 each input's corrections reach the other's
+        # neighbour, but neither input depends on the other.
+        eog = ExtendedOpenGraph(
+            path_graph([0, 2, 3, 1]), frozenset({0, 1}), frozenset({2, 3}),
+            {0: Plane.XY, 1: Plane.XY},
+        )
+        p1 = pattern_from_gflow(eog, {0: 1.1, 1: 0.4}, Gflow({0: {2}, 1: {3}}))
+        p2 = replace(p1, schedule=(1, 0))
+        assert p1.schedule == (0, 1) and p1.corrections.z == {0: {3}, 1: {2}}
+        inp = random_input((0, 1), np.random.default_rng(5))
+        first = run_all_branches(p1, inp)
+        second = {frozenset(r.signals.items()): r for r in run_all_branches(p2, inp)}
+        ref = first[0].output_state.amplitudes
+        for r in first:
+            other = second[frozenset(r.signals.items())]
+            assert other.probability == pytest.approx(r.probability, abs=1e-12)
+            for out in (r.output_state, other.output_state):
+                assert out.qubits == (2, 3)
+                assert abs(np.vdot(ref, out.amplitudes)) == pytest.approx(1.0, abs=1e-9)
 
     def test_branch_bound(self, path_eog, path_gflow):
         pattern = path_pattern(path_eog, path_gflow, {1: 0.0, 2: 0.0})
