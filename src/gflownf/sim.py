@@ -2,8 +2,9 @@
 
 States live on an ordered qubit register (first qubit is the most
 significant bit). The prepared graph state is a single 2**n complex array:
-the input amplitudes broadcast over |+> on the other qubits, then one
-in-place sign flip of a strided slice per CZ edge. Measured qubits are
+the input amplitudes broadcast over |+> on the other qubits, negated in
+place, in one masked pass, wherever a 2**n-byte table of the CZ parity
+q(x) = sum of x_u x_v over the edges (mod 2) reads 1. Measured qubits are
 factored out at once. After d measurements the 2**d signal prefixes all
 live on the same qubits, so one level walk keeps them as the rows of one
 array, in binary-counter order: each measured qubit takes one row kernel
@@ -79,30 +80,43 @@ def basis_state(qubits, bits: int) -> Statevector:
 def prepare(graph: Graph, inputs, input_state: Statevector) -> Statevector:
     """Entangle the input state: append |+> on the rest, CZ per edge.
 
-    The register is one complex tensor with an axis per qubit: the input
-    amplitudes, broadcast uniformly over the non-input axes, are copied in
-    once, and each edge then negates in place the slice where both of its
-    endpoints are set.
+    The input amplitudes, broadcast uniformly over the non-input qubits, are
+    copied into the register once. The CZs together multiply amplitude x by
+    (-1)**q(x), where q(x) is the parity of the edges with both endpoints set
+    in x, and a table of one byte per amplitude holds q. For each qubit p,
+    from the last to the first, the table doubles: its new half, where p is
+    set, is a copy of the old one, and each later neighbour of p XORs one
+    strided bit pattern into it. One masked negation where q is 1 then signs
+    the register, each amplitude at most once.
     """
     inputs = frozenset(inputs)
     if input_state.qubits != tuple(sorted(inputs)):
         raise ValueError("input state must be defined exactly on the input qubits")
     qubits, pos = graph.ids, graph.index
     n = len(qubits)
+    later = [[] for _ in qubits]
+    for u, v in graph.edges:
+        p, q = sorted((pos[u], pos[v]))
+        later[p].append(q)
     # Inputs and register are both sorted, so the input axes are in order.
     spread = input_state.amplitudes.reshape([2 if v in inputs else 1 for v in qubits])
     amps = spread / math.sqrt(2 ** (n - len(inputs)))
     try:
-        amps = np.broadcast_to(amps, (2,) * n).copy()
+        amps = np.broadcast_to(amps, (2,) * n).copy().reshape(-1)
+        parity = np.empty(2**n, dtype=np.uint8)
     except MemoryError:  # within max_qubits, but more than the host can hold
         msg = f"a register of {n} qubits cannot be allocated"
         raise BranchLimitError(msg, {"qubits": n}) from None
-    for u, v in graph.edges:
-        both = [slice(None)] * n
-        both[pos[u]] = both[pos[v]] = slice(1, 2)  # a view even when n == 2
-        flip = amps[tuple(both)]
-        np.negative(flip, out=flip)
-    return Statevector(qubits, amps.reshape(-1))
+    parity[0] = 0
+    for p in reversed(range(n)):
+        size = 2 ** (n - 1 - p)
+        half = parity[size : 2 * size]
+        half[:] = parity[:size]
+        for q in later[p]:
+            ones = half.reshape(-1, 2, 2 ** (n - 1 - q))[:, 1]
+            ones ^= 1
+    np.negative(amps, out=amps, where=parity.view(bool))
+    return Statevector(qubits, amps)
 
 
 def plane_observable(plane: Plane, alpha: float) -> np.ndarray:

@@ -41,6 +41,27 @@ def star_eog():
     )
 
 
+@pytest.fixture
+def no_parity_table(monkeypatch):
+    """The simulator's numpy, except that a uint8 array, the parity table
+    ``prepare`` signs the register from, cannot be allocated."""
+    import numpy as np
+
+    import gflownf.sim as sim
+
+    class NoParityTable:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def empty(shape, dtype=float, **kwargs):
+            if np.dtype(dtype) == np.uint8:
+                raise MemoryError
+            return np.empty(shape, dtype=dtype, **kwargs)
+
+    monkeypatch.setattr(sim, "np", NoParityTable())
+
+
 @pytest.fixture(scope="session")
 def small_sweep():
     """Every |V| <= 4 instance possessing a gflow, paired with one."""

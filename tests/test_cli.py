@@ -355,6 +355,20 @@ class TestSimulate:
         assert doc["error"] in captured.err
         assert "Traceback" not in captured.err
 
+    def test_unallocatable_parity_table_is_a_resource_limit(
+        self, capsys, graph_file, gflow_file, no_parity_table
+    ):
+        # the register is allocated; only prepare's 2**n-byte table is refused
+        code = main(["simulate", graph_file, gflow_file])
+        captured = capsys.readouterr()
+        assert code == 3
+        lines = captured.out.splitlines()
+        assert len(lines) == 1
+        doc = json.loads(lines[0])
+        assert doc == {"error": doc["error"], "qubits": 3}
+        assert doc["error"] in captured.err
+        assert "Traceback" not in captured.err
+
     @pytest.mark.parametrize(
         "flag, key", [("--branch-bound", "branch_bound"), ("--max-qubits", "max_qubits")]
     )

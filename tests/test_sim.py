@@ -674,14 +674,37 @@ def index_array_prepare(graph, inputs, input_state):
     return Statevector(qubits, amps)
 
 
+def strided_prepare(graph, inputs, input_state):
+    """The per-edge build the parity table replaced, kept as its oracle.
+
+    The broadcast input amplitudes are copied into the register once, and
+    each edge then negates in place the strided slice where both of its
+    endpoints are set.
+    """
+    qubits, pos = graph.ids, graph.index
+    n = len(qubits)
+    spread = input_state.amplitudes.reshape([2 if v in inputs else 1 for v in qubits])
+    amps = spread / math.sqrt(2 ** (n - len(inputs)))
+    amps = np.broadcast_to(amps, (2,) * n).copy()
+    for u, v in graph.edges:
+        both = [slice(None)] * n
+        both[pos[u]] = both[pos[v]] = slice(1, 2)  # a view even when n == 2
+        flip = amps[tuple(both)]
+        np.negative(flip, out=flip)
+    return Statevector(qubits, amps.reshape(-1))
+
+
 def path_graph(ids):
     return Graph(frozenset(ids), frozenset(zip(ids, ids[1:])))
 
 
 class TestTensorPrepare:
-    """prepare equals the index-array oracle value for value.
+    """prepare equals the index-array oracle value for value, and the
+    per-edge build byte for byte.
 
-    Only the sign of an exact zero may differ, which np.array_equal ignores.
+    Against the index-array oracle only the sign of an exact zero may
+    differ, which np.array_equal ignores; the level walk's bit-identity
+    depends on it, so the per-edge build is compared with tobytes().
     """
 
     @staticmethod
@@ -690,6 +713,8 @@ class TestTensorPrepare:
         want = index_array_prepare(graph, inputs, input_state)
         assert got.qubits == want.qubits
         assert np.array_equal(got.amplitudes, want.amplitudes)
+        strided = strided_prepare(graph, inputs, input_state)
+        assert got.amplitudes.tobytes() == strided.amplitudes.tobytes()
 
     def test_census_graphs(self):
         nrng = np.random.default_rng(41)
@@ -766,7 +791,13 @@ class TestTensorPrepare:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2 * state_bytes
+        # the register and its 2**n-byte parity table: 1 + 1/16 registers
+        assert peak < 1.125 * state_bytes
+
+    def test_unallocatable_parity_table(self, no_parity_table):
+        with pytest.raises(BranchLimitError, match="3 qubits") as err:
+            prepare(path_graph([0, 1, 2]), (0,), basis_state((0,), 1))
+        assert err.value.limit == {"qubits": 3}
 
     def test_width_bound_checked_before_prepare(self, monkeypatch):
         # 40 qubits, one measured: the register would take 16 * 2**40 bytes
