@@ -9,17 +9,21 @@ factored out at once. After d measurements the 2**d signal prefixes all
 live on the same qubits, so one level walk keeps them as the rows of one
 array, in binary-counter order: each measured qubit takes one row kernel
 call per outcome over every row, 2k calls for all 2**k branches, and the
-levels take turns in two 2**n buffers whatever k is. One branch is the
-same walk with one row. Only `run_all_branches` and `run_branch` wrap rows
-as `BranchResult`s; `extract_isometry` certifies the walk's rows as they
-are, by the arithmetic `check_determinism` runs on its stacked results,
-comparing outputs up to global phase. `measure` and `apply_correction` are
-one-row calls of the same kernels, bit for bit.
+levels take turns in two buffers whatever k is. One branch is the same
+walk with one row. The walk may also start from several prepared input
+states, one row each; the kernels work row by row, so each input's rows
+come out as in a walk of its own. Only `run_all_branches` and
+`run_branch`, which pass one input, wrap rows as `BranchResult`s.
+`extract_isometry` walks its basis inputs and the uniform superposition
+as the rows of as few walks as fit in ``_BATCH`` amplitudes, one walk for
+a small register, and certifies each input's rows as they are, by the
+arithmetic `check_determinism` runs on its stacked results, comparing
+outputs up to global phase. `measure` and `apply_correction` are one-row
+calls of the same kernels, bit for bit.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -34,6 +38,7 @@ from .gflow import extensivity_order
 STATE_TOL = 1e-9
 DEFAULT_BRANCH_BOUND = 12
 DEFAULT_MAX_QUBITS = 24
+_BATCH = 2**14  # amplitudes in one walk of several isometry inputs: 256 KiB
 
 PAULI = {
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -290,22 +295,29 @@ class BranchResult:
         object.__setattr__(self, "signals", dict(self.signals))
 
 
-def _walk(pattern: Pattern, input_state: Statevector, signals=None):
-    """Every branch from the prepared ``input_state``, or the one ``signals`` names.
+def _walk(pattern: Pattern, input_states, signals=None):
+    """Every branch from each of the prepared ``input_states``, or the one
+    ``signals`` names.
 
+    The walk starts with one row per input state, each built by `prepare`.
     Level by level, each scheduled u projects every row once per outcome
     (the named one only, for one branch), outcome s of row j into row
     2j + s, then gives the outcome-1 rows u's X and then its Z; a
     zero-probability row stays a zero row. X is one flipped copy out of a
-    half-size scratch buffer. Returns the output qubits, the rows'
-    probabilities and the rows: row j's signals are the bits of j in
-    schedule order, most significant first.
+    half-size scratch buffer. Every kernel works row by row, so a row's
+    arithmetic does not depend on the rows beside it. Returns the output
+    qubits, the rows' probabilities and the rows: with m rows per input
+    (2**k for every branch, 1 for one), row j of input r ends at row
+    r * m + j, and j's signals are its bits in schedule order, most
+    significant first.
     """
-    prepared = prepare(pattern.eog.graph, pattern.eog.inputs, input_state)
-    maps, qubits, level = pattern.corrections, prepared.qubits, prepared.amplitudes
+    graph, inputs = pattern.eog.graph, pattern.eog.inputs
+    level = [prepare(graph, inputs, state).amplitudes for state in input_states]
+    level = level[0] if len(level) == 1 else np.concatenate(level)
+    maps, qubits = pattern.corrections, graph.ids
     spare = np.empty(level.size if pattern.schedule else 0, dtype=complex)
     scratch = np.empty(level.size // 2 if any(maps.x.values()) else 0, dtype=complex)
-    rows, probs = level.reshape(1, -1), np.ones(1)
+    rows, probs = level.reshape(len(input_states), -1), np.ones(len(input_states))
     for u in pattern.schedule:
         bras = _bras(pattern.eog.planes[u], pattern.angles[u])
         outcomes = (0, 1) if signals is None else (signals[u],)
@@ -334,7 +346,7 @@ def run_branch(pattern: Pattern, input_state: Statevector, signals) -> BranchRes
     if any(s not in (0, 1) for s in signals.values()):
         raise ValueError("signal must be 0 or 1")
     _check_bounds(pattern.eog, math.inf, DEFAULT_MAX_QUBITS)
-    qubits, probs, rows = _walk(pattern, input_state, signals)
+    qubits, probs, rows = _walk(pattern, (input_state,), signals)
     return BranchResult(signals, float(probs[0]), Statevector(qubits, rows[0]))
 
 
@@ -369,11 +381,18 @@ def run_all_branches(
     measured qubits and at most ``max_qubits`` qubits in all.
     """
     _check_bounds(pattern.eog, branch_bound, max_qubits)
-    qubits, probs, rows = _walk(pattern, input_state)
-    signals = itertools.product((0, 1), repeat=len(pattern.schedule))
+    qubits, probs, rows = _walk(pattern, (input_state,))
+    signals = [{}]
+    for u in pattern.schedule:  # each prefix's dict, copied once per level
+        level = []
+        for one in signals:
+            zero = one.copy()
+            zero[u], one[u] = 0, 1
+            level += (zero, one)
+        signals = level
     return [
-        BranchResult(dict(zip(pattern.schedule, s)), float(p), Statevector(qubits, row))
-        for s, p, row in zip(signals, probs, rows)
+        BranchResult(s, p, Statevector(qubits, row))
+        for s, p, row in zip(signals, probs.tolist(), rows)
     ]
 
 
@@ -454,8 +473,10 @@ def extract_isometry(pattern: Pattern, tol: float = STATE_TOL) -> np.ndarray:
     phase of its overlap with the branch output on the uniform superposition
     (e^{i theta_x} / sqrt(2^|I|) for an isometry), so all columns share one
     phase; that phase makes the first nonzero entry real and positive.
-    Each input's walk is certified by the two tests of `check_determinism`,
-    on every basis input and on the superposition; a non-deterministic
+    The 2^|I| basis inputs and the superposition are the starting rows of
+    as few walks as hold at most ``_BATCH`` amplitudes each, or one input
+    per walk from 14 qubits up. Each input's rows are certified, in input
+    order, by the two tests of `check_determinism`; a non-deterministic
     pattern raises. ``tol`` and the default bounds of `run_all_branches`
     are checked once, before any register is allocated.
     """
@@ -463,20 +484,34 @@ def extract_isometry(pattern: Pattern, tol: float = STATE_TOL) -> np.ndarray:
     _check_bounds(pattern.eog, DEFAULT_BRANCH_BOUND, DEFAULT_MAX_QUBITS)
     in_qubits = tuple(sorted(pattern.eog.inputs))
     n_in = len(in_qubits)
-
-    def output(state, what):
-        _, probs, rows = _walk(pattern, state)
-        live = rows[probs > 0]  # never empty: a row's two outcomes sum to 1
-        if not _certify(live, tol)[0]:
-            raise ValueError(f"pattern is not deterministic on {what}")
-        return live[0] / np.linalg.norm(live[0])
-
-    basis = range(2**n_in)
-    cols = [output(basis_state(in_qubits, x), f"basis input {x}") for x in basis]
-    matrix = np.stack(cols, axis=1)
+    states = [basis_state(in_qubits, x) for x in range(2**n_in)]
+    names = [f"basis input {x}" for x in range(2**n_in)]
     if n_in > 0:
         amps = np.full(2**n_in, 2 ** (-n_in / 2), dtype=complex)
-        sup = output(Statevector(in_qubits, amps), "a superposed input")
-        matrix = matrix * np.exp(1j * np.angle(matrix.conj().T @ sup))
+        states.append(Statevector(in_qubits, amps))
+        names.append("a superposed input")
+
+    per_walk = max(1, _BATCH >> len(pattern.eog.vertices))
+
+    def certified(start):
+        """One walk of up to ``per_walk`` inputs, from ``start``: each input's
+        output, once its rows are certified. The walk's buffers are freed on
+        return, before the next walk allocates its own."""
+        batch = states[start : start + per_walk]
+        _, probs, rows = _walk(pattern, batch)
+        blocks = rows.reshape(len(batch), -1, rows.shape[1])
+        cols = []
+        for what, p, block in zip(names[start:], probs.reshape(len(batch), -1), blocks):
+            # never empty: a row's two outcomes sum to 1
+            live = block if p.all() else block[p > 0]
+            if not _certify(live, tol)[0]:
+                raise ValueError(f"pattern is not deterministic on {what}")
+            cols.append(live[0] / np.linalg.norm(live[0]))
+        return cols
+
+    outs = [col for i in range(0, len(states), per_walk) for col in certified(i)]
+    matrix = np.stack(outs[: 2**n_in], axis=1)
+    if n_in > 0:
+        matrix = matrix * np.exp(1j * np.angle(matrix.conj().T @ outs[-1]))
     lead = matrix.flat[np.flatnonzero(np.abs(matrix) > 1e-12)[0]]
     return matrix * (abs(lead) / lead)

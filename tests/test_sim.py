@@ -823,6 +823,199 @@ class TestTensorPrepare:
         assert sim.DEFAULT_MAX_QUBITS == 24
 
 
+def per_input_isometry(pattern, tol=sim.STATE_TOL):
+    """The one-input-per-walk isometry the row-batched walks replaced, kept
+    as their oracle: each basis input, then the superposition, in a walk of
+    its own, certified on a copy of its live rows."""
+    in_qubits = tuple(sorted(pattern.eog.inputs))
+    n_in = len(in_qubits)
+
+    def output(state, what):
+        _, probs, rows = sim._walk(pattern, (state,))
+        live = rows[probs > 0]
+        if not sim._certify(live, tol)[0]:
+            raise ValueError(f"pattern is not deterministic on {what}")
+        return live[0] / np.linalg.norm(live[0])
+
+    basis = range(2**n_in)
+    cols = [output(basis_state(in_qubits, x), f"basis input {x}") for x in basis]
+    matrix = np.stack(cols, axis=1)
+    if n_in > 0:
+        amps = np.full(2**n_in, 2 ** (-n_in / 2), dtype=complex)
+        sup = output(Statevector(in_qubits, amps), "a superposed input")
+        matrix = matrix * np.exp(1j * np.angle(matrix.conj().T @ sup))
+    lead = matrix.flat[np.flatnonzero(np.abs(matrix) > 1e-12)[0]]
+    return matrix * (abs(lead) / lead)
+
+
+def assert_same_isometry(pattern):
+    """extract_isometry equals the oracle byte for byte, or raises its error."""
+    try:
+        want = per_input_isometry(pattern)
+    except ValueError as err:
+        with pytest.raises(ValueError) as got:
+            extract_isometry(pattern)
+        assert str(got.value) == str(err)
+        return False
+    got = extract_isometry(pattern)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    return True
+
+
+def wide_path_pattern(k, n=20):
+    """An XY path of n qubits, input 0, the first k measured."""
+    eog = ExtendedOpenGraph(
+        path_graph(list(range(n))), frozenset({0}), frozenset(range(k, n)),
+        {u: Plane.XY for u in range(k)},
+    )
+    gflow = Gflow({u: {u + 1} for u in range(k)})
+    return pattern_from_gflow(eog, {u: 0.3 + u for u in range(k)}, gflow)
+
+
+class TestRowBatchedIsometry:
+    """extract_isometry walks its inputs as rows of as few walks as fit in
+    sim._BATCH amplitudes, bit for bit as one walk per input."""
+
+    @staticmethod
+    def count_walks(monkeypatch):
+        """The number of input states of each walk, one entry per walk."""
+        walks = []
+        original = sim._walk
+
+        def counting(pattern, input_states, *args):
+            walks.append(len(input_states))
+            return original(pattern, input_states, *args)
+
+        monkeypatch.setattr(sim, "_walk", counting)
+        return walks
+
+    def test_matches_per_input_walks_on_random_patterns(self):
+        rng = random.Random(73)
+        per_inputs = dict.fromkeys(range(4), 0)
+        passed = 0
+        while min(per_inputs.values()) < 40:
+            eog = random_instance(rng, rng.randint(1, 7), force_input_xy=True)
+            if len(eog.inputs) > 3 or per_inputs[len(eog.inputs)] >= 40:
+                continue
+            g = find_gflow(eog)
+            if g is None:
+                continue
+            per_inputs[len(eog.inputs)] += 1
+            pauli = sum(per_inputs.values()) % 2 == 0
+            angles = {
+                u: rng.choice(TestSharedPrefixWalk.PAULI_ANGLES)
+                if pauli else rng.uniform(0.1, 6.2)
+                for u in eog.measured
+            }
+            pattern = pattern_from_gflow(eog, angles, g)
+            passed += assert_same_isometry(pattern)
+            assert_same_isometry(strip_corrections(pattern))
+        assert passed == 160  # every corrected pattern is an isometry
+
+    def test_zero_probability_rows(self, zero_branch_pattern):
+        pattern, _ = zero_branch_pattern
+        assert not assert_same_isometry(pattern)
+        # X on output 2 corrects vertex 1; vertex 0 is measured away, so
+        # each basis input certifies on a subset of its rows
+        none = {0: frozenset(), 1: frozenset()}
+        x = {0: frozenset(), 1: frozenset({2})}
+        pattern = replace(pattern, corrections=CorrectiveMaps(x, none))
+        for bits in (0, 1):
+            probs = sim._walk(pattern, (basis_state((0,), bits),))[1]
+            assert probs.tolist().count(0.0) == 2
+        assert assert_same_isometry(pattern)
+
+    def test_without_outputs(self):
+        rng = random.Random(79)
+        for _ in range(40):
+            n = rng.randint(1, 7)
+            pairs = list(itertools.combinations(range(n), 2))
+            graph = Graph(frozenset(range(n)), frozenset(rng.sample(pairs, len(pairs) // 2)))
+            inputs = frozenset(rng.sample(range(n), rng.randint(0, min(n, 3))))
+            planes = {u: Plane.XY if u in inputs else rng.choice(list(Plane)) for u in range(n)}
+            eog = ExtendedOpenGraph(graph, inputs, frozenset(), planes)
+            empty = {u: frozenset() for u in range(n)}
+            angles = {u: rng.uniform(0.1, 6.2) for u in range(n)}
+            pattern = Pattern(eog, angles, CorrectiveMaps(empty, empty), tuple(range(n)))
+            # one amplitude per row: every output is the same state up to phase
+            assert assert_same_isometry(pattern)
+
+    def test_chunk_boundary_splits_the_inputs(self, monkeypatch):
+        rng = random.Random(71)
+        walks = self.count_walks(monkeypatch)
+        checked = 0
+        while checked < 12:
+            n = 12 + checked % 2
+            draw = random_instance(rng, n)
+            inputs = frozenset(rng.sample(range(n), 2 + checked % 3 // 2))
+            if not draw.outputs or len(draw.outputs) < n - sim.DEFAULT_BRANCH_BOUND:
+                continue
+            planes = {u: Plane.XY if u in inputs else p for u, p in draw.planes.items()}
+            eog = ExtendedOpenGraph(draw.graph, inputs, draw.outputs, planes)
+            g = find_gflow(eog)
+            if g is None:
+                continue
+            checked += 1
+            angles = {u: rng.uniform(0.1, 6.2) for u in eog.measured}
+            pattern = pattern_from_gflow(eog, angles, g)
+            assert assert_same_isometry(pattern)
+            assert_same_isometry(strip_corrections(pattern))
+            walks.clear()
+            extract_isometry(pattern)
+            per_walk = sim._BATCH >> n  # 4 inputs of 2**12 amplitudes, 2 of 2**13
+            assert len(walks) > 1 and sum(walks) == 2 ** len(inputs) + 1
+            assert walks[:-1] == [per_walk] * (len(walks) - 1)
+
+    def test_one_walk_on_small_registers(self, monkeypatch):
+        # inputs 0 and 1, joined, each on an XY-measured path to its own output
+        edges = frozenset({(0, 1), (0, 2), (2, 4), (1, 3), (3, 5)})
+        eog = ExtendedOpenGraph(
+            Graph(frozenset(range(6)), edges), frozenset({0, 1}), frozenset({4, 5}),
+            {u: Plane.XY for u in range(4)},
+        )
+        pattern = pattern_from_gflow(eog, {0: 0.4, 1: 2.9, 2: 1.7, 3: 5.1}, find_gflow(eog))
+        walks = self.count_walks(monkeypatch)
+        calls = TestSharedPrefixWalk.count_rows(monkeypatch)
+        extract_isometry(pattern)
+        assert walks == [5]  # four basis inputs and the superposition
+        assert calls == [5, 5, 10, 10, 20, 20, 40, 40]
+
+    def test_wide_register_walks_one_input_at_a_time(self, monkeypatch):
+        walks = self.count_walks(monkeypatch)
+        calls = TestSharedPrefixWalk.count_rows(monkeypatch)
+        extract_isometry(wide_path_pattern(2))
+        assert walks == [1, 1, 1]
+        assert calls == [1, 1, 2, 2] * 3
+
+    @pytest.mark.parametrize("k", [2, 3, 6])
+    def test_peak_memory_on_a_wide_register(self, k):
+        # two level buffers, a half-size scratch buffer and the columns, but
+        # no copy of the live rows, which took 3.5 registers at k = 2
+        pattern = wide_path_pattern(k)
+        tracemalloc.start()
+        try:
+            extract_isometry(pattern)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.25 * 16 * 2**20
+
+    def test_refused_on_the_superposition_alone(self):
+        # deterministic on |0> and on |1>, but not on |+>: without its
+        # corrections the outcome-1 branch differs by a phase that depends
+        # on the input
+        eog = ExtendedOpenGraph(
+            path_graph([0, 1]), frozenset({0}), frozenset({1}), {0: Plane.XY}
+        )
+        pattern = strip_corrections(pattern_from_gflow(eog, {0: 0.7}, Gflow({0: {1}})))
+        for x in (0, 1):
+            report = check_determinism(run_all_branches(pattern, basis_state((0,), x)))
+            assert report.deterministic
+        with pytest.raises(ValueError, match="not deterministic on a superposed input"):
+            extract_isometry(pattern)
+
+
 @functools.lru_cache(maxsize=None)
 def eigh_eigenvectors(plane, alpha):
     """The kernels' eigenvectors as arrays: outcome 0 (+1), then 1 (-1)."""
