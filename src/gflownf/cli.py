@@ -1,13 +1,15 @@
-"""Command-line front end; every command prints one JSON report.
+"""Command-line front end. Each command returns (exit code, JSON report);
+`main` alone prints the report, as the one line on stdout.
 
-Exit codes: 0 success, 1 valid-but-negative answer, 2 input error,
-3 resource limit.
+Exit codes: 0 success, 1 valid-but-negative answer, 2 input error (message
+on stderr, nothing on stdout), 3 resource limit.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import random
@@ -16,6 +18,7 @@ import sys
 from .opengraph import (
     OpenGraphError,
     _load_json,
+    parse_open_graph,
     parse_open_graph_document,
     serialize_open_graph,
 )
@@ -30,13 +33,9 @@ from .gflow import (
 )
 from .instances import all_instances, random_instance
 from .normal_forms import _PROMOTE, focus as focus_gflow
-from .search import brute_force_enumerate, find_gflow
+from .search import ENUMERATION_LIMIT, brute_force_enumerate, find_gflow
 
 OK, NEGATIVE, INPUT_ERROR, RESOURCE = 0, 1, 2, 3
-
-
-def _emit(doc):
-    print(json.dumps(doc, sort_keys=True))
 
 
 def _read(path):
@@ -52,45 +51,35 @@ def _gflow_doc(g):
 
 
 def cmd_verify(args):
-    eog = parse_open_graph_document(_read(args.graph))[0]
-    g = parse_gflow(_read(args.gflow))
-    report = verify_gflow(eog, g)
-    _emit(report.to_dict())
-    return OK if report.valid else NEGATIVE
+    eog = parse_open_graph(_read(args.graph))
+    report = verify_gflow(eog, parse_gflow(_read(args.gflow)))
+    return (OK if report.valid else NEGATIVE), report.to_dict()
 
 
 def cmd_find(args):
-    eog = parse_open_graph_document(_read(args.graph))[0]
-    g = find_gflow(eog)
-    _emit({"gflow": None if g is None else _gflow_doc(g)["g"]})
-    return OK if g is not None else NEGATIVE
+    g = find_gflow(parse_open_graph(_read(args.graph)))
+    doc = {"gflow": None if g is None else _gflow_doc(g)["g"]}
+    return (OK if g is not None else NEGATIVE), doc
 
 
 def cmd_enumerate(args):
-    eog = parse_open_graph_document(_read(args.graph))[0]
-    enum = brute_force_enumerate(eog, args.limit)
-    _emit(
-        {
-            "count": enum.count,
-            "exhausted": enum.exhausted,
-            "gflows": [_gflow_doc(g)["g"] for g in enum.gflows],
-        }
-    )
-    if not enum.exhausted:
-        return RESOURCE
-    return OK if enum.count else NEGATIVE
+    enum = brute_force_enumerate(parse_open_graph(_read(args.graph)), args.limit)
+    code = RESOURCE if not enum.exhausted else OK if enum.count else NEGATIVE
+    return code, {
+        "count": enum.count,
+        "exhausted": enum.exhausted,
+        "gflows": [_gflow_doc(g)["g"] for g in enum.gflows],
+    }
 
 
 def cmd_focus(args):
-    eog = parse_open_graph_document(_read(args.graph))[0]
+    eog = parse_open_graph(_read(args.graph))
     g = parse_gflow(_read(args.gflow))
-    focused = focus_gflow(eog, g, args.sigma)
-    _emit(_gflow_doc(focused))
-    return OK
+    return OK, _gflow_doc(focus_gflow(eog, g, args.sigma))
 
 
 def cmd_check_nf(args):
-    eog = parse_open_graph_document(_read(args.graph))[0]
+    eog = parse_open_graph(_read(args.graph))
     g = parse_gflow(_read(args.gflow))
     _check_domain(eog, g.domain(), "gflow")
     for u in eog.measured:  # a non-vertex id is reported as such, not as invalid
@@ -102,23 +91,19 @@ def cmd_check_nf(args):
     ok = not any(
         _nf_excess(args.sigma, i, k, odd, out) for i, (k, odd) in masks.items()
     )
-    _emit({"normal_form": ok, "sigma": args.sigma})
-    return OK if ok else NEGATIVE
+    return (OK if ok else NEGATIVE), {"normal_form": ok, "sigma": args.sigma}
 
 
 def cmd_promote(args):
-    eog = parse_open_graph_document(_read(args.graph))[0]
+    eog = parse_open_graph(_read(args.graph))
     g = parse_gflow(_read(args.gflow))
     result = _PROMOTE[args.sigma](eog, g, args.vertex)
-    _emit(
-        {
-            "graph": json.loads(serialize_open_graph(result.rewritten)),
-            "gflow": _gflow_doc(result.gflow)["g"],
-            "promoted_vertex": result.promoted_vertex,
-            "added_vertex": result.added_vertex,
-        }
-    )
-    return OK
+    return OK, {
+        "graph": json.loads(serialize_open_graph(result.rewritten)),
+        "gflow": _gflow_doc(result.gflow)["g"],
+        "promoted_vertex": result.promoted_vertex,
+        "added_vertex": result.added_vertex,
+    }
 
 
 def _build_pattern(eog, angles, correction_text, seed):
@@ -142,7 +127,8 @@ def cmd_simulate(args):
 
     from . import sim
 
-    sim._check_tolerance(args.tol)
+    tol = sim.STATE_TOL if args.tol is None else args.tol
+    sim._check_tolerance(tol)
     eog, angles = parse_open_graph_document(_read(args.graph))
     bound = sim.DEFAULT_BRANCH_BOUND if args.branch_bound is None else args.branch_bound
     width = sim.DEFAULT_MAX_QUBITS if args.max_qubits is None else args.max_qubits
@@ -163,10 +149,8 @@ def cmd_simulate(args):
         # a register within the bound can still be refused by the allocator
         results = sim.run_all_branches(pattern, input_state, bound, width)
     except sim.BranchLimitError as exc:
-        _emit({"error": str(exc), **exc.limit})
-        print(str(exc), file=sys.stderr)
-        return RESOURCE
-    report = sim.check_determinism(results, args.tol)
+        return RESOURCE, {"error": str(exc), **exc.limit}
+    report = sim.check_determinism(results, tol)
     doc = report.to_dict()
     doc["seed"] = args.seed
     doc["angles"] = {str(u): angles[u] for u in sorted(angles)}
@@ -178,44 +162,32 @@ def cmd_simulate(args):
             }
             for r in results
         ]
-    _emit(doc)
-    return OK if report.deterministic else NEGATIVE
+    return (OK if report.deterministic else NEGATIVE), doc
 
 
 def cmd_oracle_compare(args):
     rng = random.Random(args.seed)
-    instances = 0
-    disagreements = 0
-    invalid = 0
-
-    def compare(eog):
-        nonlocal instances, disagreements, invalid
+    draws = (random_instance(rng, rng.randint(1, 5)) for _ in range(args.trials))
+    instances = disagreements = invalid = 0
+    for eog in itertools.chain(all_instances(args.max_vertices), draws):
         instances += 1
         found = find_gflow(eog)
         witness = brute_force_enumerate(eog, stop_after=1)
         if (found is not None) != bool(witness.gflows):
             disagreements += 1
-            return
+            continue
         if found is not None and not verify_gflow(eog, found).valid:
             invalid += 1
         if witness.gflows and not verify_gflow(eog, witness.gflows[0]).valid:
             invalid += 1
-
-    for eog in all_instances(args.max_vertices):
-        compare(eog)
-    for _ in range(args.trials):
-        compare(random_instance(rng, rng.randint(1, 5)))
-    _emit(
-        {
-            "instances": instances,
-            "disagreements": disagreements,
-            "invalid_gflows": invalid,
-            "max_vertices": args.max_vertices,
-            "trials": args.trials,
-            "seed": args.seed,
-        }
-    )
-    return OK if disagreements == 0 and invalid == 0 else NEGATIVE
+    return (OK if disagreements == 0 and invalid == 0 else NEGATIVE), {
+        "instances": instances,
+        "disagreements": disagreements,
+        "invalid_gflows": invalid,
+        "max_vertices": args.max_vertices,
+        "trials": args.trials,
+        "seed": args.seed,
+    }
 
 
 @functools.cache
@@ -238,7 +210,7 @@ def build_parser():
 
     p = sub.add_parser("enumerate", help="list every gflow by brute force")
     p.add_argument("graph")
-    p.add_argument("--limit", type=int, default=1_000_000)
+    p.add_argument("--limit", type=int, default=ENUMERATION_LIMIT)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("focus", help="rewrite a gflow into a normal form")
@@ -265,8 +237,9 @@ def build_parser():
     p.add_argument("gflow", nargs="?", default=None)
     p.add_argument("--input", choices=("basis", "random"), default="basis")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-9)
-    # None reads sim's DEFAULT_BRANCH_BOUND and DEFAULT_MAX_QUBITS when run
+    # None reads sim's STATE_TOL, DEFAULT_BRANCH_BOUND and DEFAULT_MAX_QUBITS
+    # when run, so numpy loads only under simulate
+    p.add_argument("--tol", type=float, default=None)
     p.add_argument("--branch-bound", type=int, default=None)
     p.add_argument("--max-qubits", type=int, default=None)
     p.add_argument("--dump-branches", action="store_true")
@@ -285,10 +258,14 @@ def build_parser():
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, doc = args.func(args)
     except (OpenGraphError, ValueError) as exc:
         print(str(exc), file=sys.stderr)
         return INPUT_ERROR
+    print(json.dumps(doc, sort_keys=True))
+    if "error" in doc:  # a resource limit's message, after the stdout line
+        print(doc["error"], file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

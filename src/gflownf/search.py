@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from .opengraph import ExtendedOpenGraph
 from .gflow import _PLANE_BITS, Gflow, _check_sigma, _nf_excess, check_input_planes
 
+ENUMERATION_LIMIT = 1_000_000  # combinations; `enumerate --limit` defaults to it
+
 
 @dataclass(frozen=True)
 class GflowEnumeration:
@@ -46,7 +48,7 @@ def _odd_table(graph, allowed: int) -> list[tuple[int, int]]:
 
 def brute_force_enumerate(
     eog: ExtendedOpenGraph,
-    limit: int = 1_000_000,
+    limit: int = ENUMERATION_LIMIT,
     *,
     nf_sigma: str | None = None,
     stop_after: int | None = None,

@@ -291,9 +291,6 @@ class BranchResult:
     probability: float
     output_state: Statevector
 
-    def __post_init__(self):
-        object.__setattr__(self, "signals", dict(self.signals))
-
 
 def _walk(pattern: Pattern, input_states, signals=None):
     """Every branch from each of the prepared ``input_states``, or the one
@@ -347,7 +344,9 @@ def run_branch(pattern: Pattern, input_state: Statevector, signals) -> BranchRes
         raise ValueError("signal must be 0 or 1")
     _check_bounds(pattern.eog, math.inf, DEFAULT_MAX_QUBITS)
     qubits, probs, rows = _walk(pattern, (input_state,), signals)
-    return BranchResult(signals, float(probs[0]), Statevector(qubits, rows[0]))
+    # a copy: the caller's dict may change after the result is made
+    state = Statevector(qubits, rows[0])
+    return BranchResult(dict(signals), float(probs[0]), state)
 
 
 def _check_bounds(eog: ExtendedOpenGraph, branch_bound: float, max_qubits: int) -> None:

@@ -614,6 +614,26 @@ class TestGoldenOutput:
         else:
             assert out == case["stdout"]
 
+    @pytest.mark.parametrize("case", CASES, ids=lambda c: " ".join(c["argv"]))
+    def test_commands_return_and_print_nothing(self, capsys, tmp_path, case):
+        # a command returns (exit code, report); main alone writes stdout
+        _write_golden_docs(tmp_path)
+        argv = [str(tmp_path / a) if a in GOLDEN_DOCS else a for a in case["argv"]]
+        args = build_parser().parse_args(argv)
+        if case["exit"] == 2:
+            with pytest.raises(ValueError):
+                args.func(args)
+            assert capsys.readouterr().out == ""
+            return
+        code, doc = args.func(args)
+        assert capsys.readouterr().out == ""
+        assert code == case["exit"]
+        out = json.dumps(doc, sort_keys=True) + "\n"
+        if case["argv"][0] == "simulate":
+            want = _round_floats(json.loads(case["stdout"]))
+            assert _round_floats(json.loads(out)) == want
+        else:
+            assert out == case["stdout"]
 
     def test_one_parser_serves_every_call(self, tmp_path):
         # main builds its parser once per process; parsing must leave it as

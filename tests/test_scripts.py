@@ -26,3 +26,20 @@ def test_defect_bound_sweep_census():
         "0 of those still have a Z-NF gflow, 0 of those fail re-checking",
     ]
     assert '"edges": [[0, 1], [0, 2], [1, 2]]' in proc.stdout
+
+
+def test_determinism_demo():
+    # seed 0: the derived corrections make every branch agree, stripping
+    # them does not, and the extracted map is an isometry to rounding
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "determinism_demo.py")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "corrected: deterministic=True strong=True" in lines
+    assert any(line.startswith("stripped: deterministic=False") for line in lines)
+    defect = [line for line in lines if line.startswith("isometry defect")]
+    assert len(defect) == 1
+    assert float(defect[0].rsplit("=", 1)[1]) < 1e-8

@@ -153,6 +153,22 @@ class TestRunBranch:
         with pytest.raises(ValueError, match="signal must be 0 or 1"):
             run_branch(pattern, basis_state((1,), 0), {1: bad, 2: 0})
 
+    def test_result_keeps_its_own_signals(self, path_eog, path_gflow):
+        pattern = path_pattern(path_eog, path_gflow, {1: 0.4, 2: 1.3})
+        signals = {1: 1, 2: 0}
+        result = run_branch(pattern, basis_state((1,), 0), signals)
+        signals[1] = 0
+        del signals[2]
+        assert result.signals == {1: 1, 2: 0}
+
+    def test_branches_share_no_signals_dict(self, path_eog, path_gflow):
+        pattern = path_pattern(path_eog, path_gflow, {1: 0.4, 2: 1.3})
+        results = run_all_branches(pattern, basis_state((1,), 0))
+        assert len({id(r.signals) for r in results}) == len(results) == 4
+        assert [r.signals for r in results] == [
+            {1: a, 2: b} for a in (0, 1) for b in (0, 1)
+        ]
+
     def test_width_bound_read_at_call_time(self, monkeypatch, path_eog, path_gflow):
         pattern = path_pattern(path_eog, path_gflow, {1: 0.0, 2: 0.0})
         monkeypatch.setattr(sim, "DEFAULT_MAX_QUBITS", 2)
