@@ -214,8 +214,8 @@ def _id_list(val, what: str) -> list[int]:
     """A JSON list of vertex ids, none of them a bool or listed twice."""
     if not isinstance(val, list) or not all(_is_id(v) for v in val):
         raise OpenGraphError(f"{what} must be a list of integers")
-    dups = sorted(v for v, n in Counter(val).items() if n > 1)
-    if dups:
+    if len(set(val)) != len(val):
+        dups = sorted(v for v, n in Counter(val).items() if n > 1)
         raise OpenGraphError(f"{what} lists ids more than once: {dups}")
     return val
 

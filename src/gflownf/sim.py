@@ -4,8 +4,11 @@ States live on an ordered qubit register (first qubit is the most
 significant bit). The prepared graph state is a single 2**n complex array:
 the input amplitudes broadcast over |+> on the other qubits, negated in
 place, in one masked pass, wherever a 2**n-byte table of the CZ parity
-q(x) = sum of x_u x_v over the edges (mod 2) reads 1. Measured qubits are
-factored out at once. After d measurements the 2**d signal prefixes all
+q(x) = sum of x_u x_v over the edges (mod 2) reads 1; a walk from several
+input states builds that table once and signs all of their registers with
+it. Measured qubits are factored out at once, against eigenvectors written
+in closed form in the phase LAPACK's Hermitian eigensolver gives them, so
+no eigensolver runs. After d measurements the 2**d signal prefixes all
 live on the same qubits, so one level walk keeps them as the rows of one
 array, in binary-counter order: each measured qubit takes one row kernel
 call per outcome over every row, 2k calls for all 2**k branches, and the
@@ -13,13 +16,15 @@ levels take turns in two buffers whatever k is. One branch is the same
 walk with one row. The walk may also start from several prepared input
 states, one row each; the kernels work row by row, so each input's rows
 come out as in a walk of its own. Only `run_all_branches` and
-`run_branch`, which pass one input, wrap rows as `BranchResult`s.
-`extract_isometry` walks its basis inputs and the uniform superposition
-as the rows of as few walks as fit in ``_BATCH`` amplitudes, one walk for
-a small register, and certifies each input's rows as they are, by the
-arithmetic `check_determinism` runs on its stacked results, comparing
-outputs up to global phase. `measure` and `apply_correction` are one-row
-calls of the same kernels, bit for bit.
+`run_branch`, which pass one input, wrap rows as `BranchResult`s; their
+states share the walk's qubit tuple and skip the checks `Statevector`
+runs on outside input. `extract_isometry` walks its basis inputs and the
+uniform superposition as the rows of as few walks as fit in ``_BATCH``
+amplitudes, one walk for a small register, and certifies each input's
+rows as they are, by the arithmetic `check_determinism` runs on its
+stacked results, comparing outputs up to global phase. `measure`,
+`apply_correction` and `prepare` are one-row calls of the walk's kernels
+and builder, bit for bit.
 """
 
 from __future__ import annotations
@@ -39,12 +44,7 @@ STATE_TOL = 1e-9
 DEFAULT_BRANCH_BOUND = 12
 DEFAULT_MAX_QUBITS = 24
 _BATCH = 2**14  # amplitudes in one walk of several isometry inputs: 256 KiB
-
-PAULI = {
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
+_EPS2, _SAFMIN = 2.0**-106, 2.0**-1022  # LAPACK's eps ** 2 and safe minimum
 
 
 class BranchLimitError(RuntimeError):
@@ -76,6 +76,14 @@ class Statevector:
         return float(np.linalg.norm(self.amplitudes))
 
 
+def _row_state(qubits: tuple[int, ...], row: np.ndarray) -> Statevector:
+    """A walk's row as a `Statevector`, without `__post_init__`'s checks: the
+    walk made ``row`` a complex vector of length 2**len(qubits)."""
+    state = object.__new__(Statevector)
+    state.qubits, state.amplitudes = qubits, row
+    return state
+
+
 def basis_state(qubits, bits: int) -> Statevector:
     amps = np.zeros(2 ** len(tuple(qubits)), dtype=complex)
     amps[bits] = 1.0
@@ -85,17 +93,27 @@ def basis_state(qubits, bits: int) -> Statevector:
 def prepare(graph: Graph, inputs, input_state: Statevector) -> Statevector:
     """Entangle the input state: append |+> on the rest, CZ per edge.
 
-    The input amplitudes, broadcast uniformly over the non-input qubits, are
-    copied into the register once. The CZs together multiply amplitude x by
-    (-1)**q(x), where q(x) is the parity of the edges with both endpoints set
-    in x, and a table of one byte per amplitude holds q. For each qubit p,
-    from the last to the first, the table doubles: its new half, where p is
-    set, is a copy of the old one, and each later neighbour of p XORs one
-    strided bit pattern into it. One masked negation where q is 1 then signs
-    the register, each amplitude at most once.
+    The one-row call of `_prepare_rows`.
+    """
+    return Statevector(graph.ids, _prepare_rows(graph, inputs, (input_state,))[0])
+
+
+def _prepare_rows(graph: Graph, inputs, input_states) -> np.ndarray:
+    """The prepared register of each input state, as the rows of one array.
+
+    Each input's amplitudes, divided by sqrt(2**(n - |I|)) for the |+>
+    states and broadcast over the non-input qubits, are copied into its
+    row. The CZs together multiply amplitude x by (-1)**q(x), where q(x) is
+    the parity of the edges with both endpoints set in x, and one table of
+    one byte per amplitude holds q for every row. For each qubit p, from
+    the last to the first, the table doubles: its new half, where p is set,
+    is a copy of the old one, and each later neighbour of p XORs one
+    strided bit pattern into it. One masked negation where q is 1 then
+    signs all rows, each amplitude at most once.
     """
     inputs = frozenset(inputs)
-    if input_state.qubits != tuple(sorted(inputs)):
+    in_qubits = tuple(sorted(inputs))
+    if any(state.qubits != in_qubits for state in input_states):
         raise ValueError("input state must be defined exactly on the input qubits")
     qubits, pos = graph.ids, graph.index
     n = len(qubits)
@@ -103,15 +121,17 @@ def prepare(graph: Graph, inputs, input_state: Statevector) -> Statevector:
     for u, v in graph.edges:
         p, q = sorted((pos[u], pos[v]))
         later[p].append(q)
-    # Inputs and register are both sorted, so the input axes are in order.
-    spread = input_state.amplitudes.reshape([2 if v in inputs else 1 for v in qubits])
-    amps = spread / math.sqrt(2 ** (n - len(inputs)))
     try:
-        amps = np.broadcast_to(amps, (2,) * n).copy().reshape(-1)
+        amps = np.empty((len(input_states), 2**n), dtype=complex)
         parity = np.empty(2**n, dtype=np.uint8)
     except MemoryError:  # within max_qubits, but more than the host can hold
         msg = f"a register of {n} qubits cannot be allocated"
         raise BranchLimitError(msg, {"qubits": n}) from None
+    # Inputs and register are both sorted, so the input axes are in order.
+    spread = [2 if v in inputs else 1 for v in qubits]
+    scale = math.sqrt(2 ** (n - len(inputs)))
+    for row, state in zip(amps, input_states):
+        np.copyto(row.reshape((2,) * n), state.amplitudes.reshape(spread) / scale)
     parity[0] = 0
     for p in reversed(range(n)):
         size = 2 ** (n - 1 - p)
@@ -121,12 +141,44 @@ def prepare(graph: Graph, inputs, input_state: Statevector) -> Statevector:
             ones = half.reshape(-1, 2, 2 ** (n - 1 - q))[:, 1]
             ones ^= 1
     np.negative(amps, out=amps, where=parity.view(bool))
-    return Statevector(qubits, amps)
+    return amps
 
 
-def plane_observable(plane: Plane, alpha: float) -> np.ndarray:
-    a1, a2 = plane.value
-    return math.cos(alpha) * PAULI[a1] + math.sin(alpha) * PAULI[a2]
+def _observable(plane: Plane, alpha: float) -> tuple[float, complex]:
+    """(z, w) of the plane observable [[z, w*], [w, -z]], as numpy sums
+    cos(alpha) P1 + sin(alpha) P2 over complex Pauli matrices, down to the
+    sign of a zero: YZ's w = cos * 1j + sin * 0 has the real part
+    cos * 0.0 + sin * 0.0, which is -0.0 when both are negative.
+    """
+    cos, sin = math.cos(alpha), math.sin(alpha)
+    if plane is Plane.XY:
+        return 0.0, complex(cos, sin)
+    if plane is Plane.XZ:
+        return sin, complex(cos, 0.0)
+    return sin, complex(cos * 0.0 + sin * 0.0, cos)
+
+
+def _rotation(z: float, e: float) -> tuple[float, float]:
+    """LAPACK dlaev2's unit eigenvector (cs1, sn1) of [[z, e], [e, -z]] for
+    its eigenvalue +sqrt(z**2 + e**2), in dlaev2's own float steps."""
+    df, tb = z + z, e + e
+    adf, ab = abs(df), abs(tb)
+    if adf > ab:
+        rt = adf * math.sqrt(1 + (ab / adf) * (ab / adf))
+    elif adf < ab:
+        rt = ab * math.sqrt(1 + (adf / ab) * (adf / ab))
+    else:
+        rt = ab * math.sqrt(2)
+    cs = df + rt if df >= 0 else df - rt
+    if abs(cs) > ab:
+        ct = -tb / cs
+        sn1 = 1 / math.sqrt(1 + ct * ct)
+        cs1 = ct * sn1
+    else:  # ab > 0: e == 0 splits
+        tn = -cs / tb
+        cs1 = 1 / math.sqrt(1 + tn * tn)
+        sn1 = tn * cs1
+    return (-sn1, cs1) if df >= 0 else (cs1, sn1)
 
 
 @lru_cache(maxsize=4096)
@@ -134,12 +186,32 @@ def _bras(plane: Plane, alpha: float):
     """Per outcome s=0 (eigenvalue +1), then s=1: the conjugated eigenvector
     (c0, c1) of the plane observable as (i, r, c) with c = c_i its larger
     entry and r = c_{1-i} / c_i, all Python numbers.
+
+    Each eigenvector is in closed form, in the phase LAPACK's zheevd, behind
+    numpy's Hermitian eigensolver, gives it. For eigenvalue t it is
+    (1 + tz, t w) when tz >= 0, else (|w|, t (1 - tz) w / |w|), normalised,
+    up to its sign. zheevd makes the off-diagonal real, e = -copysign(|w|,
+    Re w), or e = w if w is real. Where e is negligible beside z the
+    eigenvectors are the basis vectors, the second times w / e; otherwise
+    dlaev2's rotation gives the sign of the first entry, that of cs1 for +1
+    and of -sn1 for -1.
     """
-    vals, vecs = np.linalg.eigh(plane_observable(plane, alpha))
-    plus = int(np.argmax(vals))
+    z, w = _observable(plane, alpha)
+    size = abs(w)
+    e = w.real if w.imag == 0 else -math.copysign(size, w.real)
+    if e * e <= _EPS2 * z * z + _SAFMIN:  # zsteqr's split test
+        vecs = [(1.0, 0j) if t * z > 0 else (0.0, w / e) for t in (1, -1)]
+    else:
+        cs1, sn1 = _rotation(z, e)
+        vecs = []
+        for t, lead in ((1, cs1), (-1, -sn1)):
+            tz = t * z
+            v0, v1 = (1 + tz, t * w) if tz >= 0 else (size, t * (1 - tz) * w / size)
+            norm = math.copysign(math.sqrt(v0 * v0 + abs(v1) ** 2), lead)
+            vecs.append((v0 / norm, v1 / norm))
     out = []
-    for col in (plus, 1 - plus):
-        c0, c1 = (complex(c) for c in vecs[:, col].conj())
+    for v0, v1 in vecs:
+        c0, c1 = complex(v0), v1.conjugate()
         out.append((0, c1 / c0, c0) if abs(c0) >= abs(c1) else (1, c0 / c1, c1))
     return tuple(out)
 
@@ -296,7 +368,8 @@ def _walk(pattern: Pattern, input_states, signals=None):
     """Every branch from each of the prepared ``input_states``, or the one
     ``signals`` names.
 
-    The walk starts with one row per input state, each built by `prepare`.
+    The walk starts with one row per input state, all built by one
+    `_prepare_rows` call over one parity table.
     Level by level, each scheduled u projects every row once per outcome
     (the named one only, for one branch), outcome s of row j into row
     2j + s, then gives the outcome-1 rows u's X and then its Z; a
@@ -308,13 +381,12 @@ def _walk(pattern: Pattern, input_states, signals=None):
     r * m + j, and j's signals are its bits in schedule order, most
     significant first.
     """
-    graph, inputs = pattern.eog.graph, pattern.eog.inputs
-    level = [prepare(graph, inputs, state).amplitudes for state in input_states]
-    level = level[0] if len(level) == 1 else np.concatenate(level)
+    graph = pattern.eog.graph
+    rows = _prepare_rows(graph, pattern.eog.inputs, input_states)
+    level, probs = rows.reshape(-1), np.ones(len(rows))
     maps, qubits = pattern.corrections, graph.ids
     spare = np.empty(level.size if pattern.schedule else 0, dtype=complex)
     scratch = np.empty(level.size // 2 if any(maps.x.values()) else 0, dtype=complex)
-    rows, probs = level.reshape(len(input_states), -1), np.ones(len(input_states))
     for u in pattern.schedule:
         bras = _bras(pattern.eog.planes[u], pattern.angles[u])
         outcomes = (0, 1) if signals is None else (signals[u],)
@@ -345,8 +417,7 @@ def run_branch(pattern: Pattern, input_state: Statevector, signals) -> BranchRes
     _check_bounds(pattern.eog, math.inf, DEFAULT_MAX_QUBITS)
     qubits, probs, rows = _walk(pattern, (input_state,), signals)
     # a copy: the caller's dict may change after the result is made
-    state = Statevector(qubits, rows[0])
-    return BranchResult(dict(signals), float(probs[0]), state)
+    return BranchResult(dict(signals), float(probs[0]), _row_state(qubits, rows[0]))
 
 
 def _check_bounds(eog: ExtendedOpenGraph, branch_bound: float, max_qubits: int) -> None:
@@ -390,7 +461,7 @@ def run_all_branches(
             level += (zero, one)
         signals = level
     return [
-        BranchResult(s, p, Statevector(qubits, row))
+        BranchResult(s, p, _row_state(qubits, row))
         for s, p, row in zip(signals, probs.tolist(), rows)
     ]
 

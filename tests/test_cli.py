@@ -274,7 +274,7 @@ class TestSimulate:
         def refuse(*args):
             raise AssertionError("prepare reached past the width bound")
 
-        monkeypatch.setattr(sim, "prepare", refuse)
+        monkeypatch.setattr(sim, "_prepare_rows", refuse)
         code = main(["simulate", str(gp), str(fp)])
         captured = capsys.readouterr()
         assert code == 3

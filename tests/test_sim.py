@@ -327,7 +327,7 @@ class TestDeterminism:
         def refuse(*args):
             raise AssertionError("a branch ran before the tolerance was checked")
 
-        monkeypatch.setattr(sim, "prepare", refuse)
+        monkeypatch.setattr(sim, "_prepare_rows", refuse)
         with pytest.raises(ValueError, match="tolerance"):
             extract_isometry(pattern, tol)
 
@@ -448,7 +448,7 @@ class TestIsometry:
         def refuse(*args):
             raise AssertionError("prepare reached past the branch bound")
 
-        monkeypatch.setattr(sim, "prepare", refuse)
+        monkeypatch.setattr(sim, "_prepare_rows", refuse)
         with pytest.raises(BranchLimitError) as info:
             extract_isometry(pattern)
         assert info.value.limit == {"measured": 13, "branch_bound": 12}
@@ -690,6 +690,12 @@ def index_array_prepare(graph, inputs, input_state):
     return Statevector(qubits, amps)
 
 
+def index_array_rows(graph, inputs, input_states):
+    """The walk's starting rows, one index-array build per input state."""
+    rows = [index_array_prepare(graph, inputs, s).amplitudes for s in input_states]
+    return np.stack(rows)
+
+
 def strided_prepare(graph, inputs, input_state):
     """The per-edge build the parity table replaced, kept as its oracle.
 
@@ -793,7 +799,7 @@ class TestTensorPrepare:
             inp = random_input(tuple(sorted(eog.inputs)), nrng)
             results, matrix = run_all_branches(pattern, inp), extract_isometry(pattern)
             with monkeypatch.context() as m:
-                m.setattr(sim, "prepare", index_array_prepare)
+                m.setattr(sim, "_prepare_rows", index_array_rows)
                 assert_bit_identical(results, run_all_branches(pattern, inp))
                 assert np.array_equal(matrix, extract_isometry(pattern))
 
@@ -829,7 +835,7 @@ class TestTensorPrepare:
         def refuse(*args):
             raise AssertionError("prepare reached past the width bound")
 
-        monkeypatch.setattr(sim, "prepare", refuse)
+        monkeypatch.setattr(sim, "_prepare_rows", refuse)
         with pytest.raises(BranchLimitError, match="40 qubits"):
             run_all_branches(pattern, basis_state((), 0))
         with pytest.raises(BranchLimitError):
@@ -837,6 +843,75 @@ class TestTensorPrepare:
         with pytest.raises(BranchLimitError):
             run_all_branches(pattern, basis_state((), 0), max_qubits=n - 1)
         assert sim.DEFAULT_MAX_QUBITS == 24
+
+
+class TestWalkRows:
+    """The walk's rows as they come in and out: one parity table signs the
+    register of every input, and `run_all_branches` wraps each output row
+    unchecked, exactly as a checked `Statevector` would hold it."""
+
+    @staticmethod
+    def assert_wrapped(pattern, input_state):
+        results = run_all_branches(pattern, input_state)
+        qubits = results[0].output_state.qubits
+        assert qubits == tuple(sorted(pattern.eog.outputs))
+        for r in results:
+            state = r.output_state
+            assert state.qubits is qubits  # one tuple, shared by every result
+            assert state.amplitudes.dtype == np.complex128
+            assert state.amplitudes.shape == (2 ** len(qubits),)
+            checked = Statevector(state.qubits, state.amplitudes)
+            assert checked.qubits == state.qubits
+            assert checked.amplitudes.tobytes() == state.amplitudes.tobytes()
+
+    def test_census_patterns(self, small_sweep):
+        rng = random.Random(101)
+        for eog, g in small_sweep:
+            pauli = TestSharedPrefixWalk.PAULI_ANGLES
+            angles = {u: rng.choice(pauli) for u in eog.measured}
+            pattern = pattern_from_gflow(eog, angles, g)
+            self.assert_wrapped(pattern, basis_state(tuple(sorted(eog.inputs)), 0))
+
+    def test_random_patterns(self):
+        rng = random.Random(103)
+        nrng = np.random.default_rng(103)
+        checked = 0
+        while checked < 200:
+            eog = random_instance(rng, rng.randint(1, 8), force_input_xy=True)
+            g = find_gflow(eog)
+            if g is None or len(eog.inputs) > 4:
+                continue
+            checked += 1
+            angles = {u: rng.uniform(0.1, 6.2) for u in eog.measured}
+            pattern = pattern_from_gflow(eog, angles, g)
+            inp = random_input(tuple(sorted(eog.inputs)), nrng)
+            self.assert_wrapped(pattern, inp)
+            self.assert_wrapped(strip_corrections(pattern), inp)
+
+    @pytest.mark.parametrize("n_inputs", range(4))
+    def test_rows_match_prepare(self, n_inputs):
+        rng = random.Random(107 + n_inputs)
+        nrng = np.random.default_rng(107 + n_inputs)
+        for _ in range(40):
+            ids = rng.sample(range(50), rng.randint(max(n_inputs, 1), 9))
+            pairs = list(itertools.combinations(ids, 2))
+            edges = frozenset(p for p in pairs if rng.random() < 0.4)
+            graph = Graph(frozenset(ids), edges)
+            inputs = tuple(sorted(rng.sample(ids, n_inputs)))
+            states = [basis_state(inputs, x) for x in range(2**n_inputs)]
+            states += [random_input(inputs, nrng) for _ in range(2)]
+            rows = sim._prepare_rows(graph, inputs, states)
+            assert rows.shape == (len(states), 2 ** len(ids))
+            for row, state in zip(rows, states):
+                want = prepare(graph, inputs, state).amplitudes
+                assert np.array_equal(row, want)
+                assert row.tobytes() == want.tobytes()
+
+    def test_rows_refuse_a_state_off_the_inputs(self):
+        graph = path_graph([0, 1, 2])
+        states = [basis_state((0,), 1), basis_state((1,), 0)]
+        with pytest.raises(ValueError, match="exactly on the input qubits"):
+            sim._prepare_rows(graph, (0,), states)
 
 
 def per_input_isometry(pattern, tol=sim.STATE_TOL):
@@ -1032,12 +1107,74 @@ class TestRowBatchedIsometry:
             extract_isometry(pattern)
 
 
+PAULI = {
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+
+def plane_observable(plane, alpha):
+    a1, a2 = plane.value
+    return math.cos(alpha) * PAULI[a1] + math.sin(alpha) * PAULI[a2]
+
+
 @functools.lru_cache(maxsize=None)
 def eigh_eigenvectors(plane, alpha):
     """The kernels' eigenvectors as arrays: outcome 0 (+1), then 1 (-1)."""
-    vals, vecs = np.linalg.eigh(sim.plane_observable(plane, alpha))
+    vals, vecs = np.linalg.eigh(plane_observable(plane, alpha))
     plus = int(np.argmax(vals))
     return vecs[:, plus], vecs[:, 1 - plus]
+
+
+def bras_eigenvectors(plane, alpha):
+    """`_bras`'s eigenvectors, unconjugated, as arrays: outcome 0, then 1."""
+    cols = []
+    for i, r, c in sim._bras.__wrapped__(plane, alpha):
+        col = [0j, 0j]
+        col[i], col[1 - i] = c, r * c
+        cols.append(np.conj(col))
+    return cols
+
+
+class TestClosedFormBases:
+    """`_bras`'s closed-form eigenvectors against `np.linalg.eigh`'s.
+
+    Every entry agrees within 1e-15, so every entry above 1e-15 has eigh's
+    sign: the closed form follows LAPACK's phase, not just its eigenspaces.
+    The sweep covers generic angles, every multiple of pi/2 and its
+    neighbours, where eigh splits the observable into basis vectors, and
+    YZ angles with cos < 0, where numpy's observable carries a signed zero.
+    It leaves out the subnormal angles next to 0: there eigh's YZ signs do
+    not follow its own rule, and a sign there only turns a branch's output
+    by a global phase.
+    """
+
+    def test_matches_eigh(self):
+        rng = random.Random(89)
+        angles = [rng.uniform(0, math.tau) for _ in range(2000)]
+        for k in range(-4, 9):
+            m = k * math.pi / 2
+            angles.append(m)
+            for d in (1e-9, 1e-12, 1e-15):
+                angles += [m - d, m + d]
+            up = down = m
+            for _ in range(3 if k else 0):
+                up, down = math.nextafter(up, math.inf), math.nextafter(down, -math.inf)
+                angles += [up, down]
+        cos_negative = [rng.uniform(math.pi / 2, 3 * math.pi / 2) for _ in range(500)]
+        got, want, split = [], [], 0
+        for plane in Plane:
+            for alpha in angles + (cos_negative if plane is Plane.YZ else []):
+                got += bras_eigenvectors(plane, alpha)
+                cols = eigh_eigenvectors.__wrapped__(plane, alpha)
+                want += cols
+                split += any(c[0] == 0 for c in cols)
+        got, want = np.array(got), np.array(want)
+        assert len(got) == 2 * (3 * len(angles) + 500)
+        assert split == 4  # XZ and YZ at +-pi/2, the doubles nearest
+        assert np.max(np.abs(got - want)) <= 1e-15
+        assert np.array_equal(np.sign(got[:, 0].real), np.sign(want[:, 0].real))
 
 
 def tensordot_measure(state, u, plane, alpha, s):
