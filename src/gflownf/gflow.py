@@ -30,7 +30,6 @@ from .opengraph import (
     Plane,
     _id_set_map,
     _load_json,
-    mask_to_set,
     odd_mask,
 )
 
@@ -203,7 +202,11 @@ def _f_order(eog: ExtendedOpenGraph, masks) -> DependencyOrder:
     """
     succ = [[] for _ in eog.graph.ids]
     for i, (k, odd) in masks.items():
-        succ[i] = list(mask_to_set((k | odd) & ~(1 << i)))
+        m, row = (k | odd) & ~(1 << i), succ[i]
+        while m:
+            b = m & -m
+            row.append(b.bit_length() - 1)
+            m ^= b
     return _order(eog.graph.ids, succ, eog.outputs)
 
 
@@ -256,16 +259,17 @@ def _verify(eog, g):
     measured = eog.measured
     violations = []
     graph, ids = eog.graph, eog.graph.ids
-    non_inputs = eog.vertices - eog.inputs
+    i_mask = graph.mask(eog.inputs)
     masks = {}
     for u in sorted(measured):
-        bad = g[u] - non_inputs
-        if bad:
-            violations.append(Violation(u, "codomain", frozenset(bad)))
         try:
             k = graph.mask(g[u])
         except OpenGraphError:  # an id outside the graph has no bit
+            bad = g[u] - (eog.vertices - eog.inputs)
+            violations.append(Violation(u, "codomain", bad))
             continue
+        if k & i_mask:
+            violations.append(Violation(u, "codomain", graph.members(k & i_mask)))
         masks[graph.index[u]] = (k, odd_mask(graph, k))
     for i, (k, odd) in masks.items():
         u = ids[i]

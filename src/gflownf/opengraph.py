@@ -40,15 +40,6 @@ def set_to_mask(s: Iterable[int]) -> int:
     return m
 
 
-def mask_to_set(mask: int) -> frozenset[int]:
-    out = []
-    while mask:
-        b = mask & -mask
-        out.append(b.bit_length() - 1)
-        mask ^= b
-    return frozenset(out)
-
-
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph over non-negative integer vertex ids.

@@ -2,7 +2,8 @@
 
 The finder works backwards from the outputs, one round per layer; each
 round runs one GF(2) elimination for every unsolved vertex at once, with
-sigma-NF rows when asked. The enumerator, the correctness oracle, builds one
+sigma-NF rows when asked, and builds rows only for the unsolved vertices
+next to its columns. The enumerator, the correctness oracle, builds one
 (K, Odd(K)) table per instance, keeps per vertex the entries passing the
 plane condition (and the sigma-NF inclusion when asked), and walks their
 combinations depth first, pruning each partial assignment that closes a
@@ -168,13 +169,21 @@ def _find_gflow_rounds(eog: ExtendedOpenGraph, sigma: str | None = None):
     which picks the lowest-first column basis, so u's solution with free
     variables 0 is the one a separate elimination for u gives.
 
+    Only the unsolved vertices with a neighbour among the columns
+    (``touch``) have nonzero rows, and only they get rows, in the same
+    ascending order, so the pivots are those of all the rows. ``touch``
+    takes the neighbours of each column once, when it joins. The zero row
+    of a ``quiet`` vertex w, outside ``touch``, would fail w when w lies
+    in rhs1 and each forced u adjacent to w: both are read from masks. So
+    a round costs its frontier rows, not one per unsolved vertex.
+
     With ``sigma`` only sigma-NF correctors count. Z keeps ``cols`` at the
-    outputs minus the inputs. X and Y add a row, same right-hand side, for
-    each solved non-output w: w must miss Odd(K) (X), or lie in K exactly
-    when in Odd(K) (Y, so the row also toggles w's own column). The
-    inclusion is linear in K and blind to the order, so the maximally
-    delayed layering (Mhalla and Perdrix, ICALP 2008) finds a sigma-NF
-    gflow whenever one exists.
+    outputs minus the inputs, so its ``touch`` never grows. X and Y add a
+    row, same right-hand side, for each solved non-output w: w must miss
+    Odd(K) (X), or lie in K exactly when in Odd(K) (Y, so the row also
+    toggles w's own column). The inclusion is linear in K and blind to the
+    order, so the maximally delayed layering (Mhalla and Perdrix, ICALP
+    2008) finds a sigma-NF gflow whenever one exists.
     """
     if sigma is not None:
         _check_sigma(sigma)
@@ -188,15 +197,29 @@ def _find_gflow_rounds(eog: ExtendedOpenGraph, sigma: str | None = None):
         rhs1 |= in_odd << index[u]
     unsolved = force | rhs1  # the measured vertices: each has a plane
     o_mask = c_mask = ((1 << len(ids)) - 1) & ~unsolved
+    fresh = o_mask & ~i_mask  # columns whose neighbours `touch` has yet to take
+    touch = 0
     assignment: dict[int, int] = {}
     rounds: dict[int, int] = {}
     round_no = 0
     while unsolved:
+        while fresh:
+            b = fresh & -fresh
+            fresh ^= b
+            touch |= adj[b.bit_length() - 1]
+        touch &= unsolved
+        quiet = unsolved ^ touch
         cols = (o_mask if sigma == "Z" else c_mask) & ~i_mask
         own = cols if sigma == "Y" else 0
-        failed = force & i_mask
+        failed = force & i_mask | quiet & rhs1
+        m = force & unsolved & ~failed if quiet else 0
+        while m:
+            b = m & -m
+            m ^= b
+            if adj[b.bit_length() - 1] & quiet:
+                failed |= b
         pivots: dict[int, list[int]] = {}
-        m = unsolved | (c_mask & ~o_mask) if sigma in ("X", "Y") else unsolved
+        m = touch | (c_mask & ~o_mask) if sigma in ("X", "Y") else touch
         while m:
             b = m & -m
             m ^= b
@@ -232,6 +255,8 @@ def _find_gflow_rounds(eog: ExtendedOpenGraph, sigma: str | None = None):
             assignment[u] = k
             rounds[u] = round_no
         c_mask |= solved
+        if sigma != "Z":
+            fresh = solved & ~i_mask
         unsolved ^= solved
     gflow = Gflow({u: graph.members(k) for u, k in assignment.items()})
     return gflow, rounds

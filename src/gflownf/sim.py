@@ -124,7 +124,7 @@ def _prepare_rows(graph: Graph, inputs, input_states) -> np.ndarray:
     try:
         amps = np.empty((len(input_states), 2**n), dtype=complex)
         parity = np.empty(2**n, dtype=np.uint8)
-    except MemoryError:  # within max_qubits, but more than the host can hold
+    except (MemoryError, ValueError):  # more than the host, or numpy, can hold
         msg = f"a register of {n} qubits cannot be allocated"
         raise BranchLimitError(msg, {"qubits": n}) from None
     # Inputs and register are both sorted, so the input axes are in order.
@@ -313,6 +313,9 @@ class Pattern:
             raise ValueError("schedule must order the measured vertices exactly")
         if not measured <= frozenset(self.angles):
             raise ValueError("angles must cover every measured vertex")
+        for u, a in self.angles.items():
+            if not math.isfinite(a):
+                raise ValueError(f"angle of vertex {u} must be finite, got {a}")
         _check_maps(self.eog, self.corrections)
         position = {u: i for i, u in enumerate(self.schedule)}
         for u in self.schedule:

@@ -30,8 +30,13 @@ from gflownf import (
     verify_gflow,
 )
 from gflownf.gflow import AXES, Violation, VerificationReport
-from gflownf.opengraph import mask_to_set, odd_mask, set_to_mask
+from gflownf.opengraph import odd_mask, set_to_mask
 from gflownf.instances import all_instances, random_instance
+
+
+def mask_to_set(mask):
+    """The bit positions set in ``mask``."""
+    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 # --- Oracles: the definitions the bitmask core replaced. ---

@@ -355,6 +355,29 @@ class TestSimulate:
         assert doc["error"] in captured.err
         assert "Traceback" not in captured.err
 
+    def test_register_numpy_cannot_represent_is_a_resource_limit(
+        self, capsys, tmp_path
+    ):
+        # numpy refuses 2**64 amplitudes with ValueError, before allocating
+        n = 64
+        graph = {
+            "vertices": list(range(n)),
+            "edges": [[i, i + 1] for i in range(n - 1)],
+            "inputs": [0],
+            "outputs": list(range(2, n)),
+            "planes": {"0": "XY", "1": "XY"},
+        }
+        gp = tmp_path / "chain.json"
+        gp.write_text(json.dumps(graph))
+        code = main(["simulate", str(gp), "--max-qubits", "100"])
+        captured = capsys.readouterr()
+        assert code == 3
+        lines = captured.out.splitlines()
+        assert len(lines) == 1
+        doc = json.loads(lines[0])
+        assert doc == {"error": doc["error"], "qubits": n}
+        assert "Traceback" not in captured.err
+
     def test_unallocatable_parity_table_is_a_resource_limit(
         self, capsys, graph_file, gflow_file, no_parity_table
     ):

@@ -17,9 +17,14 @@ from conftest import PATH_DOC
 from gflownf import opengraph, search
 from gflownf import gflow as gflow_rules
 from gflownf.gflow import AXES, Gflow
-from gflownf.opengraph import mask_to_set, parse_open_graph_document, set_to_mask
+from gflownf.opengraph import parse_open_graph_document, set_to_mask
 from gflownf.search import _find_gflow_rounds
 from gflownf.instances import all_instances, random_instance
+
+
+def mask_to_set(mask):
+    """The bit positions set in ``mask``."""
+    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def grid_cluster(rng, w, h):
@@ -280,6 +285,50 @@ class TestFindGflow:
             assert (found is not None) == bool(witness.gflows)
             if found is not None:
                 assert verify_gflow(eog, found).valid
+
+
+
+class CountingMasks(tuple):
+    """``adjacency_masks`` that counts its reads."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def counted_xy_path(n):
+    """An XY path 0..n-1, input 0 and output n-1, whose adjacency reads count."""
+    graph = Graph(frozenset(range(n)), frozenset((i, i + 1) for i in range(n - 1)))
+    adj = CountingMasks(graph.adjacency_masks)
+    graph.__dict__["adjacency_masks"] = adj
+    planes = {i: Plane.XY for i in range(n - 1)}
+    return ExtendedOpenGraph(graph, frozenset({0}), frozenset({n - 1}), planes), adj
+
+
+class TestFrontierRows:
+    """A round reads the adjacency of its frontier rows and of its new
+    columns only, so a path costs a linear number of reads, not the
+    n(n - 1) / 2 of one row per unsolved vertex per round."""
+
+    def test_path_reads_are_linear(self):
+        n = 2000
+        eog, adj = counted_xy_path(n)
+        g, rounds = _find_gflow_rounds(eog)
+        reads = adj.reads
+        assert reads <= 2 * n
+        assert g.assignments == {i: frozenset({i + 1}) for i in range(n - 1)}
+        assert all(rounds[i] == n - 1 - i for i in range(n - 1))
+
+    def test_z_reads_do_not_grow_with_the_path(self):
+        reads = []
+        for n in (20, 200, 2000):
+            eog, adj = counted_xy_path(n)
+            g, rounds = _find_gflow_rounds(eog, "Z")
+            assert g is None and rounds == {n - 2: 1}
+            reads.append(adj.reads)
+        assert len(set(reads)) == 1
 
 
 class TestExistsNormalForm:

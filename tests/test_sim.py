@@ -120,6 +120,17 @@ class TestApplyCorrection:
             apply_correction(basis_state((0,), 0), "Z", {3}, 1)
 
 
+
+class TestPatternAngles:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_rejected(self, path_eog, path_gflow, bad):
+        pattern = path_pattern(path_eog, path_gflow, {1: 0.3, 2: 1.1})
+        with pytest.raises(ValueError, match="angle of vertex 2"):
+            replace(pattern, angles={1: 0.3, 2: bad})
+        with pytest.raises(ValueError, match="angle of vertex 1"):
+            pattern_from_gflow(path_eog, {1: bad, 2: 1.1}, path_gflow)
+
+
 class TestRunBranch:
     def test_no_measurements(self):
         graph = Graph(frozenset({0}), frozenset())
@@ -820,6 +831,13 @@ class TestTensorPrepare:
         with pytest.raises(BranchLimitError, match="3 qubits") as err:
             prepare(path_graph([0, 1, 2]), (0,), basis_state((0,), 1))
         assert err.value.limit == {"qubits": 3}
+
+    @pytest.mark.parametrize("n", [62, 64])
+    def test_register_numpy_cannot_represent(self, n):
+        # numpy refuses 2**n amplitudes with ValueError before allocating
+        with pytest.raises(BranchLimitError, match=f"{n} qubits") as err:
+            prepare(path_graph(list(range(n))), (0,), basis_state((0,), 0))
+        assert err.value.limit == {"qubits": n}
 
     def test_width_bound_checked_before_prepare(self, monkeypatch):
         # 40 qubits, one measured: the register would take 16 * 2**40 bytes
