@@ -24,7 +24,7 @@ from .opengraph import (
 )
 from .gflow import (
     _check_domain,
-    _nf_excess,
+    _nf_holds,
     _verify,
     parse_corrective_maps,
     parse_gflow,
@@ -87,10 +87,8 @@ def cmd_check_nf(args):
     report, masks, _ = _verify(eog, g)
     if not report.valid:
         raise OpenGraphError("input gflow is not valid for this graph")
-    out = eog.graph.mask(eog.outputs)
-    ok = not any(
-        _nf_excess(args.sigma, i, k, odd, out) for i, (k, odd) in masks.items()
-    )
+    triples = ((i, k, odd) for i, (k, odd) in masks.items())
+    ok = _nf_holds(args.sigma, triples, eog.graph.mask(eog.outputs))
     return (OK if ok else NEGATIVE), {"normal_form": ok, "sigma": args.sigma}
 
 

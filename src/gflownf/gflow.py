@@ -5,15 +5,16 @@ non-inputs; it is valid when the plane condition holds at every vertex and
 f(u) = g(u) | Odd(g(u)) has an acyclic dependency digraph (Browne, Kashefi,
 Mhalla and Perdrix, NJP 2007). Each rule is defined once, on int bitmasks,
 and shared by search, focusing and simulation: ``_PLANE_BITS``,
-``_nf_excess``, ``_off_sigma`` and ``_f_order``. So is each precondition:
-``_check_sigma``, ``_check_domain`` and ``_valid``, through which
-``focus``, the promotions and ``corrective_maps`` raise ValueError on an
-invalid gflow. The Kahn peel ``_peel`` is the one acyclicity check, behind
-``_f_order`` and ``extensivity_order``. It walks successor lists of bit
-positions, O(V + E), since a traversal visits each arc once; the GF(2)
-algebra alone keeps bitmasks. ``_valid`` returns the masks and the order of
-one peel, from which ``sim.pattern_from_gflow`` takes both its corrections
-and its schedule. The enumerator in ``search.py`` does not peel, it prunes
+``_nf_excess`` (``_nf_holds`` over every vertex), ``_off_sigma`` and
+``_f_order``. So is each precondition: ``_check_sigma``, ``_check_domain``
+and ``_valid``, through which ``focus``, the promotions and
+``corrective_maps`` raise ValueError on an invalid gflow. The Kahn peel
+``_peel`` is the one acyclicity check, behind ``_f_order`` and
+``extensivity_order``. It walks successor lists of bit positions,
+O(V + E), since a traversal visits each arc once; the GF(2) algebra alone
+keeps bitmasks. ``_valid`` returns the masks and the order of one peel,
+from which ``sim.pattern_from_gflow`` takes both its corrections and its
+schedule. The enumerator in ``search.py`` does not peel, it prunes
 cycles as it assigns vertices.
 """
 
@@ -53,6 +54,14 @@ def _nf_excess(sigma: str, i: int, g: int, odd: int, out_mask: int) -> int:
     """u's sigma-set (Odd(g), g ^ Odd(g) or g) outside {u} + outputs, u at bit i."""
     s = odd if sigma == "X" else odd ^ g if sigma == "Y" else g
     return s & ~(out_mask | 1 << i)
+
+
+def _nf_holds(
+    sigma: str, triples: Iterable[tuple[int, int, int]], out_mask: int
+) -> bool:
+    """Whether no (i, g, Odd(g)) of ``triples`` has a ``_nf_excess``; reads
+    them only up to the first that does."""
+    return not any(_nf_excess(sigma, i, g, odd, out_mask) for i, g, odd in triples)
 
 
 def _off_sigma(eog: ExtendedOpenGraph, sigma: str) -> list[int]:
@@ -354,6 +363,6 @@ def check_normal_form(eog: ExtendedOpenGraph, g: Gflow, sigma: str) -> bool:
     graph = eog.graph
     masks = {graph.index[u]: graph.mask(g[u]) for u in eog.measured}
     out_mask = graph.mask(eog.outputs)
-    return not any(
-        _nf_excess(sigma, i, k, odd_mask(graph, k), out_mask) for i, k in masks.items()
+    return _nf_holds(
+        sigma, ((i, k, odd_mask(graph, k)) for i, k in masks.items()), out_mask
     )

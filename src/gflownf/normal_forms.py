@@ -14,6 +14,7 @@ from .gflow import (
     Gflow,
     _check_sigma,
     _nf_excess,
+    _nf_holds,
     _off_sigma,
     _valid,
 )
@@ -60,8 +61,8 @@ def focus(eog: ExtendedOpenGraph, g: Gflow, sigma: str) -> Gflow:
 
 def _check_promotion_pre(eog, g, u0, sigma):
     masks, _ = _valid(eog, g)
-    out_mask = eog.graph.mask(eog.outputs)
-    if any(_nf_excess(sigma, i, k, odd, out_mask) for i, (k, odd) in masks.items()):
+    triples = ((i, k, odd) for i, (k, odd) in masks.items())
+    if not _nf_holds(sigma, triples, eog.graph.mask(eog.outputs)):
         raise ValueError(f"promotion requires a {sigma}-NF gflow")
     if u0 not in eog.measured_non_inputs:
         raise ValueError(f"vertex {u0} is not a measured non-input")

@@ -33,13 +33,6 @@ class Plane(Enum):
         return axis in self.value
 
 
-def set_to_mask(s: Iterable[int]) -> int:
-    m = 0
-    for v in s:
-        m |= 1 << v
-    return m
-
-
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph over non-negative integer vertex ids.

@@ -7,8 +7,8 @@ place, in one masked pass, wherever a 2**n-byte table of the CZ parity
 q(x) = sum of x_u x_v over the edges (mod 2) reads 1; a walk from several
 input states builds that table once and signs all of their registers with
 it. Measured qubits are factored out at once, against eigenvectors written
-in closed form in the phase LAPACK's Hermitian eigensolver gives them, so
-no eigensolver runs. After d measurements the 2**d signal prefixes all
+in closed form from the Bloch angles of the measurement direction, so no
+eigensolver runs. After d measurements the 2**d signal prefixes all
 live on the same qubits, so one level walk keeps them as the rows of one
 array, in binary-counter order: each measured qubit takes one row kernel
 call per outcome over every row, 2k calls for all 2**k branches, and the
@@ -44,7 +44,6 @@ STATE_TOL = 1e-9
 DEFAULT_BRANCH_BOUND = 12
 DEFAULT_MAX_QUBITS = 24
 _BATCH = 2**14  # amplitudes in one walk of several isometry inputs: 256 KiB
-_EPS2, _SAFMIN = 2.0**-106, 2.0**-1022  # LAPACK's eps ** 2 and safe minimum
 
 
 class BranchLimitError(RuntimeError):
@@ -144,74 +143,27 @@ def _prepare_rows(graph: Graph, inputs, input_states) -> np.ndarray:
     return amps
 
 
-def _observable(plane: Plane, alpha: float) -> tuple[float, complex]:
-    """(z, w) of the plane observable [[z, w*], [w, -z]], as numpy sums
-    cos(alpha) P1 + sin(alpha) P2 over complex Pauli matrices, down to the
-    sign of a zero: YZ's w = cos * 1j + sin * 0 has the real part
-    cos * 0.0 + sin * 0.0, which is -0.0 when both are negative.
-    """
-    cos, sin = math.cos(alpha), math.sin(alpha)
-    if plane is Plane.XY:
-        return 0.0, complex(cos, sin)
-    if plane is Plane.XZ:
-        return sin, complex(cos, 0.0)
-    return sin, complex(cos * 0.0 + sin * 0.0, cos)
-
-
-def _rotation(z: float, e: float) -> tuple[float, float]:
-    """LAPACK dlaev2's unit eigenvector (cs1, sn1) of [[z, e], [e, -z]] for
-    its eigenvalue +sqrt(z**2 + e**2), in dlaev2's own float steps."""
-    df, tb = z + z, e + e
-    adf, ab = abs(df), abs(tb)
-    if adf > ab:
-        rt = adf * math.sqrt(1 + (ab / adf) * (ab / adf))
-    elif adf < ab:
-        rt = ab * math.sqrt(1 + (adf / ab) * (adf / ab))
-    else:
-        rt = ab * math.sqrt(2)
-    cs = df + rt if df >= 0 else df - rt
-    if abs(cs) > ab:
-        ct = -tb / cs
-        sn1 = 1 / math.sqrt(1 + ct * ct)
-        cs1 = ct * sn1
-    else:  # ab > 0: e == 0 splits
-        tn = -cs / tb
-        cs1 = 1 / math.sqrt(1 + tn * tn)
-        sn1 = tn * cs1
-    return (-sn1, cs1) if df >= 0 else (cs1, sn1)
-
-
 @lru_cache(maxsize=4096)
 def _bras(plane: Plane, alpha: float):
     """Per outcome s=0 (eigenvalue +1), then s=1: the conjugated eigenvector
     (c0, c1) of the plane observable as (i, r, c) with c = c_i its larger
     entry and r = c_{1-i} / c_i, all Python numbers.
 
-    Each eigenvector is in closed form, in the phase LAPACK's zheevd, behind
-    numpy's Hermitian eigensolver, gives it. For eigenvalue t it is
-    (1 + tz, t w) when tz >= 0, else (|w|, t (1 - tz) w / |w|), normalised,
-    up to its sign. zheevd makes the off-diagonal real, e = -copysign(|w|,
-    Re w), or e = w if w is real. Where e is negligible beside z the
-    eigenvectors are the basis vectors, the second times w / e; otherwise
-    dlaev2's rotation gives the sign of the first entry, that of cs1 for +1
-    and of -sn1 for -1.
+    cos(alpha) P1 + sin(alpha) P2 points along the Bloch angles (theta, phi):
+    theta = pi/2, phi = alpha in XY; theta = pi/2 - alpha in XZ (phi = 0)
+    and in YZ (phi = pi/2). Its +1 eigenvector is (cos theta/2, e^{i phi}
+    sin theta/2) and its -1 eigenvector (sin theta/2, -e^{i phi} cos theta/2).
     """
-    z, w = _observable(plane, alpha)
-    size = abs(w)
-    e = w.real if w.imag == 0 else -math.copysign(size, w.real)
-    if e * e <= _EPS2 * z * z + _SAFMIN:  # zsteqr's split test
-        vecs = [(1.0, 0j) if t * z > 0 else (0.0, w / e) for t in (1, -1)]
+    if plane is Plane.XY:
+        cos = sin = math.sqrt(0.5)
+        phase = complex(math.cos(alpha), math.sin(alpha))
     else:
-        cs1, sn1 = _rotation(z, e)
-        vecs = []
-        for t, lead in ((1, cs1), (-1, -sn1)):
-            tz = t * z
-            v0, v1 = (1 + tz, t * w) if tz >= 0 else (size, t * (1 - tz) * w / size)
-            norm = math.copysign(math.sqrt(v0 * v0 + abs(v1) ** 2), lead)
-            vecs.append((v0 / norm, v1 / norm))
+        half = math.pi / 4 - alpha / 2
+        cos, sin = math.cos(half), math.sin(half)
+        phase = 1 if plane is Plane.XZ else 1j
     out = []
-    for v0, v1 in vecs:
-        c0, c1 = complex(v0), v1.conjugate()
+    for v0, v1 in ((cos, phase * sin), (sin, -phase * cos)):
+        c0, c1 = complex(v0), complex(v1).conjugate()
         out.append((0, c1 / c0, c0) if abs(c0) >= abs(c1) else (1, c0 / c1, c1))
     return tuple(out)
 

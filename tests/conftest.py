@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 from gflownf import (
@@ -16,6 +14,15 @@ PATH_DOC = (
     '{"vertices":[1,2,3], "edges":[[1,2],[2,3]], "inputs":[1], "outputs":[3],'
     ' "planes":{"1":"XY","2":"XY"}, "angles":{"1":0.3,"2":1.1}}'
 )
+
+
+def set_to_mask(ids) -> int:
+    """The mask with bit v set for each id v: raw ids, not `Graph.mask`'s
+    dense positions, which agree with them only when the ids are 0..n-1."""
+    m = 0
+    for v in ids:
+        m |= 1 << v
+    return m
 
 
 @pytest.fixture
@@ -74,6 +81,3 @@ def small_sweep():
             data.append((eog, g))
     return data
 
-
-def random_subset(rng: random.Random, items, prob=0.5):
-    return frozenset(v for v in items if rng.random() < prob)

@@ -29,8 +29,9 @@ from gflownf import (
     pattern_from_gflow,
     verify_gflow,
 )
+from conftest import set_to_mask
 from gflownf.gflow import AXES, Violation, VerificationReport
-from gflownf.opengraph import odd_mask, set_to_mask
+from gflownf.opengraph import odd_mask
 from gflownf.instances import all_instances, random_instance
 
 

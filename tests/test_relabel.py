@@ -23,8 +23,8 @@ from gflownf import (
     pattern_from_gflow,
     verify_gflow,
 )
+from conftest import set_to_mask
 from gflownf.gflow import AXES
-from gflownf.opengraph import set_to_mask
 from gflownf.search import _find_gflow_rounds
 from gflownf.instances import random_instance
 

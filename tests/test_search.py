@@ -13,11 +13,11 @@ from gflownf import (
     odd_neighbourhood,
     verify_gflow,
 )
-from conftest import PATH_DOC
+from conftest import PATH_DOC, set_to_mask
 from gflownf import opengraph, search
 from gflownf import gflow as gflow_rules
 from gflownf.gflow import AXES, Gflow
-from gflownf.opengraph import parse_open_graph_document, set_to_mask
+from gflownf.opengraph import parse_open_graph_document
 from gflownf.search import _find_gflow_rounds
 from gflownf.instances import all_instances, random_instance
 
