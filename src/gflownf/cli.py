@@ -23,9 +23,7 @@ from .opengraph import (
     serialize_open_graph,
 )
 from .gflow import (
-    _check_domain,
-    _nf_holds,
-    _verify,
+    check_normal_form,
     parse_corrective_maps,
     parse_gflow,
     serialize_gflow,
@@ -81,14 +79,10 @@ def cmd_focus(args):
 def cmd_check_nf(args):
     eog = parse_open_graph(_read(args.graph))
     g = parse_gflow(_read(args.gflow))
-    _check_domain(eog, g.domain(), "gflow")
-    for u in eog.measured:  # a non-vertex id is reported as such, not as invalid
-        eog.graph.mask(g[u])
-    report, masks, _ = _verify(eog, g)
-    if not report.valid:
+    # a non-vertex id raises here, so it is reported as such, not as invalid
+    ok = check_normal_form(eog, g, args.sigma)
+    if not verify_gflow(eog, g).valid:
         raise OpenGraphError("input gflow is not valid for this graph")
-    triples = ((i, k, odd) for i, (k, odd) in masks.items())
-    ok = _nf_holds(args.sigma, triples, eog.graph.mask(eog.outputs))
     return (OK if ok else NEGATIVE), {"normal_form": ok, "sigma": args.sigma}
 
 

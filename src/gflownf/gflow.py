@@ -5,23 +5,34 @@ non-inputs; it is valid when the plane condition holds at every vertex and
 f(u) = g(u) | Odd(g(u)) has an acyclic dependency digraph (Browne, Kashefi,
 Mhalla and Perdrix, NJP 2007). Each rule is defined once, on int bitmasks,
 and shared by search, focusing and simulation: ``_PLANE_BITS``,
-``_nf_excess`` (``_nf_holds`` over every vertex), ``_off_sigma`` and
-``_f_order``. So is each precondition: ``_check_sigma``, ``_check_domain``
-and ``_valid``, through which ``focus``, the promotions and
-``corrective_maps`` raise ValueError on an invalid gflow. The Kahn peel
-``_peel`` is the one acyclicity check, behind ``_f_order`` and
-``extensivity_order``. It walks successor lists of bit positions,
-O(V + E), since a traversal visits each arc once; the GF(2) algebra alone
-keeps bitmasks. ``_valid`` returns the masks and the order of one peel,
-from which ``sim.pattern_from_gflow`` takes both its corrections and its
-schedule. The enumerator in ``search.py`` does not peel, it prunes
-cycles as it assigns vertices.
+``_nf_excess``, ``_off_sigma`` and ``_f_order``. So is each precondition:
+``_check_sigma``, ``_check_domain`` and ``_valid``, through which
+``focus``, the promotions and ``corrective_maps`` raise ValueError on an
+invalid gflow. The Kahn peel ``_peel`` is the one acyclicity check, behind
+``_f_order`` and ``extensivity_order``. It walks successor lists of bit
+positions, O(V + E), since a traversal visits each arc once; the GF(2)
+algebra alone keeps bitmasks. The enumerator in ``search.py`` does not
+peel, it prunes cycles as it assigns vertices.
+
+A gflow is verified once per open graph object. ``_masks`` builds the
+(g(u), Odd(g(u))) masks and the codomain violations, ``_verify`` adds the
+plane check and the order of one peel, and each keeps its result in the
+Gflow's memo for the last open graph it was checked against (compared by
+``is``; only that one is kept). ``verify_gflow``, ``check_normal_form``,
+``focus``, the promotions, ``corrective_maps`` and
+``sim.pattern_from_gflow`` all read it, so a gflow checked against one
+open graph object five times builds its masks and peels once. Only
+``_masks`` and ``_verify`` fill the memo, from the gflow's own corrector
+sets, so verification stays independent of the code that built the
+gflow. ``Gflow.assignments`` and ``ExtendedOpenGraph.planes`` are
+read-only views, so the memo cannot go stale.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Collection, Iterable, Mapping
 
 from .opengraph import (
@@ -56,14 +67,6 @@ def _nf_excess(sigma: str, i: int, g: int, odd: int, out_mask: int) -> int:
     return s & ~(out_mask | 1 << i)
 
 
-def _nf_holds(
-    sigma: str, triples: Iterable[tuple[int, int, int]], out_mask: int
-) -> bool:
-    """Whether no (i, g, Odd(g)) of ``triples`` has a ``_nf_excess``; reads
-    them only up to the first that does."""
-    return not any(_nf_excess(sigma, i, g, odd, out_mask) for i, g, odd in triples)
-
-
 def _off_sigma(eog: ExtendedOpenGraph, sigma: str) -> list[int]:
     """The measured non-inputs whose plane lacks sigma, in ascending order."""
     planes = eog.planes
@@ -72,16 +75,24 @@ def _off_sigma(eog: ExtendedOpenGraph, sigma: str) -> list[int]:
 
 @dataclass(frozen=True)
 class Gflow:
-    """Map from each measured vertex to its corrector set."""
+    """Map from each measured vertex to its corrector set.
+
+    ``assignments`` is a read-only view; ``_masks`` and ``_verify`` keep
+    their results for the last open graph in a memo that is not a field.
+    """
 
     assignments: Mapping[int, frozenset[int]]
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "assignments",
-            {int(u): frozenset(s) for u, s in self.assignments.items()},
-        )
+        assignments = {int(u): frozenset(s) for u, s in self.assignments.items()}
+        object.__setattr__(self, "assignments", MappingProxyType(assignments))
+        # (open graph, ``_masks`` pair, ``_verify`` triple or None) of the
+        # last open graph this gflow was checked against; not a field
+        object.__setattr__(self, "_memo", None)
+
+    def __reduce__(self):
+        # a mapping proxy cannot be pickled; a copy starts with no memo
+        return Gflow, (dict(self.assignments),)
 
     def __getitem__(self, u: int) -> frozenset[int]:
         return self.assignments[u]
@@ -262,38 +273,59 @@ def _check_domain(eog: ExtendedOpenGraph, keys: Collection[int], what: str) -> N
         )
 
 
-def _verify(eog, g):
-    """The report, the (g(u), Odd(g(u))) masks by bit position, and the order."""
+def _masks(eog, g):
+    """The codomain violations and the (g(u), Odd(g(u))) masks by bit position.
+
+    A corrector set naming a non-vertex has no mask. The pair is kept in
+    g's memo for the open graph object eog, so a second call is a lookup;
+    the masks come as a read-only view, since every caller shares them.
+    """
+    memo = g._memo
+    if memo is not None and memo[0] is eog:
+        return memo[1]
     _check_domain(eog, g.domain(), "gflow")
-    measured = eog.measured
-    violations = []
-    graph, ids = eog.graph, eog.graph.ids
+    graph = eog.graph
     i_mask = graph.mask(eog.inputs)
-    masks = {}
-    for u in sorted(measured):
+    codomain, masks = [], {}
+    for u in sorted(eog.measured):
         try:
             k = graph.mask(g[u])
         except OpenGraphError:  # an id outside the graph has no bit
             bad = g[u] - (eog.vertices - eog.inputs)
-            violations.append(Violation(u, "codomain", bad))
+            codomain.append(Violation(u, "codomain", bad))
             continue
         if k & i_mask:
-            violations.append(Violation(u, "codomain", graph.members(k & i_mask)))
+            codomain.append(Violation(u, "codomain", graph.members(k & i_mask)))
         masks[graph.index[u]] = (k, odd_mask(graph, k))
+    found = tuple(codomain), MappingProxyType(masks)
+    object.__setattr__(g, "_memo", (eog, found, None))
+    return found
+
+
+def _verify(eog, g):
+    """The report, the masks of ``_masks`` and the order, kept in g's memo."""
+    memo = g._memo
+    if memo is not None and memo[0] is eog and memo[2] is not None:
+        return memo[2]
+    codomain, masks = found = _masks(eog, g)
+    violations = list(codomain)
+    graph, ids = eog.graph, eog.graph.ids
     for i, (k, odd) in masks.items():
         u = ids[i]
         plane = eog.planes[u]
         if not _plane_holds(plane, i, k, odd):
             violations.append(Violation(u, f"plane-{plane.value}", graph.members(odd)))
     order = None
-    if len(masks) == len(measured):
+    if len(masks) == len(eog.measured):
         try:
             order = _f_order(eog, masks)
         except CycleError as exc:
             violations.append(
                 Violation(exc.cycle[0], "extensivity", frozenset(exc.cycle))
             )
-    return VerificationReport(not violations, tuple(violations)), masks, order
+    result = VerificationReport(not violations, tuple(violations)), masks, order
+    object.__setattr__(g, "_memo", (eog, found, result))
+    return result
 
 
 def _valid(eog, g):
@@ -357,12 +389,14 @@ def check_normal_form(eog: ExtendedOpenGraph, g: Gflow, sigma: str) -> bool:
 
     X bounds Odd(g(u)), Z bounds g(u), Y bounds their symmetric difference,
     each inside {u} union the outputs; any non-vertex corrector raises first.
+    Reads the masks of ``_masks``, not the validity of ``_verify``.
     """
     _check_sigma(sigma)
-    _check_domain(eog, g.domain(), "gflow")
-    graph = eog.graph
-    masks = {graph.index[u]: graph.mask(g[u]) for u in eog.measured}
-    out_mask = graph.mask(eog.outputs)
-    return _nf_holds(
-        sigma, ((i, k, odd_mask(graph, k)) for i, k in masks.items()), out_mask
+    _, masks = _masks(eog, g)
+    if len(masks) < len(eog.measured):  # name the non-vertex correctors
+        for u in eog.measured:
+            eog.graph.mask(g[u])
+    out_mask = eog.graph.mask(eog.outputs)
+    return not any(
+        _nf_excess(sigma, i, k, odd, out_mask) for i, (k, odd) in masks.items()
     )

@@ -14,9 +14,9 @@ from .gflow import (
     Gflow,
     _check_sigma,
     _nf_excess,
-    _nf_holds,
     _off_sigma,
     _valid,
+    check_normal_form,
 )
 from .search import find_gflow
 
@@ -60,9 +60,8 @@ def focus(eog: ExtendedOpenGraph, g: Gflow, sigma: str) -> Gflow:
 
 
 def _check_promotion_pre(eog, g, u0, sigma):
-    masks, _ = _valid(eog, g)
-    triples = ((i, k, odd) for i, (k, odd) in masks.items())
-    if not _nf_holds(sigma, triples, eog.graph.mask(eog.outputs)):
+    _valid(eog, g)
+    if not check_normal_form(eog, g, sigma):
         raise ValueError(f"promotion requires a {sigma}-NF gflow")
     if u0 not in eog.measured_non_inputs:
         raise ValueError(f"vertex {u0} is not a measured non-input")

@@ -14,6 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 
@@ -124,7 +125,8 @@ class ExtendedOpenGraph:
     """Open graph with input/output marks and a measurement-plane map.
 
     The plane map is total on the measured (non-output) vertices and
-    undefined on outputs. Instances are immutable; rewrites build new ones.
+    undefined on outputs; ``planes`` is a read-only view of it. Instances
+    are immutable; rewrites build new ones.
     """
 
     graph: Graph
@@ -154,17 +156,22 @@ class ExtendedOpenGraph:
             )
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "outputs", outputs)
-        object.__setattr__(self, "planes", planes)
+        object.__setattr__(self, "planes", MappingProxyType(planes))
+
+    def __reduce__(self):
+        # a mapping proxy cannot be pickled
+        planes = dict(self.planes)
+        return ExtendedOpenGraph, (self.graph, self.inputs, self.outputs, planes)
 
     @property
     def vertices(self) -> frozenset[int]:
         return self.graph.vertices
 
-    @property
+    @cached_property
     def measured(self) -> frozenset[int]:
         return self.graph.vertices - self.outputs
 
-    @property
+    @cached_property
     def measured_non_inputs(self) -> frozenset[int]:
         return self.measured - self.inputs
 

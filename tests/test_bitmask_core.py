@@ -23,6 +23,7 @@ from gflownf import (
     brute_force_enumerate,
     check_input_planes,
     check_normal_form,
+    corrective_maps,
     extensivity_order,
     focus,
     odd_neighbourhood,
@@ -30,7 +31,7 @@ from gflownf import (
     verify_gflow,
 )
 from conftest import set_to_mask
-from gflownf.gflow import AXES, Violation, VerificationReport
+from gflownf.gflow import AXES, Violation, VerificationReport, _verify
 from gflownf.opengraph import odd_mask
 from gflownf.instances import all_instances, random_instance
 
@@ -281,8 +282,40 @@ def assert_same_order(graph, outputs, f, measured):
         assert got == want
 
 
+def _kept(eog, g):
+    """What g's verification keeps: the report, the masks and the layers."""
+    report, masks, order = _verify(eog, g)
+    return report, masks, order and order.layers
+
+
+def _grid_flow_calls(eog, g, copy):
+    """The outcomes of grid-flow's calls on map g, in its order, each call
+    given copy(g) or copy of a focused gflow; then the three NF verdicts on
+    g and what g's verification keeps."""
+    out = [outcome(verify_gflow, eog, copy(g))]
+    focused = [outcome(focus, eog, copy(g), sigma) for sigma in "XY"]
+    out += focused
+    out += [
+        check_normal_form(eog, copy(f), sigma)
+        for f, sigma in zip(focused, "XY")
+        if isinstance(f, Gflow)
+    ]
+    out.append(outcome(corrective_maps, eog, copy(g)))
+    out += [verify_gflow(eog, copy(f)) for f in focused if isinstance(f, Gflow)]
+    out += [outcome(check_normal_form, eog, copy(g), sigma) for sigma in AXES]
+    return out + [outcome(_kept, eog, copy(g))]
+
+
+def assert_memo_transparent(eog, g):
+    """One Gflow object through grid-flow's calls answers as fresh copies do."""
+    memo = _grid_flow_calls(eog, g, lambda h: h)
+    assert memo == _grid_flow_calls(eog, g, lambda h: Gflow(h.assignments))
+
+
 def assert_same_rules(eog, g):
-    """Verification, normal forms, focusing and orders agree for map g."""
+    """Verification, normal forms, focusing and orders agree for map g, and
+    remembering g's verification changes none of them."""
+    assert_memo_transparent(eog, g)
     report = verify_gflow(eog, g)
     assert report == oracle_verify_gflow(eog, g)
     for sigma in AXES:

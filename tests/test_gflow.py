@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import random
 import tracemalloc
 
@@ -31,6 +33,7 @@ from gflownf.gflow import parse_corrective_maps
 from gflownf.opengraph import OpenGraphError
 from gflownf.instances import random_instance
 
+from test_bitmask_core import assert_memo_transparent, random_map
 from test_search import grid_cluster
 
 
@@ -189,6 +192,99 @@ class TestVerifyGflow:
         focused = focus(eog, g, "X")
         assert len(calls) == 90
         assert check_normal_form(eog, focused, "X")
+
+
+def _counting_odd_masks_and_peels(monkeypatch):
+    """Lists that grow by one per odd_mask and per _peel call."""
+    calls, peels = [], []
+    original, peel = opengraph.odd_mask, gflow._peel
+
+    def counting(graph, mask):
+        calls.append(mask)
+        return original(graph, mask)
+
+    for module in (gflow, opengraph):
+        monkeypatch.setattr(module, "odd_mask", counting)
+    monkeypatch.setattr(gflow, "_peel", lambda s: peels.append(s) or peel(s))
+    return calls, peels
+
+
+class TestVerificationMemo:
+    """A gflow is verified once per open graph object, and only the last
+    open graph is remembered."""
+
+    def test_one_verification_for_five_entry_points(self, monkeypatch):
+        eog, _ = grid_cluster(random.Random(3), 16, 6)
+        g = find_gflow(eog)
+        calls, peels = _counting_odd_masks_and_peels(monkeypatch)
+        assert verify_gflow(eog, g).valid
+        focus(eog, g, "X"), focus(eog, g, "Y")
+        maps = corrective_maps(eog, g)
+        pattern = pattern_from_gflow(eog, dict.fromkeys(eog.measured, 0.5), g)
+        assert (len(calls), len(peels)) == (90, 1)
+        assert pattern.corrections == maps
+
+    def test_focused_gflow_checked_once(self, monkeypatch):
+        # check_normal_form builds the masks, verify_gflow adds the peel
+        eog, _ = grid_cluster(random.Random(3), 16, 6)
+        fx = focus(eog, find_gflow(eog), "X")
+        calls, peels = _counting_odd_masks_and_peels(monkeypatch)
+        assert check_normal_form(eog, fx, "X")
+        assert verify_gflow(eog, fx).valid
+        assert (len(calls), len(peels)) == (len(eog.measured), 1)
+
+    def test_no_stale_verdicts(self, path_eog, path_gflow):
+        # b changes one plane (g turns invalid), c one output (the domain
+        # changes), d is a distinct copy equal to a
+        a = path_eog
+        b = ExtendedOpenGraph(a.graph, a.inputs, a.outputs, {**a.planes, 2: Plane.YZ})
+        c = ExtendedOpenGraph(a.graph, a.inputs, {2, 3}, {1: Plane.XY})
+        d = ExtendedOpenGraph(a.graph, a.inputs, a.outputs, dict(a.planes))
+        assert d == a and d is not a
+        g = path_gflow
+        for eog in (a, b, a, c, a, d, a, b):
+            assert_memo_transparent(eog, g)
+        assert not verify_gflow(b, g).valid and verify_gflow(a, g).valid
+
+    def test_no_stale_verdicts_on_random_maps(self):
+        rng = random.Random(29)
+        for _ in range(200):
+            eog = random_instance(rng, rng.randint(1, 5), force_input_xy=True)
+            other = ExtendedOpenGraph(
+                eog.graph,
+                eog.inputs,
+                eog.outputs,
+                {u: rng.choice(list(Plane)) for u in eog.measured},
+            )
+            g = find_gflow(eog) or random_map(rng, eog)
+            for h in (eog, other, eog, other):
+                assert_memo_transparent(h, g)
+
+    def test_mappings_are_read_only(self, path_eog, path_gflow):
+        with pytest.raises(TypeError):
+            path_gflow.assignments[1] = frozenset({3})
+        with pytest.raises(TypeError):
+            path_eog.planes[1] = Plane.XZ
+        assert verify_gflow(path_eog, path_gflow).valid
+        fresh = Gflow({1: {2}, 2: {3}})
+        assert path_gflow == fresh and repr(path_gflow) == repr(fresh)
+        assert dict(path_gflow.assignments) == {1: {2}, 2: {3}}
+
+    def test_pickles_and_copies_are_equal(self, path_eog, path_gflow):
+        # read-only views cannot be pickled, so both rebuild from their fields
+        assert verify_gflow(path_eog, path_gflow).valid
+        for obj in (path_gflow, path_eog):
+            assert pickle.loads(pickle.dumps(obj)) == obj == copy.deepcopy(obj)
+        assert verify_gflow(copy.deepcopy(path_eog), copy.copy(path_gflow)).valid
+
+    def test_measured_sets_cached_outside_eq_and_repr(self, path_eog):
+        before = repr(path_eog)
+        assert path_eog.measured is path_eog.measured == {1, 2}
+        assert path_eog.measured_non_inputs is path_eog.measured_non_inputs == {2}
+        other = ExtendedOpenGraph(
+            path_eog.graph, path_eog.inputs, path_eog.outputs, path_eog.planes
+        )
+        assert repr(path_eog) == before == repr(other) and path_eog == other
 
 
 class TestInputPlanes:

@@ -14,6 +14,7 @@ from gflownf import (
     verify_gflow,
 )
 from conftest import PATH_DOC, set_to_mask
+from test_bitmask_core import assert_memo_transparent, random_map
 from gflownf import opengraph, search
 from gflownf import gflow as gflow_rules
 from gflownf.gflow import AXES, Gflow
@@ -387,14 +388,20 @@ class TestSharedElimination:
         assert found > 0
 
     def test_random_instances(self):
-        rng = random.Random(53)
+        # On every other draw, a remembered verification of the finder's
+        # gflow, or else of a random map (some name non-vertices), answers
+        # as fresh copies do.
+        rng, map_rng = random.Random(53), random.Random(54)
         found = 0
-        for _ in range(10_000):
+        for i in range(10_000):
             eog = random_instance(
                 rng, rng.randint(3, 12), rng.uniform(0.2, 0.8),
                 force_input_xy=rng.random() < 0.5,
             )
             found += assert_same_as_oracle(eog)
+            if i % 2 == 0:
+                g = find_gflow(eog)
+                assert_memo_transparent(eog, g or random_map(map_rng, eog))
         assert found > 500
 
     def test_permuted_grids(self):
