@@ -23,6 +23,7 @@ from .opengraph import (
     serialize_open_graph,
 )
 from .gflow import (
+    AXES,
     check_normal_form,
     parse_corrective_maps,
     parse_gflow,
@@ -208,19 +209,19 @@ def build_parser():
     p = sub.add_parser("focus", help="rewrite a gflow into a normal form")
     p.add_argument("graph")
     p.add_argument("gflow")
-    p.add_argument("--sigma", choices=("X", "Y", "Z"), required=True)
+    p.add_argument("--sigma", choices=AXES, required=True)
     p.set_defaults(func=cmd_focus)
 
     p = sub.add_parser("check-nf", help="test a gflow for a normal form")
     p.add_argument("graph")
     p.add_argument("gflow")
-    p.add_argument("--sigma", choices=("X", "Y", "Z"), required=True)
+    p.add_argument("--sigma", choices=AXES, required=True)
     p.set_defaults(func=cmd_check_nf)
 
     p = sub.add_parser("promote", help="turn a measured non-input into an input")
     p.add_argument("graph")
     p.add_argument("gflow")
-    p.add_argument("--sigma", choices=("Y", "Z"), required=True)
+    p.add_argument("--sigma", choices=tuple(_PROMOTE), required=True)
     p.add_argument("--vertex", type=int, required=True)
     p.set_defaults(func=cmd_promote)
 

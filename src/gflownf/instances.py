@@ -11,9 +11,9 @@ from .opengraph import ExtendedOpenGraph, Graph, Plane
 PLANES = (Plane.XY, Plane.XZ, Plane.YZ)
 
 
-def all_instances(max_vertices: int, min_vertices: int = 0) -> Iterator[ExtendedOpenGraph]:
+def all_instances(max_vertices: int) -> Iterator[ExtendedOpenGraph]:
     """Every extended open graph on {0..n-1} for n up to max_vertices."""
-    for n in range(min_vertices, max_vertices + 1):
+    for n in range(max_vertices + 1):
         verts = frozenset(range(n))
         pairs = list(itertools.combinations(range(n), 2))
         subsets = [

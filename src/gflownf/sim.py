@@ -30,7 +30,7 @@ and builder, bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 from typing import Mapping
 
@@ -430,13 +430,7 @@ class DeterminismReport:
     tolerance: float
 
     def to_dict(self) -> dict:
-        return {
-            "deterministic": self.deterministic,
-            "max_state_deviation": self.max_state_deviation,
-            "probabilities": list(self.probabilities),
-            "strong": self.strong,
-            "tolerance": self.tolerance,
-        }
+        return asdict(self)
 
 
 def _check_tolerance(tol: float) -> None:

@@ -1,3 +1,6 @@
+import importlib
+import sys
+
 import pytest
 
 from gflownf import (
@@ -46,6 +49,44 @@ def star_eog():
     return ExtendedOpenGraph(
         graph, frozenset({1}), frozenset({3}), {1: Plane.XY, 2: Plane.YZ}
     )
+
+
+class Probe:
+    """Counts or refuses the calls of a gflownf function, named as in
+    ``"opengraph.odd_mask"``. ``from .x import y`` copies ``y``, so the
+    probe rebinds every loaded gflownf module that holds the object, as the
+    tracer of ``perfbench/spans.py`` does; ``monkeypatch`` restores them."""
+
+    def __init__(self, monkeypatch):
+        self._monkeypatch = monkeypatch
+
+    def _rebind(self, name, stand_in):
+        module, attr = name.rsplit(".", 1)
+        original = getattr(importlib.import_module(f"gflownf.{module}"), attr)
+        for mod_name, ns in list(sys.modules.items()):
+            if mod_name.split(".")[0] == "gflownf":
+                for key in [k for k, v in vars(ns).items() if v is original]:
+                    self._monkeypatch.setattr(ns, key, stand_in)
+        return original
+
+    def calls(self, name) -> list[tuple]:
+        """A list that gets the positional arguments of each later call."""
+        calls = []
+        original = self._rebind(name, lambda *a: calls.append(a) or original(*a))
+        return calls
+
+    def refuse(self, name, reason: str) -> None:
+        """Make every later call raise ``AssertionError(reason)``."""
+
+        def refusing(*args, **kwargs):
+            raise AssertionError(reason)
+
+        self._rebind(name, refusing)
+
+
+@pytest.fixture
+def probe(monkeypatch):
+    return Probe(monkeypatch)
 
 
 @pytest.fixture

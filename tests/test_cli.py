@@ -7,9 +7,6 @@ from pathlib import Path
 
 import pytest
 
-import gflownf.gflow as gflow
-import gflownf.opengraph as opengraph
-import gflownf.sim as sim
 from gflownf.cli import build_parser, main
 
 from conftest import PATH_DOC
@@ -36,6 +33,15 @@ def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out.strip()
     return code, json.loads(out) if out else None
+
+
+def input_error(capsys, argv):
+    """The stderr of a command that must exit 2 with no stdout line."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "Traceback" not in captured.err
+    return captured.err
 
 
 class TestVerify:
@@ -89,11 +95,7 @@ class TestFindAndEnumerate:
         doc[key] = value
         p = tmp_path / "g.json"
         p.write_text(json.dumps(doc))
-        code = main(["find", str(p)])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert "Traceback" not in captured.err
+        input_error(capsys, ["find", str(p)])
 
     def test_enumerate_path(self, capsys, graph_file):
         code, doc = run(capsys, ["enumerate", graph_file])
@@ -130,18 +132,10 @@ class TestNormalFormCommands:
         assert doc["normal_form"] is True
 
     def test_check_nf_one_odd_mask_per_measured_vertex(
-        self, capsys, monkeypatch, graph_file, gflow_file
+        self, capsys, probe, graph_file, gflow_file
     ):
         # the validity check and the X-NF inclusion share each Odd(g(u))
-        calls = []
-        original = opengraph.odd_mask
-
-        def counting(graph, mask):
-            calls.append(mask)
-            return original(graph, mask)
-
-        for module in (gflow, opengraph):
-            monkeypatch.setattr(module, "odd_mask", counting)
+        calls = probe.calls("opengraph.odd_mask")
         code, doc = run(capsys, ["check-nf", graph_file, gflow_file, "--sigma", "X"])
         assert (code, doc["normal_form"]) == (0, True)
         assert len(calls) == 2
@@ -167,22 +161,16 @@ class TestNormalFormCommands:
         gp.write_text(json.dumps(graph))
         fp = tmp_path / "f.json"
         fp.write_text(json.dumps({"g": assignment}))
-        code = main(["check-nf", str(gp), str(fp), "--sigma", "X"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert "[99]" in captured.err
+        argv = ["check-nf", str(gp), str(fp), "--sigma", "X"]
+        assert "[99]" in input_error(capsys, argv)
 
     def test_check_nf_rejects_invalid_gflow(self, capsys, graph_file, tmp_path):
         # every id is a vertex, but g(1) = {3} breaks the XY plane condition
         bad = tmp_path / "bad.json"
         bad.write_text(BAD_GFLOW)
         for sigma in "XYZ":
-            code = main(["check-nf", graph_file, str(bad), "--sigma", sigma])
-            captured = capsys.readouterr()
-            assert code == 2
-            assert captured.out == ""
-            assert "not valid" in captured.err
+            argv = ["check-nf", graph_file, str(bad), "--sigma", sigma]
+            assert "not valid" in input_error(capsys, argv)
 
     def test_promote_z(self, capsys, tmp_path):
         graph = {
@@ -253,9 +241,7 @@ class TestSimulate:
         assert doc["measured"] == 2 and doc["branch_bound"] == 1
         assert doc["error"] in captured.err
 
-    def test_max_qubits_exceeded_before_allocation(
-        self, capsys, tmp_path, monkeypatch
-    ):
+    def test_max_qubits_exceeded_before_allocation(self, capsys, tmp_path, probe):
         # a 40-vertex path with one measured vertex: k = 1 is far inside the
         # branch bound, but the register would take 16 * 2**40 bytes
         n = 40
@@ -270,11 +256,7 @@ class TestSimulate:
         gp.write_text(json.dumps(graph))
         fp = tmp_path / "g.json"
         fp.write_text(json.dumps({"g": {"0": [1]}}))
-
-        def refuse(*args):
-            raise AssertionError("prepare reached past the width bound")
-
-        monkeypatch.setattr(sim, "_prepare_rows", refuse)
+        probe.refuse("sim._prepare_rows", "prepare reached past the width bound")
         code = main(["simulate", str(gp), str(fp)])
         captured = capsys.readouterr()
         assert code == 3
@@ -292,7 +274,7 @@ class TestSimulate:
         ],
     )
     def test_bounds_checked_before_pattern_build(
-        self, capsys, tmp_path, monkeypatch, flags, limit
+        self, capsys, tmp_path, probe, flags, limit
     ):
         # a 40-vertex chain with its gflow: verifying the gflow or ordering
         # the maps costs Theta(n^2) bits, so neither may run past a bound
@@ -308,11 +290,7 @@ class TestSimulate:
         gp.write_text(json.dumps(graph))
         fp = tmp_path / "g.json"
         fp.write_text(json.dumps({"g": {str(i): [i + 1] for i in range(n - 1)}}))
-
-        def refuse(*args):
-            raise AssertionError("the pattern was built past a bound")
-
-        monkeypatch.setattr("gflownf.cli._build_pattern", refuse)
+        probe.refuse("cli._build_pattern", "the pattern was built past a bound")
         code = main(["simulate", str(gp), str(fp), *flags])
         captured = capsys.readouterr()
         assert code == 3
@@ -407,11 +385,8 @@ class TestSimulate:
     ):
         # an input error, also where the branch bound would be hit (exit 3)
         for bound in ([], ["--branch-bound", "0"]):
-            code = main(["simulate", graph_file, gflow_file, f"--tol={tol}", *bound])
-            captured = capsys.readouterr()
-            assert code == 2
-            assert captured.out == ""
-            assert "tolerance" in captured.err
+            argv = ["simulate", graph_file, gflow_file, f"--tol={tol}", *bound]
+            assert "tolerance" in input_error(capsys, argv)
 
     def test_tol_zero_is_a_tolerance(self, capsys, graph_file, gflow_file):
         code, doc = run(capsys, ["simulate", graph_file, gflow_file, "--tol", "0"])
@@ -422,11 +397,8 @@ class TestSimulate:
         maps = {"x": {"1": [2]}, "z": {"1": [3]}}
         mp = tmp_path / "maps.json"
         mp.write_text(json.dumps(maps))
-        code = main(["simulate", graph_file, str(mp)])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert "must assign exactly the measured vertices" in captured.err
+        err = input_error(capsys, ["simulate", graph_file, str(mp)])
+        assert "must assign exactly the measured vertices" in err
 
     def test_corrective_maps_input(self, capsys, graph_file, tmp_path):
         maps = {"x": {"1": [2], "2": [3]}, "z": {"1": [3], "2": []}}
@@ -455,20 +427,13 @@ class TestOracleCompare:
 class TestMalformedIds:
     """Ids outside the open-graph rules are input errors (exit 2), not tracebacks."""
 
-    def _assert_input_error(self, capsys, argv):
-        code = main(argv)
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert "Traceback" not in captured.err
-
     @pytest.mark.parametrize("which", ["graph", "gflow"])
     def test_too_deep_json(self, capsys, graph_file, gflow_file, tmp_path, which):
         deep = tmp_path / "deep.json"
         deep.write_text("[" * 100_000)
         argv = ["verify", graph_file, gflow_file]
         argv[1 if which == "graph" else 2] = str(deep)
-        self._assert_input_error(capsys, argv)
+        input_error(capsys, argv)
 
     @pytest.mark.parametrize("key", ["01", "+1", " 1", "1_0"])
     @pytest.mark.parametrize("field", ["planes", "angles"])
@@ -477,14 +442,14 @@ class TestMalformedIds:
         doc[field][key] = doc[field].pop("1")
         p = tmp_path / "g.json"
         p.write_text(json.dumps(doc))
-        self._assert_input_error(capsys, ["find", str(p)])
+        input_error(capsys, ["find", str(p)])
 
     def test_bool_angle(self, capsys, tmp_path):
         doc = json.loads(PATH_DOC)
         doc["angles"]["1"] = True
         p = tmp_path / "g.json"
         p.write_text(json.dumps(doc))
-        self._assert_input_error(capsys, ["simulate", str(p)])
+        input_error(capsys, ["simulate", str(p)])
 
     @pytest.mark.parametrize(
         "g",
@@ -498,7 +463,7 @@ class TestMalformedIds:
         argv = [command, graph_file, str(p)]
         if command in ("focus", "check-nf"):
             argv += ["--sigma", "X"]
-        self._assert_input_error(capsys, argv)
+        input_error(capsys, argv)
 
     @pytest.mark.parametrize("command", ["verify", "focus", "check-nf", "simulate"])
     def test_bool_corrector(self, capsys, tmp_path, command):
@@ -514,13 +479,27 @@ class TestMalformedIds:
         argv = [command, str(graph), str(p)]
         if command in ("focus", "check-nf"):
             argv += ["--sigma", "X"]
-        self._assert_input_error(capsys, argv)
+        input_error(capsys, argv)
         p.write_text('{"g": {"0": [1]}}')
         assert main(argv) == 0
 
     @pytest.mark.parametrize(
+        "change, message",
+        [({"vertices": [-1, 1, 2, 3]}, "got -1"),
+         ({"edges": {"1": [2]}}, '"edges" must be a list'),
+         ({"angles": {"1": 0.3, "2": 1.1, "3": 0.5}}, "unmeasured vertex 3"),
+         ({"angles": {"1": 0.3}}, "angles must cover every measured vertex")],
+        ids=["negative-id", "edges-not-a-list", "angle-on-output", "angle-missing"],
+    )
+    def test_simulate_graph_document(self, capsys, tmp_path, change, message):
+        p = tmp_path / "g.json"
+        p.write_text(json.dumps({**json.loads(PATH_DOC), **change}))
+        assert message in input_error(capsys, ["simulate", str(p)])
+
+    @pytest.mark.parametrize(
         "entries",
-        [{"01": [2], "2": [3]}, {"1": [True], "2": [3]}, {"1": [2, 2], "2": [3]}],
+        [{"01": [2], "2": [3]}, {"1": [True], "2": [3]}, {"1": [2, 2], "2": [3]},
+         {"1": [2, 99], "2": [3]}],
     )
     @pytest.mark.parametrize("side", ["x", "z"])
     def test_corrective_maps(self, capsys, graph_file, tmp_path, side, entries):
@@ -528,7 +507,7 @@ class TestMalformedIds:
         maps[side] = entries
         p = tmp_path / "maps.json"
         p.write_text(json.dumps(maps))
-        self._assert_input_error(capsys, ["simulate", graph_file, str(p)])
+        input_error(capsys, ["simulate", graph_file, str(p)])
 
 
 # Golden output: the exit code and stdout of every subcommand on the path, on

@@ -25,10 +25,6 @@ from gflownf import (
     pattern_from_gflow,
     verify_gflow,
 )
-import gflownf.gflow as gflow
-import gflownf.normal_forms as normal_forms
-import gflownf.opengraph as opengraph
-import gflownf.sim as sim
 from gflownf.gflow import parse_corrective_maps
 from gflownf.opengraph import OpenGraphError
 from gflownf.instances import random_instance
@@ -59,6 +55,16 @@ class TestExtensivityOrder:
         with pytest.raises(CycleError) as exc:
             extensivity_order(graph, frozenset(), f)
         assert set(exc.value.cycle) == {1, 2}
+
+    @pytest.mark.parametrize(
+        "f, message",
+        [({1: frozenset(), 9: frozenset()}, "keyed by unknown vertex 9"),
+         ({1: frozenset({2, 9})}, "image of 1 contains unknown vertex 9")],
+        ids=["unknown-key", "unknown-image"],
+    )
+    def test_unknown_vertex_rejected(self, path_eog, f, message):
+        with pytest.raises(OpenGraphError, match=message):
+            extensivity_order(path_eog.graph, path_eog.outputs, f)
 
     def test_self_membership_ignored(self):
         graph = Graph(frozenset({1}), frozenset())
@@ -130,93 +136,52 @@ class TestVerifyGflow:
                     assert (u in g[u]) == (eog.planes[u] in (Plane.XZ, Plane.YZ))
                     assert (u in odd) == (eog.planes[u] in (Plane.XY, Plane.XZ))
 
-    def test_one_odd_mask_per_measured_vertex(self, monkeypatch):
+    def test_one_odd_mask_per_measured_vertex(self, probe):
         # The plane check and the f-map order share each Odd(g(u)).
         eog, _ = grid_cluster(random.Random(3), 16, 6)
         g = find_gflow(eog)
-        calls = []
-        original = gflow.odd_mask
-
-        def counting(graph, mask):
-            calls.append(mask)
-            return original(graph, mask)
-
-        monkeypatch.setattr(gflow, "odd_mask", counting)
+        calls = probe.calls("opengraph.odd_mask")
         assert verify_gflow(eog, g).valid
         assert len(eog.measured) == 90
         assert len(calls) == 90
 
-    def test_one_odd_mask_per_measured_vertex_in_pattern(self, monkeypatch):
+    def test_one_odd_mask_per_measured_vertex_in_pattern(self, probe):
         # Corrections and schedule share the masks verification computed.
         eog, _ = grid_cluster(random.Random(3), 16, 6)
         g = find_gflow(eog)
-        calls = []
-        for module in (gflow, opengraph):
-            original = module.odd_mask
-
-            def counting(graph, mask, original=original):
-                calls.append(mask)
-                return original(graph, mask)
-
-            monkeypatch.setattr(module, "odd_mask", counting)
+        calls = probe.calls("opengraph.odd_mask")
         pattern = pattern_from_gflow(eog, dict.fromkeys(eog.measured, 0.5), g)
         assert len(calls) == 90
         assert pattern.corrections == corrective_maps(eog, g)
 
-    def test_one_peel_per_pattern(self, monkeypatch):
+    def test_one_peel_per_pattern(self, probe):
         # The schedule is the order the validation peeled, not a second peel.
         eog, _ = grid_cluster(random.Random(3), 16, 6)
         g = find_gflow(eog)
-        peels, orders = [], []
-        peel, order = gflow._peel, sim.extensivity_order
-        monkeypatch.setattr(gflow, "_peel", lambda s: peels.append(s) or peel(s))
-        monkeypatch.setattr(
-            sim, "extensivity_order", lambda *a: orders.append(a) or order(*a)
-        )
+        peels = probe.calls("gflow._peel")
+        orders = probe.calls("gflow.extensivity_order")
         pattern_from_gflow(eog, dict.fromkeys(eog.measured, 0.5), g)
         assert (len(peels), len(orders)) == (1, 0)
 
-    def test_one_odd_mask_per_measured_vertex_in_focus(self, monkeypatch):
+    def test_one_odd_mask_per_measured_vertex_in_focus(self, probe):
         # The order and the sweep share each Odd(g(u)).
         eog, _ = grid_cluster(random.Random(3), 16, 6)
         g = find_gflow(eog)
-        calls = []
-        original = opengraph.odd_mask
-
-        def counting(graph, mask):
-            calls.append(mask)
-            return original(graph, mask)
-
-        for module in (gflow, opengraph, normal_forms):
-            monkeypatch.setattr(module, "odd_mask", counting, raising=False)
+        calls = probe.calls("opengraph.odd_mask")
         focused = focus(eog, g, "X")
         assert len(calls) == 90
         assert check_normal_form(eog, focused, "X")
-
-
-def _counting_odd_masks_and_peels(monkeypatch):
-    """Lists that grow by one per odd_mask and per _peel call."""
-    calls, peels = [], []
-    original, peel = opengraph.odd_mask, gflow._peel
-
-    def counting(graph, mask):
-        calls.append(mask)
-        return original(graph, mask)
-
-    for module in (gflow, opengraph):
-        monkeypatch.setattr(module, "odd_mask", counting)
-    monkeypatch.setattr(gflow, "_peel", lambda s: peels.append(s) or peel(s))
-    return calls, peels
 
 
 class TestVerificationMemo:
     """A gflow is verified once per open graph object, and only the last
     open graph is remembered."""
 
-    def test_one_verification_for_five_entry_points(self, monkeypatch):
+    def test_one_verification_for_five_entry_points(self, probe):
         eog, _ = grid_cluster(random.Random(3), 16, 6)
         g = find_gflow(eog)
-        calls, peels = _counting_odd_masks_and_peels(monkeypatch)
+        calls = probe.calls("opengraph.odd_mask")
+        peels = probe.calls("gflow._peel")
         assert verify_gflow(eog, g).valid
         focus(eog, g, "X"), focus(eog, g, "Y")
         maps = corrective_maps(eog, g)
@@ -224,11 +189,12 @@ class TestVerificationMemo:
         assert (len(calls), len(peels)) == (90, 1)
         assert pattern.corrections == maps
 
-    def test_focused_gflow_checked_once(self, monkeypatch):
+    def test_focused_gflow_checked_once(self, probe):
         # check_normal_form builds the masks, verify_gflow adds the peel
         eog, _ = grid_cluster(random.Random(3), 16, 6)
         fx = focus(eog, find_gflow(eog), "X")
-        calls, peels = _counting_odd_masks_and_peels(monkeypatch)
+        calls = probe.calls("opengraph.odd_mask")
+        peels = probe.calls("gflow._peel")
         assert check_normal_form(eog, fx, "X")
         assert verify_gflow(eog, fx).valid
         assert (len(calls), len(peels)) == (len(eog.measured), 1)
@@ -398,6 +364,10 @@ class TestParseIdKeyedMaps:
         for side in "xz":
             with pytest.raises(OpenGraphError, match="list of integers"):
                 parse_corrective_maps(_maps_doc(side, {"1": ids, "2": []}))
+
+    def test_map_document_needs_x_and_z(self):
+        with pytest.raises(OpenGraphError, match='needs "x" and "z"'):
+            parse_corrective_maps('{"x": {"1": [2], "2": [3]}}')
 
     def test_duplicate_corrector_rejected(self):
         with pytest.raises(OpenGraphError, match="more than once"):

@@ -20,7 +20,6 @@ from gflownf import (
     promote_input_z,
     verify_gflow,
 )
-from gflownf import gflow, normal_forms, opengraph
 from gflownf.instances import all_instances, random_instance
 
 
@@ -194,21 +193,13 @@ class TestPromotions:
         _, _, steps = promote_all(eog, g, "Z")
         assert 1 <= len(steps) <= defect
 
-    def test_one_odd_mask_per_measured_vertex(self, monkeypatch):
+    def test_one_odd_mask_per_measured_vertex(self, probe):
         # The validity check and the Z-NF inclusion share each Odd(g(u)).
         rng = random.Random(505)
         eog, g, u0 = find_nf_instance(rng, "Z")
         while len(eog.measured) != 2:
             eog, g, u0 = find_nf_instance(rng, "Z")
-        calls = []
-        original = opengraph.odd_mask
-
-        def counting(graph, mask):
-            calls.append(mask)
-            return original(graph, mask)
-
-        for module in (gflow, opengraph, normal_forms):
-            monkeypatch.setattr(module, "odd_mask", counting, raising=False)
+        calls = probe.calls("opengraph.odd_mask")
         promote_input_z(eog, g, u0)
         assert len(calls) == 2
 
@@ -216,6 +207,13 @@ class TestPromotions:
         # path gflow is not Z-NF
         with pytest.raises(ValueError):
             promote_input_z(path_eog, path_gflow, 2)
+
+    def test_input_not_promoted(self):
+        # g(1) = {2} is a Z-NF gflow, but vertex 1 is an input already
+        graph = Graph(frozenset({1, 2}), frozenset({(1, 2)}))
+        eog = ExtendedOpenGraph(graph, frozenset({1}), frozenset({2}), {1: Plane.XY})
+        with pytest.raises(ValueError, match="vertex 1 is not a measured non-input"):
+            promote_input_z(eog, Gflow({1: {2}}), 1)
 
     def test_y_promotion_blocked_by_off_plane_neighbour(self):
         # Complete 3-vertex graph, one output, both measured vertices XZ:
@@ -275,8 +273,8 @@ class TestDefectBound:
         # Search the 4-vertex family for an instance with one XZ-measured
         # non-input, defect 1, admitting a Y-NF gflow.
         found = None
-        for eog in all_instances(4, min_vertices=4):
-            if len(eog.inputs) != 1 or len(eog.outputs) != 2:
+        for eog in all_instances(4):
+            if len(eog.vertices) < 4 or len(eog.inputs) != 1 or len(eog.outputs) != 2:
                 continue
             off = [u for u in eog.measured_non_inputs if eog.planes[u] is Plane.XZ]
             if len(off) != 1:
@@ -316,6 +314,13 @@ class TestBalancedDecision:
         graph = Graph(frozenset({1, 2}), frozenset({(1, 2)}))
         eog = ExtendedOpenGraph(graph, frozenset(), frozenset({2}), {1: Plane.XY})
         with pytest.raises(ValueError):
+            check_balanced_nf(eog, "Z")
+
+    def test_instance_without_gflow_rejected(self):
+        # one input, one output, no edge: Odd(g(1)) never holds vertex 1
+        graph = Graph(frozenset({1, 2}), frozenset())
+        eog = ExtendedOpenGraph(graph, frozenset({1}), frozenset({2}), {1: Plane.XY})
+        with pytest.raises(ValueError, match="no gflow"):
             check_balanced_nf(eog, "Z")
 
     def test_matches_nf_existence_small(self):

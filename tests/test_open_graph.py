@@ -82,6 +82,10 @@ class TestGraphInvariants:
         g = Graph(frozenset({1, 2}), frozenset({(2, 1)}))
         assert g.edges == {(1, 2)}
 
+    def test_neighbours_of_missing_vertex_rejected(self):
+        with pytest.raises(OpenGraphError, match="vertex 9 not in graph"):
+            PATH.neighbours(9)
+
 
 class TestSerialization:
     def test_path_document(self, path_eog):
@@ -205,6 +209,16 @@ class TestExtendedOpenGraph:
     def test_inputs_must_be_vertices(self):
         with pytest.raises(OpenGraphError):
             ExtendedOpenGraph(PATH, frozenset({9}), frozenset({3}), {1: Plane.XY, 2: Plane.XY})
+
+    @pytest.mark.parametrize(
+        "outputs, planes, message",
+        [({3, 9}, {1: Plane.XY, 2: Plane.XY}, r"outputs \[9\] are not vertices"),
+         ({3}, {1: Plane.XY, 2: "XY"}, "plane of vertex 2 must be a Plane")],
+        ids=["output-off-graph", "plane-not-a-Plane"],
+    )
+    def test_malformed_marks_rejected(self, outputs, planes, message):
+        with pytest.raises(OpenGraphError, match=message):
+            ExtendedOpenGraph(PATH, frozenset({1}), frozenset(outputs), planes)
 
     def test_derived_sets(self, path_eog):
         assert path_eog.measured == {1, 2}

@@ -15,11 +15,9 @@ from gflownf import (
 )
 from conftest import PATH_DOC, set_to_mask
 from test_bitmask_core import assert_memo_transparent, random_map
-from gflownf import opengraph, search
-from gflownf import gflow as gflow_rules
 from gflownf.gflow import AXES, Gflow
-from gflownf.opengraph import parse_open_graph_document
-from gflownf.search import _find_gflow_rounds
+from gflownf.opengraph import odd_mask, parse_open_graph_document
+from gflownf.search import _find_gflow_rounds, _odd_table
 from gflownf.instances import all_instances, random_instance
 
 
@@ -201,35 +199,22 @@ class TestBruteForce:
         enum = brute_force_enumerate(path_eog, limit=1)
         assert not enum.exhausted
 
-    def test_one_odd_table_per_instance(self, monkeypatch):
+    def test_one_odd_table_per_instance(self, probe):
         # Odd(K) is read from one table built per instance, one XOR per
         # entry and no odd_mask call: four entries, the subsets of the
         # non-inputs {2, 3}.
         eog = parse_open_graph_document(PATH_DOC)[0]
         graph = eog.graph
-        calls = []
-        tables = []
-        original_odd, original_table = opengraph.odd_mask, search._odd_table
-
-        def counting(graph, mask):
-            calls.append(mask)
-            return original_odd(graph, mask)
-
-        def recording(graph, allowed):
-            tables.append(original_table(graph, allowed))
-            return tables[-1]
-
-        for module in (opengraph, gflow_rules, search):
-            monkeypatch.setattr(module, "odd_mask", counting, raising=False)
-        monkeypatch.setattr(search, "_odd_table", recording)
+        calls = probe.calls("opengraph.odd_mask")
+        tables = probe.calls("search._odd_table")
         assert brute_force_enumerate(eog).count == 2
         assert calls == []
-        assert len(tables) == 1
-        (table,) = tables
+        assert tables == [(graph, graph.mask((2, 3)))]
+        table = _odd_table(*tables[0])
         assert [k for k, _ in table] == sorted(
             graph.mask(s) for s in ((), (2,), (3,), (2, 3))
         )
-        assert all(odd == original_odd(graph, k) for k, odd in table)
+        assert all(odd == odd_mask(graph, k) for k, odd in table)
 
     def test_every_listed_gflow_verifies(self):
         rng = random.Random(3)

@@ -131,6 +131,44 @@ class TestPatternAngles:
             pattern_from_gflow(path_eog, {1: bad, 2: 1.1}, path_gflow)
 
 
+class TestArgumentChecks:
+    """Malformed arguments of the simulator's entry points raise ValueError.
+    Each call gets the path pattern, which measures 1 then 2 and corrects
+    x(1) = {2}, z(1) = {3} and x(2) = {3}."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda p: replace(p, schedule=(1,)), "schedule must order"),
+            (lambda p: replace(p, angles={1: 0.3}), "angles must cover"),
+            (lambda p: replace(
+                p, corrections=replace(p.corrections, x={1: {9}, 2: {3}})),
+             "corrector 9 of 1 is not a vertex"),
+            (lambda p: replace(p, schedule=(2, 1)), "corrector 2 of 1 would already"),
+            (lambda p: Statevector((0, 1), [1.0, 0.0]), "length 2 does not match"),
+            (lambda p: measure(basis_state((0,), 0), 0, Plane.XY, 0.0, 2),
+             "signal must be 0 or 1"),
+            (lambda p: measure(Statevector((0,), [0, 0]), 0, Plane.XY, 0.0, 0),
+             "cannot measure a zero state"),
+            (lambda p: apply_correction(basis_state((0,), 0), "Y", {0}, 1), "X or Z"),
+            (lambda p: check_determinism([]), "no branch results"),
+            (lambda p: check_determinism(
+                [BranchResult({}, 0.0, basis_state((3,), 0))] * 2),
+             "every branch has zero probability"),
+            (lambda p: check_determinism(
+                [BranchResult({}, 0.5, basis_state((q,), 0)) for q in (3, 4)]),
+             "different registers"),
+        ],
+        ids=["bad-schedule", "missing-angle", "non-vertex-corrector",
+             "measured-corrector", "statevector-shape", "signal-2", "zero-state",
+             "pauli-Y", "no-results", "all-zero-branches", "mixed-registers"],
+    )
+    def test_rejected(self, path_eog, path_gflow, call, message):
+        pattern = path_pattern(path_eog, path_gflow, {1: 0.3, 2: 1.1})
+        with pytest.raises(ValueError, match=message):
+            call(pattern)
+
+
 class TestRunBranch:
     def test_no_measurements(self):
         graph = Graph(frozenset({0}), frozenset())
@@ -327,18 +365,14 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
     def test_tolerance_must_be_finite_and_non_negative(
-        self, monkeypatch, path_eog, path_gflow, tol
+        self, probe, path_eog, path_gflow, tol
     ):
         pattern = path_pattern(path_eog, path_gflow, {1: 0.9, 2: 2.2})
         results = run_all_branches(pattern, basis_state((1,), 0))
         assert check_determinism(results, 0.0).tolerance == 0.0
         with pytest.raises(ValueError, match="tolerance"):
             check_determinism(results, tol)
-
-        def refuse(*args):
-            raise AssertionError("a branch ran before the tolerance was checked")
-
-        monkeypatch.setattr(sim, "_prepare_rows", refuse)
+        probe.refuse("sim._prepare_rows", "a branch ran before the tolerance check")
         with pytest.raises(ValueError, match="tolerance"):
             extract_isometry(pattern, tol)
 
@@ -424,7 +458,7 @@ class TestIsometry:
             )
 
     def test_certifies_the_walk_without_branch_results(
-        self, monkeypatch, path_eog, path_gflow
+        self, probe, path_eog, path_gflow
     ):
         # inputs 0 and 1, joined, each on an XY-measured path to its own output
         edges = frozenset({(0, 1), (0, 2), (2, 4), (1, 3), (3, 5)})
@@ -438,15 +472,11 @@ class TestIsometry:
         ]
         want = [extract_isometry(p) for p in patterns]
         assert want[1].shape == (4, 4)
-
-        def refuse(*args):
-            raise AssertionError("extract_isometry built a branch result")
-
-        monkeypatch.setattr(sim, "BranchResult", refuse)
+        probe.refuse("sim.BranchResult", "extract_isometry built a branch result")
         for pattern, matrix in zip(patterns, want):
             assert np.array_equal(extract_isometry(pattern), matrix)
 
-    def test_branch_bound_checked_before_prepare(self, monkeypatch):
+    def test_branch_bound_checked_before_prepare(self, probe):
         # a 14-vertex XY path: 13 measured qubits, one past the default 12
         n = 14
         eog = ExtendedOpenGraph(
@@ -455,11 +485,7 @@ class TestIsometry:
         )
         gflow = Gflow({u: {u + 1} for u in range(n - 1)})
         pattern = pattern_from_gflow(eog, dict.fromkeys(range(n - 1), 0.3), gflow)
-
-        def refuse(*args):
-            raise AssertionError("prepare reached past the branch bound")
-
-        monkeypatch.setattr(sim, "_prepare_rows", refuse)
+        probe.refuse("sim._prepare_rows", "prepare reached past the branch bound")
         with pytest.raises(BranchLimitError) as info:
             extract_isometry(pattern)
         assert info.value.limit == {"measured": 13, "branch_bound": 12}
@@ -574,20 +600,7 @@ class TestSharedPrefixWalk:
             assert r.output_state.qubits == (2,)
             assert not r.output_state.amplitudes.any()
 
-    @staticmethod
-    def count_rows(monkeypatch):
-        """Row counts of the calls of the projection kernel, one per call."""
-        calls = []
-        original = sim._measure_rows
-
-        def counting(rows, *args):
-            calls.append(len(rows))
-            return original(rows, *args)
-
-        monkeypatch.setattr(sim, "_measure_rows", counting)
-        return calls
-
-    def test_row_kernel_calls_per_level(self, monkeypatch):
+    def test_row_kernel_calls_per_level(self, probe):
         # one call per outcome per measured qubit, over every prefix at once
         graph = Graph(
             frozenset(range(5)), frozenset((i, i + 1) for i in range(4))
@@ -597,20 +610,20 @@ class TestSharedPrefixWalk:
         )
         angles = {0: 0.3, 1: 1.1, 2: 2.5, 3: 4.0}
         pattern = pattern_from_gflow(eog, angles, find_gflow(eog))
-        calls = self.count_rows(monkeypatch)
+        calls = probe.calls("sim._measure_rows")
         results = run_all_branches(pattern, basis_state((0,), 0))
         assert len(results) == 16
         assert all(r.probability > 0 for r in results)
-        assert calls == [1, 1, 2, 2, 4, 4, 8, 8]
+        assert [len(rows) for rows, *_ in calls] == [1, 1, 2, 2, 4, 4, 8, 8]
         calls.clear()
         run_branch(pattern, basis_state((0,), 0), {0: 1, 1: 0, 2: 1, 3: 1})
-        assert calls == [1, 1, 1, 1]
+        assert [len(rows) for rows, *_ in calls] == [1, 1, 1, 1]
 
-    def test_zero_rows_take_no_extra_calls(self, monkeypatch, zero_branch_pattern):
+    def test_zero_rows_take_no_extra_calls(self, probe, zero_branch_pattern):
         pattern, inp = zero_branch_pattern
-        calls = self.count_rows(monkeypatch)
+        calls = probe.calls("sim._measure_rows")
         run_all_branches(pattern, inp)
-        assert calls == [1, 1, 2, 2]
+        assert [len(rows) for rows, *_ in calls] == [1, 1, 2, 2]
 
     @pytest.mark.parametrize("k", [10, 12])
     def test_matches_flat_replay_deep(self, k):
@@ -839,7 +852,7 @@ class TestTensorPrepare:
             prepare(path_graph(list(range(n))), (0,), basis_state((0,), 0))
         assert err.value.limit == {"qubits": n}
 
-    def test_width_bound_checked_before_prepare(self, monkeypatch):
+    def test_width_bound_checked_before_prepare(self, probe):
         # 40 qubits, one measured: the register would take 16 * 2**40 bytes
         n = 40
         eog = ExtendedOpenGraph(
@@ -849,11 +862,7 @@ class TestTensorPrepare:
             {0: Plane.XY},
         )
         pattern = pattern_from_gflow(eog, {0: 0.4}, Gflow({0: {1}}))
-
-        def refuse(*args):
-            raise AssertionError("prepare reached past the width bound")
-
-        monkeypatch.setattr(sim, "_prepare_rows", refuse)
+        probe.refuse("sim._prepare_rows", "prepare reached past the width bound")
         with pytest.raises(BranchLimitError, match="40 qubits"):
             run_all_branches(pattern, basis_state((), 0))
         with pytest.raises(BranchLimitError):
@@ -986,19 +995,6 @@ class TestRowBatchedIsometry:
     """extract_isometry walks its inputs as rows of as few walks as fit in
     sim._BATCH amplitudes, bit for bit as one walk per input."""
 
-    @staticmethod
-    def count_walks(monkeypatch):
-        """The number of input states of each walk, one entry per walk."""
-        walks = []
-        original = sim._walk
-
-        def counting(pattern, input_states, *args):
-            walks.append(len(input_states))
-            return original(pattern, input_states, *args)
-
-        monkeypatch.setattr(sim, "_walk", counting)
-        return walks
-
     def test_matches_per_input_walks_on_random_patterns(self):
         rng = random.Random(73)
         per_inputs = dict.fromkeys(range(4), 0)
@@ -1050,9 +1046,9 @@ class TestRowBatchedIsometry:
             # one amplitude per row: every output is the same state up to phase
             assert assert_same_isometry(pattern)
 
-    def test_chunk_boundary_splits_the_inputs(self, monkeypatch):
+    def test_chunk_boundary_splits_the_inputs(self, probe):
         rng = random.Random(71)
-        walks = self.count_walks(monkeypatch)
+        walks = probe.calls("sim._walk")
         checked = 0
         while checked < 12:
             n = 12 + checked % 2
@@ -1072,11 +1068,12 @@ class TestRowBatchedIsometry:
             assert_same_isometry(strip_corrections(pattern))
             walks.clear()
             extract_isometry(pattern)
+            sizes = [len(states) for _, states, *_ in walks]
             per_walk = sim._BATCH >> n  # 4 inputs of 2**12 amplitudes, 2 of 2**13
-            assert len(walks) > 1 and sum(walks) == 2 ** len(inputs) + 1
-            assert walks[:-1] == [per_walk] * (len(walks) - 1)
+            assert len(sizes) > 1 and sum(sizes) == 2 ** len(inputs) + 1
+            assert sizes[:-1] == [per_walk] * (len(sizes) - 1)
 
-    def test_one_walk_on_small_registers(self, monkeypatch):
+    def test_one_walk_on_small_registers(self, probe):
         # inputs 0 and 1, joined, each on an XY-measured path to its own output
         edges = frozenset({(0, 1), (0, 2), (2, 4), (1, 3), (3, 5)})
         eog = ExtendedOpenGraph(
@@ -1084,18 +1081,19 @@ class TestRowBatchedIsometry:
             {u: Plane.XY for u in range(4)},
         )
         pattern = pattern_from_gflow(eog, {0: 0.4, 1: 2.9, 2: 1.7, 3: 5.1}, find_gflow(eog))
-        walks = self.count_walks(monkeypatch)
-        calls = TestSharedPrefixWalk.count_rows(monkeypatch)
+        walks = probe.calls("sim._walk")
+        calls = probe.calls("sim._measure_rows")
         extract_isometry(pattern)
-        assert walks == [5]  # four basis inputs and the superposition
-        assert calls == [5, 5, 10, 10, 20, 20, 40, 40]
+        # one walk of the four basis inputs and the superposition
+        assert [len(states) for _, states, *_ in walks] == [5]
+        assert [len(rows) for rows, *_ in calls] == [5, 5, 10, 10, 20, 20, 40, 40]
 
-    def test_wide_register_walks_one_input_at_a_time(self, monkeypatch):
-        walks = self.count_walks(monkeypatch)
-        calls = TestSharedPrefixWalk.count_rows(monkeypatch)
+    def test_wide_register_walks_one_input_at_a_time(self, probe):
+        walks = probe.calls("sim._walk")
+        calls = probe.calls("sim._measure_rows")
         extract_isometry(wide_path_pattern(2))
-        assert walks == [1, 1, 1]
-        assert calls == [1, 1, 2, 2] * 3
+        assert [len(states) for _, states, *_ in walks] == [1, 1, 1]
+        assert [len(rows) for rows, *_ in calls] == [1, 1, 2, 2] * 3
 
     @pytest.mark.parametrize("k", [2, 3, 6])
     def test_peak_memory_on_a_wide_register(self, k):
