@@ -31,7 +31,7 @@ from .gflow import (
     verify_gflow,
 )
 from .instances import all_instances, random_instance
-from .normal_forms import _PROMOTE, focus as focus_gflow
+from .normal_forms import focus as focus_gflow, promote_input_y, promote_input_z
 from .search import ENUMERATION_LIMIT, brute_force_enumerate, find_gflow
 
 OK, NEGATIVE, INPUT_ERROR, RESOURCE = 0, 1, 2, 3
@@ -90,7 +90,8 @@ def cmd_check_nf(args):
 def cmd_promote(args):
     eog = parse_open_graph(_read(args.graph))
     g = parse_gflow(_read(args.gflow))
-    result = _PROMOTE[args.sigma](eog, g, args.vertex)
+    promote = promote_input_y if args.sigma == "Y" else promote_input_z
+    result = promote(eog, g, args.vertex)
     return OK, {
         "graph": json.loads(serialize_open_graph(result.rewritten)),
         "gflow": _gflow_doc(result.gflow)["g"],
@@ -221,7 +222,7 @@ def build_parser():
     p = sub.add_parser("promote", help="turn a measured non-input into an input")
     p.add_argument("graph")
     p.add_argument("gflow")
-    p.add_argument("--sigma", choices=tuple(_PROMOTE), required=True)
+    p.add_argument("--sigma", choices=("Y", "Z"), required=True)
     p.add_argument("--vertex", type=int, required=True)
     p.set_defaults(func=cmd_promote)
 

@@ -126,23 +126,20 @@ def promote_input_y(eog: ExtendedOpenGraph, g: Gflow, u0: int) -> PromotionResul
     return PromotionResult(rewritten, Gflow(g2), u0, u1)
 
 
-# The rewrite that promotes an off-sigma vertex, by sigma
-_PROMOTE = {"Y": promote_input_y, "Z": promote_input_z}
-
-
 def promote_all(eog: ExtendedOpenGraph, g: Gflow, sigma: str):
     """Promote eligible vertices in ascending id order until none remain.
 
-    Returns (rewritten instance, gflow, list of promotion steps).
+    Returns (rewritten instance, gflow, list of promotion steps). Each step
+    calls the rewrite by its module name, so a wrapper set there sees it.
     """
     _check_sigma(sigma, ("Y", "Z"))
-    step_fn = _PROMOTE[sigma]
     steps = []
     while True:
         eligible = _off_sigma(eog, sigma)
         if not eligible:
             return eog, g, steps
-        step = step_fn(eog, g, eligible[0])
+        promote = promote_input_y if sigma == "Y" else promote_input_z
+        step = promote(eog, g, eligible[0])
         steps.append(step)
         eog, g = step.rewritten, step.gflow
 

@@ -24,7 +24,8 @@ amplitudes, one walk for a small register, and certifies each input's
 rows as they are, by the arithmetic `check_determinism` runs on its
 stacked results, comparing outputs up to global phase. `measure`,
 `apply_correction` and `prepare` are one-row calls of the walk's kernels
-and builder, bit for bit.
+and builder, bit for bit; the tests check each against a dense reference,
+`tests/dense_reference.py`, that imports nothing from this module.
 """
 
 from __future__ import annotations

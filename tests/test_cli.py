@@ -198,6 +198,19 @@ class TestNormalFormCommands:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("sigma, doc", [("Y", "edge_xz"), ("Z", "edge_xy")])
+    def test_promote_calls_the_rewrite_of_sigma(
+        self, capsys, probe, tmp_path, sigma, doc
+    ):
+        # the rewrite is chosen by sigma at call time, so a probe sees it
+        _write_golden_docs(tmp_path)
+        name = "normal_forms.promote_input_{}"
+        calls = {s: probe.calls(name.format(s.lower())) for s in "YZ"}
+        graph, flow = tmp_path / f"{doc}.json", tmp_path / f"{doc}_g.json"
+        argv = ["promote", str(graph), str(flow), "--sigma", sigma, "--vertex", "1"]
+        assert run(capsys, argv)[0] == 0
+        assert {s: len(c) for s, c in calls.items()} == {s: s == sigma for s in "YZ"}
+
 
 class TestSimulate:
     def test_with_gflow_deterministic(self, capsys, graph_file, gflow_file):

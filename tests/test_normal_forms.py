@@ -186,12 +186,14 @@ class TestPromotions:
         assert result.rewritten.planes[u1] is Plane.YZ
         assert result.gflow[u1] == result.gflow[u0] | {u1}
 
-    def test_promotion_count_bounded_by_defect(self):
+    def test_promotion_count_bounded_by_defect(self, probe):
         rng = random.Random(404)
         eog, g, _ = find_nf_instance(rng, "Z")
         defect = eog.input_defect
+        calls = probe.calls("normal_forms.promote_input_z")
         _, _, steps = promote_all(eog, g, "Z")
         assert 1 <= len(steps) <= defect
+        assert len(calls) == len(steps)  # each step is a call the probe sees
 
     def test_one_odd_mask_per_measured_vertex(self, probe):
         # The validity check and the Z-NF inclusion share each Odd(g(u)).

@@ -1,9 +1,10 @@
-import functools
+import ast
 import itertools
 import math
 import random
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,9 +36,25 @@ from gflownf.sim import Pattern
 from gflownf.gflow import CorrectiveMaps, _valid
 from gflownf.instances import all_instances, random_instance
 
+import dense_reference as ref
+
 
 def path_pattern(path_eog, path_gflow, angles):
     return pattern_from_gflow(path_eog, angles, path_gflow)
+
+
+def path_graph(ids):
+    return Graph(frozenset(ids), frozenset(zip(ids, ids[1:])))
+
+
+def wide_path_pattern(k, n=20):
+    """An XY path of n qubits, input 0, the first k measured."""
+    eog = ExtendedOpenGraph(
+        path_graph(list(range(n))), frozenset({0}), frozenset(range(k, n)),
+        {u: Plane.XY for u in range(k)},
+    )
+    gflow = Gflow({u: {u + 1} for u in range(k)})
+    return pattern_from_gflow(eog, {u: 0.3 + u for u in range(k)}, gflow)
 
 
 class TestPrepare:
@@ -396,26 +413,23 @@ class TestIsometry:
         assert np.allclose(matrix, phase * np.diag([1, 1, 1, -1]), atol=1e-12)
 
     def test_matrix_maps_inputs_as_the_branches_do(self):
-        # U @ psi equals the branch output on psi up to one global phase, so
-        # the columns carry their relative phases.
+        # U @ psi equals every branch output of the reference on psi up to
+        # one global phase, so the columns carry their relative phases.
         rng = random.Random(37)
         nrng = np.random.default_rng(37)
         checked = 0
         while checked < 200:
-            eog = random_instance(rng, rng.randint(2, 6), force_input_xy=True)
+            eog = random_instance(rng, rng.randint(2, 7), force_input_xy=True)
             g = find_gflow(eog)
-            if not 1 <= len(eog.inputs) <= 2 or g is None:
+            if not 1 <= len(eog.inputs) <= 3 or g is None:
                 continue
             checked += 1
             angles = {u: rng.uniform(0.1, 6.2) for u in eog.measured}
             pattern = pattern_from_gflow(eog, angles, g)
             inp = random_input(tuple(sorted(eog.inputs)), nrng)
-            branch = next(r for r in run_all_branches(pattern, inp) if r.probability)
-            out = branch.output_state.amplitudes
-            want = extract_isometry(pattern) @ inp.amplitudes
-            phase = np.vdot(want, out)
-            assert abs(abs(phase) - 1) < 1e-9
-            assert np.max(np.abs(out - phase * want)) < 1e-9
+            mapped = extract_isometry(pattern) @ inp.amplitudes
+            for _, _, amps in ref.branches(pattern, inp.amplitudes):
+                assert_same_state(mapped, amps, 1e-12)
 
     def test_path_pattern_unitary(self, path_eog, path_gflow):
         pattern = path_pattern(path_eog, path_gflow, {1: 0.7, 2: 1.3})
@@ -478,13 +492,7 @@ class TestIsometry:
 
     def test_branch_bound_checked_before_prepare(self, probe):
         # a 14-vertex XY path: 13 measured qubits, one past the default 12
-        n = 14
-        eog = ExtendedOpenGraph(
-            path_graph(list(range(n))), frozenset({0}), frozenset({n - 1}),
-            {u: Plane.XY for u in range(n - 1)},
-        )
-        gflow = Gflow({u: {u + 1} for u in range(n - 1)})
-        pattern = pattern_from_gflow(eog, dict.fromkeys(range(n - 1), 0.3), gflow)
+        pattern = wide_path_pattern(13, n=14)
         probe.refuse("sim._prepare_rows", "prepare reached past the branch bound")
         with pytest.raises(BranchLimitError) as info:
             extract_isometry(pattern)
@@ -508,20 +516,6 @@ def replay(pattern, state, signals):
     return BranchResult(signals, prob, state)
 
 
-def flat_replay(pattern, input_state):
-    """Every branch replayed from the prepared state, in binary-counter order."""
-    prepared = prepare(pattern.eog.graph, pattern.eog.inputs, input_state)
-    k = len(pattern.schedule)
-    return [
-        replay(
-            pattern,
-            prepared,
-            {u: (code >> (k - 1 - i)) & 1 for i, u in enumerate(pattern.schedule)},
-        )
-        for code in range(2**k)
-    ]
-
-
 def assert_bit_identical(results, expected):
     assert len(results) == len(expected)
     for r, e in zip(results, expected):
@@ -531,10 +525,45 @@ def assert_bit_identical(results, expected):
         assert np.array_equal(r.output_state.amplitudes, e.output_state.amplitudes)
 
 
+def assert_same_state(got, want, tol):
+    """``got`` turned by its global phase against ``want`` is within ``tol``
+    of it, amplitude by amplitude."""
+    overlap = np.vdot(got, want)
+    turned = got * (overlap / abs(overlap))
+    assert np.max(np.abs(turned - want)) <= tol
+
+
+def assert_reference_branch(result, want, tol=1e-12):
+    """A `BranchResult` against the reference's (probability, qubits, state):
+    the probability within ``tol``, the same zero-probability verdict, and a
+    live output equal up to global phase within ``tol``."""
+    prob, qubits, amps = want
+    assert abs(result.probability - prob) <= tol
+    assert result.output_state.qubits == qubits
+    assert (amps is None) == (result.probability == 0.0)
+    if amps is None:
+        assert not result.output_state.amplitudes.any()
+    else:
+        assert_same_state(result.output_state.amplitudes, amps, tol)
+
+
+def assert_matches_reference(results, pattern, input_state):
+    """Every branch of the walk against the reference's run of it."""
+    want = ref.branches(pattern, input_state.amplitudes)
+    assert len(results) == len(want)
+    for result, branch in zip(results, want):
+        assert_reference_branch(result, branch)
+
+
+def assert_matches_run_branch(results, pattern, input_state):
+    """Each branch of the walk equals `run_branch` for its signals, bit for bit."""
+    one_by_one = [run_branch(pattern, input_state, r.signals) for r in results]
+    assert_bit_identical(results, one_by_one)
+
+
 def random_input(in_qubits, rng):
-    amps = rng.normal(size=2 ** len(in_qubits)) + 1j * rng.normal(
-        size=2 ** len(in_qubits)
-    )
+    re, im = rng.normal(size=(2, 2 ** len(in_qubits)))
+    amps = re + 1j * im
     return Statevector(in_qubits, amps / np.linalg.norm(amps))
 
 
@@ -555,7 +584,7 @@ def zero_branch_pattern():
 class TestSharedPrefixWalk:
     PAULI_ANGLES = (0.0, math.pi / 2, math.pi)
 
-    def test_matches_flat_replay_on_random_patterns(self):
+    def test_matches_reference_on_random_patterns(self):
         rng = random.Random(17)
         nrng = np.random.default_rng(17)
         checked = 0
@@ -576,24 +605,15 @@ class TestSharedPrefixWalk:
             in_qubits = tuple(sorted(eog.inputs))
             for p in (pattern, strip_corrections(pattern)):
                 for inp in (basis_state(in_qubits, 0), random_input(in_qubits, nrng)):
-                    assert_bit_identical(
-                        run_all_branches(p, inp), flat_replay(p, inp)
-                    )
-
-    def test_matches_flat_replay_on_census(self, small_sweep):
-        rng = random.Random(23)
-        for eog, g in small_sweep[::16]:
-            angles = {u: rng.choice(self.PAULI_ANGLES) for u in eog.measured}
-            pattern = pattern_from_gflow(eog, angles, g)
-            inp = basis_state(tuple(sorted(eog.inputs)), 0)
-            assert_bit_identical(
-                run_all_branches(pattern, inp), flat_replay(pattern, inp)
-            )
+                    results = run_all_branches(p, inp)
+                    assert_matches_reference(results, p, inp)
+                    assert_matches_run_branch(results, p, inp)
 
     def test_zero_probability_subtree(self, zero_branch_pattern):
         pattern, inp = zero_branch_pattern
         results = run_all_branches(pattern, inp)
-        assert_bit_identical(results, flat_replay(pattern, inp))
+        assert_matches_reference(results, pattern, inp)
+        assert_matches_run_branch(results, pattern, inp)
         zero = [tuple(r.signals.values()) for r in results if r.probability == 0.0]
         assert zero == [(1, 0), (1, 1)]
         for r in results[2:]:
@@ -626,7 +646,7 @@ class TestSharedPrefixWalk:
         assert [len(rows) for rows, *_ in calls] == [1, 1, 2, 2]
 
     @pytest.mark.parametrize("k", [10, 12])
-    def test_matches_flat_replay_deep(self, k):
+    def test_matches_reference_deep(self, k):
         # deeper than any benchmark pattern: an XY path with one input
         rng = random.Random(k)
         planes = {u: Plane.XY for u in range(k)}
@@ -638,9 +658,9 @@ class TestSharedPrefixWalk:
         inp = random_input((0,), np.random.default_rng(k))
         results = run_all_branches(pattern, inp)
         assert len(results) == 2**k
-        assert_bit_identical(results, flat_replay(pattern, inp))
+        assert_matches_reference(results, pattern, inp)
 
-    def test_matches_flat_replay_without_outputs(self):
+    def test_matches_run_branch_without_outputs(self):
         # the last level has one amplitude per row, where numpy rounds a
         # product of one element unlike a run of them
         rng = random.Random(61)
@@ -659,20 +679,15 @@ class TestSharedPrefixWalk:
             maps = CorrectiveMaps(empty, empty)
             pattern = Pattern(eog, angles, maps, tuple(range(n)))
             inp = random_input((0,), nrng)
-            assert_bit_identical(
-                run_all_branches(pattern, inp), flat_replay(pattern, inp)
-            )
+            results = run_all_branches(pattern, inp)
+            assert_matches_run_branch(results, pattern, inp)
+            assert_matches_reference(results, pattern, inp)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 6])
     def test_peak_memory_under_three_registers(self, k):
         # two level buffers and a half-size scratch buffer, whatever k is
         n = 20
-        eog = ExtendedOpenGraph(
-            path_graph(list(range(n))), frozenset({0}), frozenset(range(k, n)),
-            {u: Plane.XY for u in range(k)},
-        )
-        gflow = Gflow({u: {u + 1} for u in range(k)})
-        pattern = pattern_from_gflow(eog, {u: 0.3 + u for u in range(k)}, gflow)
+        pattern = wide_path_pattern(k, n)
         inp = basis_state((0,), 1)
         tracemalloc.start()
         try:
@@ -692,75 +707,19 @@ class TestSharedPrefixWalk:
         assert np.array_equal(inp.amplitudes, before)
 
 
-def index_array_prepare(graph, inputs, input_state):
-    """The index-array build the tensor prepare replaced, kept as its oracle.
-
-    One int64 bit array of length 2**n per qubit, a gathered input index and
-    a product of edge signs, all of length 2**n.
-    """
-    inputs = frozenset(inputs)
-    qubits = tuple(sorted(graph.vertices))
-    n = len(qubits)
-    pos = {v: i for i, v in enumerate(qubits)}
-    idx = np.arange(2**n)
-    bit = {v: (idx >> (n - 1 - pos[v])) & 1 for v in qubits}
-    in_index = np.zeros(2**n, dtype=np.int64)
-    for v in input_state.qubits:
-        in_index = (in_index << 1) | bit[v]
-    sign = np.ones(2**n)
-    for u, v in graph.edges:
-        sign *= 1.0 - 2.0 * (bit[u] & bit[v])
-    amps = input_state.amplitudes[in_index] * sign / math.sqrt(2 ** (n - len(inputs)))
-    return Statevector(qubits, amps)
-
-
-def index_array_rows(graph, inputs, input_states):
-    """The walk's starting rows, one index-array build per input state."""
-    rows = [index_array_prepare(graph, inputs, s).amplitudes for s in input_states]
-    return np.stack(rows)
-
-
-def strided_prepare(graph, inputs, input_state):
-    """The per-edge build the parity table replaced, kept as its oracle.
-
-    The broadcast input amplitudes are copied into the register once, and
-    each edge then negates in place the strided slice where both of its
-    endpoints are set.
-    """
-    qubits, pos = graph.ids, graph.index
-    n = len(qubits)
-    spread = input_state.amplitudes.reshape([2 if v in inputs else 1 for v in qubits])
-    amps = spread / math.sqrt(2 ** (n - len(inputs)))
-    amps = np.broadcast_to(amps, (2,) * n).copy()
-    for u, v in graph.edges:
-        both = [slice(None)] * n
-        both[pos[u]] = both[pos[v]] = slice(1, 2)  # a view even when n == 2
-        flip = amps[tuple(both)]
-        np.negative(flip, out=flip)
-    return Statevector(qubits, amps.reshape(-1))
-
-
-def path_graph(ids):
-    return Graph(frozenset(ids), frozenset(zip(ids, ids[1:])))
-
-
 class TestTensorPrepare:
-    """prepare equals the index-array oracle value for value, and the
-    per-edge build byte for byte.
-
-    Against the index-array oracle only the sign of an exact zero may
-    differ, which np.array_equal ignores; the level walk's bit-identity
-    depends on it, so the per-edge build is compared with tobytes().
-    """
+    """prepare equals the reference's register byte for byte: the level
+    walk's bit-identity depends even on the sign of an exact zero, which
+    np.array_equal ignores."""
 
     @staticmethod
     def assert_same(graph, inputs, input_state):
         got = prepare(graph, inputs, input_state)
-        want = index_array_prepare(graph, inputs, input_state)
-        assert got.qubits == want.qubits
-        assert np.array_equal(got.amplitudes, want.amplitudes)
-        strided = strided_prepare(graph, inputs, input_state)
-        assert got.amplitudes.tobytes() == strided.amplitudes.tobytes()
+        qubits, want = ref.register(
+            graph.vertices, graph.edges, inputs, input_state.amplitudes
+        )
+        assert got.qubits == qubits
+        assert got.amplitudes.tobytes() == want.tobytes()
 
     def test_census_graphs(self):
         nrng = np.random.default_rng(41)
@@ -805,27 +764,6 @@ class TestTensorPrepare:
         inputs = tuple(sorted(rng.sample(ids, 2)))
         self.assert_same(graph, inputs, basis_state(inputs, 1))
         self.assert_same(graph, inputs, random_input(inputs, np.random.default_rng(n)))
-
-    def test_branches_and_isometries_on_gflow_patterns(self, monkeypatch):
-        rng = random.Random(47)
-        nrng = np.random.default_rng(47)
-        checked = 0
-        while checked < 200:
-            eog = random_instance(rng, rng.randint(2, 7), force_input_xy=True)
-            if len(eog.inputs) > 3:
-                continue
-            g = find_gflow(eog)
-            if g is None:
-                continue
-            checked += 1
-            angles = {u: rng.uniform(0.1, 6.2) for u in eog.measured}
-            pattern = pattern_from_gflow(eog, angles, g)
-            inp = random_input(tuple(sorted(eog.inputs)), nrng)
-            results, matrix = run_all_branches(pattern, inp), extract_isometry(pattern)
-            with monkeypatch.context() as m:
-                m.setattr(sim, "_prepare_rows", index_array_rows)
-                assert_bit_identical(results, run_all_branches(pattern, inp))
-                assert np.array_equal(matrix, extract_isometry(pattern))
 
     def test_peak_memory_is_one_register(self):
         graph = path_graph(list(range(20)))
@@ -874,12 +812,12 @@ class TestTensorPrepare:
 
 class TestWalkRows:
     """The walk's rows as they come in and out: one parity table signs the
-    register of every input, and `run_all_branches` wraps each output row
-    unchecked, exactly as a checked `Statevector` would hold it."""
+    register of every input as the reference signs each, and
+    `run_all_branches` wraps each output row unchecked, exactly as a checked
+    `Statevector` would hold it."""
 
     @staticmethod
-    def assert_wrapped(pattern, input_state):
-        results = run_all_branches(pattern, input_state)
+    def assert_wrapped(pattern, results):
         qubits = results[0].output_state.qubits
         assert qubits == tuple(sorted(pattern.eog.outputs))
         for r in results:
@@ -890,14 +828,6 @@ class TestWalkRows:
             checked = Statevector(state.qubits, state.amplitudes)
             assert checked.qubits == state.qubits
             assert checked.amplitudes.tobytes() == state.amplitudes.tobytes()
-
-    def test_census_patterns(self, small_sweep):
-        rng = random.Random(101)
-        for eog, g in small_sweep:
-            pauli = TestSharedPrefixWalk.PAULI_ANGLES
-            angles = {u: rng.choice(pauli) for u in eog.measured}
-            pattern = pattern_from_gflow(eog, angles, g)
-            self.assert_wrapped(pattern, basis_state(tuple(sorted(eog.inputs)), 0))
 
     def test_random_patterns(self):
         rng = random.Random(103)
@@ -912,11 +842,11 @@ class TestWalkRows:
             angles = {u: rng.uniform(0.1, 6.2) for u in eog.measured}
             pattern = pattern_from_gflow(eog, angles, g)
             inp = random_input(tuple(sorted(eog.inputs)), nrng)
-            self.assert_wrapped(pattern, inp)
-            self.assert_wrapped(strip_corrections(pattern), inp)
+            for p in (pattern, strip_corrections(pattern)):
+                self.assert_wrapped(p, run_all_branches(p, inp))
 
     @pytest.mark.parametrize("n_inputs", range(4))
-    def test_rows_match_prepare(self, n_inputs):
+    def test_rows_match_the_reference(self, n_inputs):
         rng = random.Random(107 + n_inputs)
         nrng = np.random.default_rng(107 + n_inputs)
         for _ in range(40):
@@ -930,8 +860,7 @@ class TestWalkRows:
             rows = sim._prepare_rows(graph, inputs, states)
             assert rows.shape == (len(states), 2 ** len(ids))
             for row, state in zip(rows, states):
-                want = prepare(graph, inputs, state).amplitudes
-                assert np.array_equal(row, want)
+                _, want = ref.register(ids, edges, inputs, state.amplitudes)
                 assert row.tobytes() == want.tobytes()
 
     def test_rows_refuse_a_state_off_the_inputs(self):
@@ -941,61 +870,35 @@ class TestWalkRows:
             sim._prepare_rows(graph, (0,), states)
 
 
-def per_input_isometry(pattern, tol=sim.STATE_TOL):
-    """The one-input-per-walk isometry the row-batched walks replaced, kept
-    as their oracle: each basis input, then the superposition, in a walk of
-    its own, certified on a copy of its live rows."""
-    in_qubits = tuple(sorted(pattern.eog.inputs))
-    n_in = len(in_qubits)
-
-    def output(state, what):
-        _, probs, rows = sim._walk(pattern, (state,))
-        live = rows[probs > 0]
-        if not sim._certify(live, tol)[0]:
-            raise ValueError(f"pattern is not deterministic on {what}")
-        return live[0] / np.linalg.norm(live[0])
-
-    basis = range(2**n_in)
-    cols = [output(basis_state(in_qubits, x), f"basis input {x}") for x in basis]
-    matrix = np.stack(cols, axis=1)
-    if n_in > 0:
-        amps = np.full(2**n_in, 2 ** (-n_in / 2), dtype=complex)
-        sup = output(Statevector(in_qubits, amps), "a superposed input")
-        matrix = matrix * np.exp(1j * np.angle(matrix.conj().T @ sup))
-    lead = matrix.flat[np.flatnonzero(np.abs(matrix) > 1e-12)[0]]
-    return matrix * (abs(lead) / lead)
-
-
-def assert_same_isometry(pattern):
-    """extract_isometry equals the oracle byte for byte, or raises its error."""
+def isometry_or_error(pattern):
+    """extract_isometry's matrix, or the message of the ValueError it raises."""
     try:
-        want = per_input_isometry(pattern)
+        return extract_isometry(pattern)
     except ValueError as err:
-        with pytest.raises(ValueError) as got:
-            extract_isometry(pattern)
-        assert str(got.value) == str(err)
+        return str(err)
+
+
+def assert_same_isometry(monkeypatch, pattern):
+    """extract_isometry equals its walk of one input at a time, with
+    ``sim._BATCH`` at 1, byte for byte, or raises the same error."""
+    got = isometry_or_error(pattern)
+    with monkeypatch.context() as m:
+        m.setattr(sim, "_BATCH", 1)
+        want = isometry_or_error(pattern)
+    if isinstance(want, str):
+        assert isinstance(got, str) and got == want
         return False
-    got = extract_isometry(pattern)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
     return True
 
 
-def wide_path_pattern(k, n=20):
-    """An XY path of n qubits, input 0, the first k measured."""
-    eog = ExtendedOpenGraph(
-        path_graph(list(range(n))), frozenset({0}), frozenset(range(k, n)),
-        {u: Plane.XY for u in range(k)},
-    )
-    gflow = Gflow({u: {u + 1} for u in range(k)})
-    return pattern_from_gflow(eog, {u: 0.3 + u for u in range(k)}, gflow)
-
-
 class TestRowBatchedIsometry:
     """extract_isometry walks its inputs as rows of as few walks as fit in
-    sim._BATCH amplitudes, bit for bit as one walk per input."""
+    sim._BATCH amplitudes, bit for bit as one walk per input, which a
+    ``_BATCH`` of 1 gives."""
 
-    def test_matches_per_input_walks_on_random_patterns(self):
+    def test_matches_per_input_walks_on_random_patterns(self, monkeypatch):
         rng = random.Random(73)
         per_inputs = dict.fromkeys(range(4), 0)
         passed = 0
@@ -1014,13 +917,13 @@ class TestRowBatchedIsometry:
                 for u in eog.measured
             }
             pattern = pattern_from_gflow(eog, angles, g)
-            passed += assert_same_isometry(pattern)
-            assert_same_isometry(strip_corrections(pattern))
+            passed += assert_same_isometry(monkeypatch, pattern)
+            assert_same_isometry(monkeypatch, strip_corrections(pattern))
         assert passed == 160  # every corrected pattern is an isometry
 
-    def test_zero_probability_rows(self, zero_branch_pattern):
+    def test_zero_probability_rows(self, monkeypatch, zero_branch_pattern):
         pattern, _ = zero_branch_pattern
-        assert not assert_same_isometry(pattern)
+        assert not assert_same_isometry(monkeypatch, pattern)
         # X on output 2 corrects vertex 1; vertex 0 is measured away, so
         # each basis input certifies on a subset of its rows
         none = {0: frozenset(), 1: frozenset()}
@@ -1029,9 +932,9 @@ class TestRowBatchedIsometry:
         for bits in (0, 1):
             probs = sim._walk(pattern, (basis_state((0,), bits),))[1]
             assert probs.tolist().count(0.0) == 2
-        assert assert_same_isometry(pattern)
+        assert assert_same_isometry(monkeypatch, pattern)
 
-    def test_without_outputs(self):
+    def test_without_outputs(self, monkeypatch):
         rng = random.Random(79)
         for _ in range(40):
             n = rng.randint(1, 7)
@@ -1044,9 +947,9 @@ class TestRowBatchedIsometry:
             angles = {u: rng.uniform(0.1, 6.2) for u in range(n)}
             pattern = Pattern(eog, angles, CorrectiveMaps(empty, empty), tuple(range(n)))
             # one amplitude per row: every output is the same state up to phase
-            assert assert_same_isometry(pattern)
+            assert assert_same_isometry(monkeypatch, pattern)
 
-    def test_chunk_boundary_splits_the_inputs(self, probe):
+    def test_chunk_boundary_splits_the_inputs(self, monkeypatch, probe):
         rng = random.Random(71)
         walks = probe.calls("sim._walk")
         checked = 0
@@ -1064,8 +967,8 @@ class TestRowBatchedIsometry:
             checked += 1
             angles = {u: rng.uniform(0.1, 6.2) for u in eog.measured}
             pattern = pattern_from_gflow(eog, angles, g)
-            assert assert_same_isometry(pattern)
-            assert_same_isometry(strip_corrections(pattern))
+            assert assert_same_isometry(monkeypatch, pattern)
+            assert_same_isometry(monkeypatch, strip_corrections(pattern))
             walks.clear()
             extract_isometry(pattern)
             sizes = [len(states) for _, states, *_ in walks]
@@ -1123,28 +1026,6 @@ class TestRowBatchedIsometry:
             extract_isometry(pattern)
 
 
-PAULI = {
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
-
-def plane_observable(plane, alpha):
-    a1, a2 = plane.value
-    return math.cos(alpha) * PAULI[a1] + math.sin(alpha) * PAULI[a2]
-
-
-@functools.lru_cache(maxsize=None)
-def eigh_eigenvectors(plane, alpha):
-    """eigh's eigenvectors of the plane observable: outcome 0 (+1), then 1 (-1).
-
-    The oracle's phase is LAPACK's, not `_bras`'s."""
-    vals, vecs = np.linalg.eigh(plane_observable(plane, alpha))
-    plus = int(np.argmax(vals))
-    return vecs[:, plus], vecs[:, 1 - plus]
-
-
 def bras_eigenvectors(plane, alpha):
     """`_bras`'s eigenvectors, unconjugated, as arrays: outcome 0, then 1."""
     cols = []
@@ -1185,8 +1066,8 @@ class TestClosedFormBases:
         checked = 0
         for plane in Plane:
             for alpha in angles + (cos_negative if plane is Plane.YZ else []):
-                observable = plane_observable(plane, alpha)
-                cols = eigh_eigenvectors.__wrapped__(plane, alpha)
+                observable = ref.plane_observable(plane, alpha)
+                cols = ref.eigh_eigenvectors(plane, alpha)
                 for s, got in enumerate(bras_eigenvectors(plane, alpha)):
                     step = observable @ got - (-1) ** s * got
                     residual = max(residual, np.max(np.abs(step)))
@@ -1199,48 +1080,14 @@ class TestClosedFormBases:
         assert misalign <= 1e-15
 
 
-def tensordot_measure(state, u, plane, alpha, s):
-    """The tensordot `measure` the two-slice contraction replaced, as oracle."""
-    n = len(state.qubits)
-    p = state.qubits.index(u)
-    phi = eigh_eigenvectors(plane, alpha)[s]
-    block = state.amplitudes.reshape(2**p, 2, 2 ** (n - 1 - p))
-    rest = np.tensordot(phi.conj(), block, axes=([0], [1])).reshape(-1)
-    total = float(np.vdot(state.amplitudes, state.amplitudes).real)
-    weight = float(np.vdot(rest, rest).real)
-    if weight < 1e-24:
-        return 0.0, None
-    post = Statevector(
-        tuple(q for q in state.qubits if q != u), rest / math.sqrt(weight)
-    )
-    return weight / total, post
-
-
-def per_target_correction(state, pauli, targets, s):
-    """The per-target `apply_correction` (one copy per target), as oracle."""
-    if s == 0:
-        return state
-    n = len(state.qubits)
-    amps = state.amplitudes
-    for t in sorted(targets):
-        p = state.qubits.index(t)
-        block = amps.reshape(2**p, 2, 2 ** (n - 1 - p)).copy()
-        if pauli == "X":
-            block = block[:, ::-1, :]
-        else:
-            block[:, 1, :] *= -1
-        amps = block.reshape(-1)
-    return Statevector(state.qubits, amps)
-
-
 class TestLeanKernels:
-    """`measure` and `apply_correction` against the kernels they replaced.
+    """`measure` and `apply_correction` against the reference, step by step.
 
     Measurements agree to 1e-14 in probability and, once the post state is
-    turned by its global phase against the oracle's, per amplitude, with
-    the same zero-probability verdicts; corrections agree exactly, since both
-    only move and negate amplitudes. Kernel and oracle read the same input
-    state, which the kernel must leave unchanged.
+    turned by its global phase against the reference's, per amplitude, with
+    the same zero-probability verdicts; corrections agree exactly, since the
+    Pauli matrices only move and negate amplitudes. Kernel and reference
+    read the same input state, which the kernel must leave unchanged.
     """
 
     ANGLES = (0.0, math.pi / 2, math.pi, 3 * math.pi / 2)
@@ -1249,7 +1096,9 @@ class TestLeanKernels:
     def check_measure(state, u, plane, alpha, s, counts):
         before = state.amplitudes.copy()
         prob, post = measure(state, u, plane, alpha, s)
-        want_prob, want = tensordot_measure(state, u, plane, alpha, s)
+        want_prob, qubits, want = ref.project(
+            state.qubits, state.amplitudes, u, plane, alpha, s
+        )
         assert np.array_equal(state.amplitudes, before)
         assert (post is None) == (want is None)
         assert abs(prob - want_prob) <= 1e-14
@@ -1258,44 +1107,20 @@ class TestLeanKernels:
             assert prob == 0.0
             counts["zero"] += 1
         else:
-            assert post.qubits == want.qubits
-            overlap = np.vdot(post.amplitudes, want.amplitudes)
-            turned = post.amplitudes * (overlap / abs(overlap))
-            assert np.max(np.abs(turned - want.amplitudes)) <= 1e-14
+            assert post.qubits == qubits
+            assert_same_state(post.amplitudes, want, 1e-14)
         return prob, post
 
     @staticmethod
     def check_correction(state, pauli, targets, s, counts):
         before = state.amplitudes.copy()
         out = apply_correction(state, pauli, targets, s)
-        want = per_target_correction(state, pauli, targets, s)
+        want = ref.correct(state.qubits, state.amplitudes, pauli, targets if s else ())
         assert np.array_equal(state.amplitudes, before)
-        assert out.qubits == want.qubits
-        assert np.array_equal(out.amplitudes, want.amplitudes)
+        assert out.qubits == state.qubits
+        assert np.array_equal(out.amplitudes, want)
         counts[pauli] += bool(s and targets)
         return out
-
-    def test_census_branches(self, monkeypatch, small_sweep):
-        # each step of one branch, with random signals, on every |V| <= 4
-        # pattern with Pauli angles; a gflow makes every outcome live
-        counts = dict.fromkeys(("measure", "zero", "X", "Z"), 0)
-        monkeypatch.setattr(
-            sim, "measure", lambda *args: self.check_measure(*args, counts)
-        )
-        monkeypatch.setattr(
-            sim, "apply_correction", lambda *args: self.check_correction(*args, counts)
-        )
-        rng = random.Random(53)
-        for eog, g in small_sweep:
-            angles = {u: rng.choice(self.ANGLES) for u in eog.measured}
-            pattern = pattern_from_gflow(eog, angles, g)
-            signals = {u: rng.randrange(2) for u in eog.measured}
-            inp = basis_state(tuple(sorted(eog.inputs)), 0)
-            got = replay(pattern, prepare(eog.graph, eog.inputs, inp), signals)
-            assert_bit_identical([got], [run_branch(pattern, inp, signals)])
-        assert len(small_sweep) == 15962
-        assert counts["zero"] == 0
-        assert min(counts["measure"], counts["X"], counts["Z"]) > 1000, counts
 
     def test_random_states(self):
         rng = random.Random(59)
@@ -1320,3 +1145,51 @@ class TestLeanKernels:
                 for s in (0, 1):
                     self.check_correction(state, pauli, targets, s, counts)
         assert min(counts.values()) > 300, counts
+
+
+def test_census_patterns(monkeypatch, small_sweep):
+    """One pass over every |V| <= 4 pattern, each built once with Pauli
+    angles. The walk's rows are wrapped as checked states would hold them.
+    One random branch, replayed through `measure` and `apply_correction`
+    with each step checked against the reference, equals its walk row bit
+    for bit, and the reference's own run of it within 1e-12; every 16th
+    pattern matches the reference on every branch. A gflow makes every
+    outcome live."""
+    counts = dict.fromkeys(("measure", "zero", "X", "Z"), 0)
+    kernels = TestLeanKernels
+    monkeypatch.setattr(
+        sim, "measure", lambda *args: kernels.check_measure(*args, counts)
+    )
+    monkeypatch.setattr(
+        sim, "apply_correction", lambda *args: kernels.check_correction(*args, counts)
+    )
+    rng = random.Random(53)
+    for i, (eog, g) in enumerate(small_sweep):
+        angles = {u: rng.choice(kernels.ANGLES) for u in eog.measured}
+        pattern = pattern_from_gflow(eog, angles, g)
+        inp = basis_state(tuple(sorted(eog.inputs)), 0)
+        results = run_all_branches(pattern, inp)
+        TestWalkRows.assert_wrapped(pattern, results)
+        one = results[rng.randrange(len(results))]
+        prepared = prepare(eog.graph, eog.inputs, inp)
+        assert_bit_identical([replay(pattern, prepared, one.signals)], [one])
+        if i % 16:
+            start = ref.prepared(pattern, inp.amplitudes)
+            assert_reference_branch(one, ref.branch(pattern, start, one.signals))
+        else:
+            assert_matches_reference(results, pattern, inp)
+    assert len(small_sweep) == 15962
+    assert counts["zero"] == 0
+    assert min(counts["measure"], counts["X"], counts["Z"]) > 1000, counts
+
+
+def test_reference_imports_only_math_and_numpy():
+    # a reference that imported the simulator could share the kernels it checks
+    tree = ast.parse(Path(ref.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    assert imported <= {"math", "numpy"}
