@@ -26,6 +26,17 @@ open graph object five times builds its masks and peels once. Only
 sets, so verification stays independent of the code that built the
 gflow. ``Gflow.assignments`` and ``ExtendedOpenGraph.planes`` are
 read-only views, so the memo cannot go stale.
+
+A Gflow holds its corrector sets in one of two forms. ``Gflow(assignments)``
+keeps frozensets of ids. ``Gflow._of_bits(graph, bits)``, which
+``find_gflow``, ``focus`` and the promotions return, keeps the graph and
+one mask per bit position. It builds the id sets only when
+``assignments``, ``g[u]``, ``domain``, ``==``, ``repr`` or pickling asks,
+and ``serialize_gflow`` writes ids straight from ascending bits.
+``_masks`` reads the bits as they are only when the gflow's graph ``is``
+eog's graph: any other open graph, an equal copy included, goes through
+the id sets and ``Graph.mask``. Either way it checks the domain and the
+codomain and computes every Odd(g(u)) itself.
 """
 
 from __future__ import annotations
@@ -79,9 +90,13 @@ class Gflow:
 
     ``assignments`` is a read-only view; ``_masks`` and ``_verify`` keep
     their results for the last open graph in a memo that is not a field.
+    A gflow of ``_of_bits`` holds its graph and a mask per bit position,
+    and builds ``assignments`` on first use.
     """
 
     assignments: Mapping[int, frozenset[int]]
+    # an ``_of_bits`` gflow's graph and {bit position: mask}; not fields
+    _graph = _bits = None
 
     def __post_init__(self):
         assignments = {int(u): frozenset(s) for u, s in self.assignments.items()}
@@ -89,6 +104,25 @@ class Gflow:
         # (open graph, ``_masks`` pair, ``_verify`` triple or None) of the
         # last open graph this gflow was checked against; not a field
         object.__setattr__(self, "_memo", None)
+
+    @classmethod
+    def _of_bits(cls, graph: Graph, bits: dict[int, int]) -> Gflow:
+        """The gflow whose corrector at ``graph.ids[i]`` has mask ``bits[i]``."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "_graph", graph)
+        object.__setattr__(g, "_bits", MappingProxyType(bits))
+        object.__setattr__(g, "_memo", None)
+        return g
+
+    def __getattr__(self, name):
+        # called for attributes the instance lacks: ``assignments`` is one
+        # only for an ``_of_bits`` gflow, until its first use
+        if name != "assignments" or self._bits is None:
+            raise AttributeError(name)
+        ids, members = self._graph.ids, self._graph.members
+        view = MappingProxyType({ids[i]: members(k) for i, k in self._bits.items()})
+        object.__setattr__(self, "assignments", view)
+        return view
 
     def __reduce__(self):
         # a mapping proxy cannot be pickled; a copy starts with no memo
@@ -109,8 +143,22 @@ def parse_gflow(text: str) -> Gflow:
 
 
 def serialize_gflow(g: Gflow) -> str:
-    doc = {"g": {str(u): sorted(s) for u, s in g.assignments.items()}}
-    return json.dumps(doc, sort_keys=True)
+    if g._bits is None:
+        doc = {str(u): sorted(s) for u, s in g.assignments.items()}
+    else:  # ascending bits name ascending ids
+        ids = g._graph.ids
+        doc = {str(ids[i]): [ids[j] for j in _positions(k)] for i, k in g._bits.items()}
+    return json.dumps({"g": doc}, sort_keys=True)
+
+
+def _positions(mask: int) -> list[int]:
+    """The set bits of a mask, ascending."""
+    out = []
+    while mask:
+        b = mask & -mask
+        out.append(b.bit_length() - 1)
+        mask ^= b
+    return out
 
 
 @dataclass(frozen=True)
@@ -222,11 +270,7 @@ def _f_order(eog: ExtendedOpenGraph, masks) -> DependencyOrder:
     """
     succ = [[] for _ in eog.graph.ids]
     for i, (k, odd) in masks.items():
-        m, row = (k | odd) & ~(1 << i), succ[i]
-        while m:
-            b = m & -m
-            row.append(b.bit_length() - 1)
-            m ^= b
+        succ[i] = _positions((k | odd) & ~(1 << i))
     return _order(eog.graph.ids, succ, eog.outputs)
 
 
@@ -279,24 +323,36 @@ def _masks(eog, g):
     A corrector set naming a non-vertex has no mask. The pair is kept in
     g's memo for the open graph object eog, so a second call is a lookup;
     the masks come as a read-only view, since every caller shares them.
+    g's bits are read as masks only when g's graph is eog's graph object;
+    another graph, even an equal one, is masked from g's id sets.
     """
     memo = g._memo
     if memo is not None and memo[0] is eog:
         return memo[1]
-    _check_domain(eog, g.domain(), "gflow")
     graph = eog.graph
+    ids = graph.ids
+    if g._graph is graph:
+        _check_domain(eog, [ids[i] for i in g._bits], "gflow")
+        given = g._bits
+    else:
+        _check_domain(eog, g.domain(), "gflow")
+        given = {}
+        for u in eog.measured:
+            try:
+                given[graph.index[u]] = graph.mask(g[u])
+            except OpenGraphError:  # an id outside the graph has no bit
+                given[graph.index[u]] = None
     i_mask = graph.mask(eog.inputs)
     codomain, masks = [], {}
-    for u in sorted(eog.measured):
-        try:
-            k = graph.mask(g[u])
-        except OpenGraphError:  # an id outside the graph has no bit
+    for i in sorted(given):
+        k, u = given[i], ids[i]
+        if k is None:
             bad = g[u] - (eog.vertices - eog.inputs)
             codomain.append(Violation(u, "codomain", bad))
             continue
         if k & i_mask:
             codomain.append(Violation(u, "codomain", graph.members(k & i_mask)))
-        masks[graph.index[u]] = (k, odd_mask(graph, k))
+        masks[i] = (k, odd_mask(graph, k))
     found = tuple(codomain), MappingProxyType(masks)
     object.__setattr__(g, "_memo", (eog, found, None))
     return found

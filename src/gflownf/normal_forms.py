@@ -15,6 +15,7 @@ from .gflow import (
     _check_sigma,
     _nf_excess,
     _off_sigma,
+    _positions,
     _valid,
     check_normal_form,
 )
@@ -56,11 +57,12 @@ def focus(eog: ExtendedOpenGraph, g: Gflow, sigma: str) -> Gflow:
             pool ^= b
             k ^= refocused[b.bit_length() - 1]
         refocused[i] = k
-    return Gflow({graph.ids[i]: graph.members(k) for i, k in refocused.items()})
+    return Gflow._of_bits(graph, refocused)
 
 
 def _check_promotion_pre(eog, g, u0, sigma):
-    _valid(eog, g)
+    """The masks of ``_valid``, once the promotion of u0 is legal."""
+    masks, _ = _valid(eog, g)
     if not check_normal_form(eog, g, sigma):
         raise ValueError(f"promotion requires a {sigma}-NF gflow")
     if u0 not in eog.measured_non_inputs:
@@ -70,24 +72,23 @@ def _check_promotion_pre(eog, g, u0, sigma):
             f"vertex {u0} is measured in a plane containing {sigma}; "
             f"nothing to promote"
         )
+    return masks
 
 
-def _redirect_through(g: Gflow, u0: int, measured) -> dict[int, frozenset[int]]:
-    # After this, u0 appears in no corrector set but its own.
-    gu0 = g[u0]
-    return {
-        u: g[u] if u == u0 or u0 not in g[u] else g[u] ^ gu0 for u in measured
-    }
+def _redirect_through(masks, i0: int) -> dict[int, int]:
+    # After this, bit i0 is set in no corrector mask but its own.
+    k0 = masks[i0][0]
+    return {i: k ^ k0 if i != i0 and k >> i0 & 1 else k for i, (k, _) in masks.items()}
 
 
 def promote_input_z(eog: ExtendedOpenGraph, g: Gflow, u0: int) -> PromotionResult:
     """Turn an XY-measured non-input into an input, keeping a Z-NF gflow."""
-    _check_promotion_pre(eog, g, u0, "Z")
-    gp = _redirect_through(g, u0, eog.measured)
+    masks = _check_promotion_pre(eog, g, u0, "Z")
+    gp = _redirect_through(masks, eog.graph.index[u0])
     rewritten = ExtendedOpenGraph(
         eog.graph, eog.inputs | {u0}, eog.outputs, dict(eog.planes)
     )
-    return PromotionResult(rewritten, Gflow(gp), u0, None)
+    return PromotionResult(rewritten, Gflow._of_bits(eog.graph, gp), u0, None)
 
 
 def promote_input_y(eog: ExtendedOpenGraph, g: Gflow, u0: int) -> PromotionResult:
@@ -96,7 +97,7 @@ def promote_input_y(eog: ExtendedOpenGraph, g: Gflow, u0: int) -> PromotionResul
     A fresh degree-one vertex hangs off the promoted vertex; the promoted
     vertex switches to the XY plane and the new vertex is measured YZ.
     """
-    _check_promotion_pre(eog, g, u0, "Y")
+    masks = _check_promotion_pre(eog, g, u0, "Y")
     for v in sorted(eog.graph.neighbours(u0) - eog.outputs):
         if not eog.planes[v].contains("Y"):
             raise ValueError(
@@ -104,9 +105,12 @@ def promote_input_y(eog: ExtendedOpenGraph, g: Gflow, u0: int) -> PromotionResul
                 f"in the {eog.planes[v].value} plane, so the spurious parity "
                 f"it picks up cannot be cancelled"
             )
-    gp = _redirect_through(g, u0, eog.measured)
+    graph = eog.graph
+    i0 = graph.index[u0]
+    gp = _redirect_through(masks, i0)
+    # u1 exceeds every id, so it takes the top bit and the others keep theirs
     u1 = max(eog.vertices) + 1
-    graph2 = Graph(eog.graph.vertices | {u1}, eog.graph.edges | {(u0, u1)})
+    graph2 = Graph(graph.vertices | {u1}, graph.edges | {(u0, u1)})
     planes2 = dict(eog.planes)
     planes2[u0] = Plane.XY
     planes2[u1] = Plane.YZ
@@ -116,14 +120,14 @@ def promote_input_y(eog: ExtendedOpenGraph, g: Gflow, u0: int) -> PromotionResul
     # set.  Each fold removes exactly one non-output vertex from the
     # symmetric difference and cannot reintroduce u0, so the result
     # satisfies the XY condition at u0 and the Y-NF inclusion.
-    s = gp[u0] ^ {u0}
-    for v in eog.graph.neighbours(u0) - eog.outputs:
-        s ^= gp[v]
-    g2 = dict(gp)
-    g2[u0] = s
-    g2[u1] = s | {u1}
+    s = gp[i0] ^ 1 << i0
+    for j in _positions(graph.adjacency_masks[i0] & ~graph.mask(eog.outputs)):
+        s ^= gp[j]
+    gp[i0] = s
+    i1 = len(graph.ids)
+    gp[i1] = s | 1 << i1
     rewritten = ExtendedOpenGraph(graph2, eog.inputs | {u0}, eog.outputs, planes2)
-    return PromotionResult(rewritten, Gflow(g2), u0, u1)
+    return PromotionResult(rewritten, Gflow._of_bits(graph2, gp), u0, u1)
 
 
 def promote_all(eog: ExtendedOpenGraph, g: Gflow, sigma: str):

@@ -251,15 +251,14 @@ def _find_gflow_rounds(eog: ExtendedOpenGraph, sigma: str | None = None):
             for p, (_, pr) in pivots.items():
                 if pr & b:
                     k |= p
-            u = ids[b.bit_length() - 1]
-            assignment[u] = k
-            rounds[u] = round_no
+            i = b.bit_length() - 1
+            assignment[i] = k
+            rounds[ids[i]] = round_no
         c_mask |= solved
         if sigma != "Z":
             fresh = solved & ~i_mask
         unsolved ^= solved
-    gflow = Gflow({u: graph.members(k) for u, k in assignment.items()})
-    return gflow, rounds
+    return Gflow._of_bits(graph, assignment), rounds
 
 
 def find_gflow(eog: ExtendedOpenGraph, sigma: str | None = None) -> Gflow | None:

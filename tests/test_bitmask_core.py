@@ -7,8 +7,10 @@ their enumerations, verification reports, normal-form verdicts, focused
 gflows, layers, schedules and cycle witnesses exactly.
 """
 
+import copy
 import heapq
 import itertools
+import pickle
 import random
 
 import pytest
@@ -25,9 +27,11 @@ from gflownf import (
     check_normal_form,
     corrective_maps,
     extensivity_order,
+    find_gflow,
     focus,
     odd_neighbourhood,
     pattern_from_gflow,
+    serialize_gflow,
     verify_gflow,
 )
 from conftest import set_to_mask
@@ -331,6 +335,20 @@ def assert_same_rules(eog, g):
     return report.valid
 
 
+def assert_same_forms(g):
+    """A gflow of ``Gflow._of_bits`` and its set copy are one value; the
+    text is serialized first, before g builds its id sets."""
+    text = serialize_gflow(g)
+    sets = Gflow(dict(g.assignments))
+    assert serialize_gflow(sets) == text
+    assert g == sets and repr(g) == repr(sets) and g.domain() == sets.domain()
+    assert pickle.dumps(g) == pickle.dumps(sets)
+    assert pickle.loads(pickle.dumps(g)) == sets == copy.deepcopy(g)
+    for h in (g, sets):
+        with pytest.raises(TypeError):
+            hash(h)
+
+
 def assert_same_schedule(eog, g):
     angles = dict.fromkeys(eog.measured, 0.5)
     schedule = oracle_f_order(eog, g).schedule(eog.measured)
@@ -389,11 +407,21 @@ class TestBitmaskCore:
         assert found > 200
 
     def test_rules_census(self, small_sweep):
+        from test_search import grid_cluster  # test_search imports this module
+
         rng = random.Random(73)
         for i, (eog, g) in enumerate(small_sweep):
+            assert_same_forms(g)
             assert assert_same_rules(eog, g)
             if i % 2:
                 assert_same_rules(eog, random_map(rng, eog))
+        # found and focused gflows at the grid-flow benchmark's sizes
+        for w in range(8, 33, 4):
+            for h in range(4, 9):
+                eog, _ = grid_cluster(rng, w, h)
+                g = find_gflow(eog)
+                for f in (g, focus(eog, g, "X"), focus(eog, g, "Y")):
+                    assert_same_forms(f)
 
     def test_rules_random(self):
         rng = random.Random(79)

@@ -23,13 +23,14 @@ from gflownf import (
     odd_neighbourhood,
     parse_gflow,
     pattern_from_gflow,
+    serialize_gflow,
     verify_gflow,
 )
-from gflownf.gflow import parse_corrective_maps
+from gflownf.gflow import AXES, parse_corrective_maps
 from gflownf.opengraph import OpenGraphError
 from gflownf.instances import random_instance
 
-from test_bitmask_core import assert_memo_transparent, random_map
+from test_bitmask_core import assert_memo_transparent, outcome, random_map
 from test_search import grid_cluster
 
 
@@ -251,6 +252,73 @@ class TestVerificationMemo:
             path_eog.graph, path_eog.inputs, path_eog.outputs, path_eog.planes
         )
         assert repr(path_eog) == before == repr(other) and path_eog == other
+
+
+class TestBitForm:
+    """``find_gflow`` and ``focus`` return gflows of their graph's bits, which
+    build id sets only when asked and are read as bits only on that graph."""
+
+    def test_grid_flow_chain_stays_on_bits(self, monkeypatch, probe):
+        # the probe rebinds module names, so the Graph methods are counted
+        # on the class
+        eog, _ = grid_cluster(random.Random(3), 16, 6)
+        members, masked = [], []
+        for name, log in (("members", members), ("mask", masked)):
+            method = getattr(Graph, name)
+            monkeypatch.setattr(
+                Graph,
+                name,
+                lambda self, arg, method=method, log=log: log.append(arg)
+                or method(self, arg),
+            )
+        odds = probe.calls("opengraph.odd_mask")
+        peels = probe.calls("gflow._peel")
+        g = find_gflow(eog)
+        assert verify_gflow(eog, g).valid
+        fx, fy = focus(eog, g, "X"), focus(eog, g, "Y")
+        assert check_normal_form(eog, fx, "X") and check_normal_form(eog, fy, "Y")
+        for f in (g, fx, fy):
+            serialize_gflow(f)
+        assert members == []
+        assert all(arg is eog.inputs or arg is eog.outputs for arg in masked)
+        assert (len(odds), len(peels)) == (3 * len(eog.measured), 1)
+
+    def test_bits_read_only_on_their_own_graph(self, monkeypatch):
+        # an equal graph object, and one with every id shifted by 3, which
+        # puts the same bits on other ids
+        eog, _ = grid_cluster(random.Random(5), 8, 4)
+        g = find_gflow(eog)
+        sets = Gflow(dict(g.assignments))
+        graph = eog.graph
+
+        def equal():
+            copy = Graph(graph.vertices, graph.edges)
+            assert copy == graph and copy is not graph
+            return ExtendedOpenGraph(copy, eog.inputs, eog.outputs, eog.planes)
+
+        def shift(vs):
+            return frozenset(v + 3 for v in vs)
+
+        shifted = ExtendedOpenGraph(
+            Graph(shift(graph.vertices), {(u + 3, v + 3) for u, v in graph.edges}),
+            shift(eog.inputs),
+            shift(eog.outputs),
+            {u + 3: p for u, p in eog.planes.items()},
+        )
+        for other in (equal(), shifted):
+            calls = [(verify_gflow,)]
+            calls += [(check_normal_form, sigma) for sigma in AXES]
+            calls += [(focus, sigma) for sigma in "XY"]
+            for fn, *sigma in calls:
+                assert outcome(fn, other, g, *sigma) == outcome(fn, other, sets, *sigma)
+        # an equal graph is not g's graph: its masks come from g's id sets
+        masked = []
+        method = Graph.mask
+        monkeypatch.setattr(
+            Graph, "mask", lambda self, arg: masked.append(arg) or method(self, arg)
+        )
+        assert verify_gflow(equal(), g).valid
+        assert len(masked) == 1 + len(eog.measured)
 
 
 class TestInputPlanes:
