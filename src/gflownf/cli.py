@@ -24,10 +24,11 @@ from .opengraph import (
 )
 from .gflow import (
     AXES,
+    _corrective_maps_of,
+    _g_map,
+    _gflow_of,
     check_normal_form,
-    parse_corrective_maps,
     parse_gflow,
-    serialize_gflow,
     verify_gflow,
 )
 from .instances import all_instances, random_instance
@@ -45,10 +46,6 @@ def _read(path):
         raise OpenGraphError(f"cannot read {path}: {exc}") from exc
 
 
-def _gflow_doc(g):
-    return json.loads(serialize_gflow(g))
-
-
 def cmd_verify(args):
     eog = parse_open_graph(_read(args.graph))
     report = verify_gflow(eog, parse_gflow(_read(args.gflow)))
@@ -57,7 +54,7 @@ def cmd_verify(args):
 
 def cmd_find(args):
     g = find_gflow(parse_open_graph(_read(args.graph)))
-    doc = {"gflow": None if g is None else _gflow_doc(g)["g"]}
+    doc = {"gflow": None if g is None else _g_map(g)}
     return (OK if g is not None else NEGATIVE), doc
 
 
@@ -67,14 +64,14 @@ def cmd_enumerate(args):
     return code, {
         "count": enum.count,
         "exhausted": enum.exhausted,
-        "gflows": [_gflow_doc(g)["g"] for g in enum.gflows],
+        "gflows": [_g_map(g) for g in enum.gflows],
     }
 
 
 def cmd_focus(args):
     eog = parse_open_graph(_read(args.graph))
     g = parse_gflow(_read(args.gflow))
-    return OK, _gflow_doc(focus_gflow(eog, g, args.sigma))
+    return OK, {"g": _g_map(focus_gflow(eog, g, args.sigma))}
 
 
 def cmd_check_nf(args):
@@ -94,7 +91,7 @@ def cmd_promote(args):
     result = promote(eog, g, args.vertex)
     return OK, {
         "graph": json.loads(serialize_open_graph(result.rewritten)),
-        "gflow": _gflow_doc(result.gflow)["g"],
+        "gflow": _g_map(result.gflow),
         "promoted_vertex": result.promoted_vertex,
         "added_vertex": result.added_vertex,
     }
@@ -109,9 +106,9 @@ def _build_pattern(eog, angles, correction_text, seed):
     if correction_text is None:
         maps = _no_corrections(eog)
     elif isinstance(doc := _load_json(correction_text), dict) and "g" in doc:
-        return pattern_from_gflow(eog, angles, parse_gflow(correction_text)), angles
+        return pattern_from_gflow(eog, angles, _gflow_of(doc)), angles
     else:
-        maps = parse_corrective_maps(correction_text)
+        maps = _corrective_maps_of(doc)
     return _scheduled(eog, angles, maps), angles
 
 

@@ -29,14 +29,14 @@ read-only views, so the memo cannot go stale.
 
 A Gflow holds its corrector sets in one of two forms. ``Gflow(assignments)``
 keeps frozensets of ids. ``Gflow._of_bits(graph, bits)``, which
-``find_gflow``, ``focus`` and the promotions return, keeps the graph and
-one mask per bit position. It builds the id sets only when
-``assignments``, ``g[u]``, ``domain``, ``==``, ``repr`` or pickling asks,
-and ``serialize_gflow`` writes ids straight from ascending bits.
-``_masks`` reads the bits as they are only when the gflow's graph ``is``
-eog's graph: any other open graph, an equal copy included, goes through
-the id sets and ``Graph.mask``. Either way it checks the domain and the
-codomain and computes every Odd(g(u)) itself.
+``find_gflow``, ``brute_force_enumerate``, ``focus`` and the promotions
+return, keeps the graph and one mask per bit position. It builds the id
+sets only when ``assignments``, ``g[u]``, ``domain``, ``==``, ``repr`` or
+pickling asks, and ``serialize_gflow`` writes ids straight from ascending
+bits. ``_masks`` reads the bits as they are only when the gflow's graph
+``is`` eog's graph: any other open graph, an equal copy included, goes
+through the id sets and ``Graph.mask``. Either way it checks the domain
+and the codomain and computes every Odd(g(u)) itself.
 """
 
 from __future__ import annotations
@@ -136,19 +136,26 @@ class Gflow:
 
 
 def parse_gflow(text: str) -> Gflow:
-    doc = _load_json(text)
+    return _gflow_of(_load_json(text))
+
+
+def _gflow_of(doc) -> Gflow:
+    """The gflow of a parsed gflow document."""
     if not isinstance(doc, dict) or "g" not in doc:
         raise OpenGraphError('gflow document must be an object with a "g" map')
     return Gflow(_id_set_map(doc["g"], "g"))
 
 
 def serialize_gflow(g: Gflow) -> str:
+    return json.dumps({"g": _g_map(g)}, sort_keys=True)
+
+
+def _g_map(g: Gflow) -> dict[str, list[int]]:
+    """The "g" map of g's document: each id, as a string, to its sorted ids."""
     if g._bits is None:
-        doc = {str(u): sorted(s) for u, s in g.assignments.items()}
-    else:  # ascending bits name ascending ids
-        ids = g._graph.ids
-        doc = {str(ids[i]): [ids[j] for j in _positions(k)] for i, k in g._bits.items()}
-    return json.dumps({"g": doc}, sort_keys=True)
+        return {str(u): sorted(s) for u, s in g.assignments.items()}
+    ids = g._graph.ids  # ascending bits name ascending ids
+    return {str(ids[i]): [ids[j] for j in _positions(k)] for i, k in g._bits.items()}
 
 
 def _positions(mask: int) -> list[int]:
@@ -421,7 +428,11 @@ class CorrectiveMaps:
 
 
 def parse_corrective_maps(text: str) -> CorrectiveMaps:
-    doc = _load_json(text)
+    return _corrective_maps_of(_load_json(text))
+
+
+def _corrective_maps_of(doc) -> CorrectiveMaps:
+    """The maps of a parsed corrective-map document."""
     if not isinstance(doc, dict) or not ("x" in doc and "z" in doc):
         raise OpenGraphError('corrective-map document needs "x" and "z" objects')
     return CorrectiveMaps(_id_set_map(doc["x"], "x"), _id_set_map(doc["z"], "z"))

@@ -81,7 +81,7 @@ def brute_force_enumerate(
     graph = eog.graph
     measured = sorted(map(graph.index.__getitem__, eog.planes))  # the measured
     if not measured:
-        return GflowEnumeration(eog, (Gflow({}),), True)
+        return GflowEnumeration(eog, (Gflow._of_bits(graph, {}),), True)
     table = _odd_table(graph, ((1 << len(graph.ids)) - 1) & ~graph.mask(eog.inputs))
     out_mask = graph.mask(eog.outputs)
     ids = graph.ids
@@ -133,8 +133,7 @@ def brute_force_enumerate(
             if not r & bit:
                 chosen[t] = k
                 if t + 1 == n:
-                    g = {ids[j]: graph.members(c) for j, c in zip(measured, chosen)}
-                    found.append(Gflow(g))
+                    found.append(Gflow._of_bits(graph, dict(zip(measured, chosen))))
                     if stop_after is not None and len(found) >= stop_after:
                         return False
                 else:

@@ -19,13 +19,26 @@ PATH_DOC = (
 )
 
 
-def set_to_mask(ids) -> int:
-    """The mask with bit v set for each id v: raw ids, not `Graph.mask`'s
-    dense positions, which agree with them only when the ids are 0..n-1."""
-    m = 0
-    for v in ids:
-        m |= 1 << v
-    return m
+def grid_cluster(rng, w, h):
+    """A w x h cluster: inputs left, outputs right, all XY, ids a seeded permutation.
+
+    Returns the instance and vid, the map from grid position (x, y) to id.
+    """
+    ids = list(range(w * h))
+    rng.shuffle(ids)
+
+    def vid(x, y):
+        return ids[x * h + y]
+
+    edges = [(vid(x, y), vid(x + 1, y)) for x in range(w - 1) for y in range(h)]
+    edges += [(vid(x, y), vid(x, y + 1)) for x in range(w) for y in range(h - 1)]
+    eog = ExtendedOpenGraph(
+        Graph(frozenset(ids), frozenset(edges)),
+        frozenset(vid(0, y) for y in range(h)),
+        frozenset(vid(w - 1, y) for y in range(h)),
+        {vid(x, y): Plane.XY for x in range(w - 1) for y in range(h)},
+    )
+    return eog, vid
 
 
 @pytest.fixture

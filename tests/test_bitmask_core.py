@@ -1,27 +1,32 @@
-"""The bitmask core against the code it replaced.
+"""The bitmask core against one independent reference.
 
-Each gflow rule (plane condition, sigma-target, f-map and order, acyclicity)
-used to be written on frozensets and again on bitmasks. The copies below are
-the replaced definitions, kept as oracles: the folded code must reproduce
-their enumerations, verification reports, normal-form verdicts, focused
-gflows, layers, schedules and cycle witnesses exactly.
+`set_reference.py` defines each gflow rule once, on frozensets of ids, with
+the standard library alone. The library must reproduce its enumerations,
+verification reports, normal-form verdicts, focused gflows, corrective
+maps, layers, schedules and cycle witnesses, and the finder's gflows and
+rounds, exactly: on the |V| <= 4 census, on random instances, and on
+instances whose ids an increasing map sends into [10**12, 10**13], where a
+mask with one bit per id would need over 100 GB.
 """
 
+import ast
+import contextlib
 import copy
-import heapq
-import itertools
+import functools
 import pickle
 import random
+import sys
+import traceback
+from pathlib import Path
 
 import pytest
 
 from gflownf import (
     CycleError,
-    DependencyOrder,
+    ExtendedOpenGraph,
     Gflow,
     Graph,
     OpenGraphError,
-    Plane,
     brute_force_enumerate,
     check_input_planes,
     check_normal_form,
@@ -29,236 +34,28 @@ from gflownf import (
     extensivity_order,
     find_gflow,
     focus,
-    odd_neighbourhood,
     pattern_from_gflow,
     serialize_gflow,
     verify_gflow,
 )
-from conftest import set_to_mask
-from gflownf.gflow import AXES, Violation, VerificationReport, _verify
-from gflownf.opengraph import odd_mask
+import set_reference as ref
+from conftest import grid_cluster
+from gflownf.gflow import AXES, _verify
+from gflownf.search import _find_gflow_rounds
 from gflownf.instances import all_instances, random_instance
 
-
-def mask_to_set(mask):
-    """The bit positions set in ``mask``."""
-    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+LOW, HIGH = 10**12, 10**13
 
 
-# --- Oracles: the definitions the bitmask core replaced. ---
+def plain(eog):
+    """The instance as the reference reads it."""
+    planes = {u: p.value for u, p in eog.planes.items()}
+    return ref.OpenGraph(eog.vertices, eog.graph.edges, eog.inputs, eog.outputs, planes)
 
 
-def _oracle_plane_condition_holds(plane, u, k_mask, odd):
-    ubit = 1 << u
-    in_g = bool(k_mask & ubit)
-    in_odd = bool(odd & ubit)
-    if plane is Plane.XY:
-        return in_odd and not in_g
-    if plane is Plane.XZ:
-        return in_g and in_odd
-    return in_g and not in_odd
-
-
-def _oracle_nf_local_ok(sigma, k_mask, odd, nf_allowed):
-    target = odd if sigma == "X" else (odd ^ k_mask if sigma == "Y" else k_mask)
-    return target & ~nf_allowed == 0
-
-
-def _oracle_local_candidates(eog, u, allowed_mask, nf_sigma=None):
-    graph = eog.graph
-    plane = eog.planes[u]
-    nf_allowed = (1 << u) | set_to_mask(eog.outputs)
-    cands = []
-    k = allowed_mask
-    while True:
-        odd = odd_mask(graph, k)
-        if _oracle_plane_condition_holds(plane, u, k, odd):
-            if nf_sigma is None or _oracle_nf_local_ok(nf_sigma, k, odd, nf_allowed):
-                cands.append(k)
-        if k == 0:
-            break
-        k = (k - 1) & allowed_mask
-    cands.reverse()
-    return cands
-
-
-def _oracle_is_extensive(deps):
-    remaining = dict(deps)
-    rem_mask = 0
-    for u in remaining:
-        rem_mask |= 1 << u
-    while remaining:
-        sinks = [u for u, m in remaining.items() if m & rem_mask == 0]
-        if not sinks:
-            return False
-        for u in sinks:
-            del remaining[u]
-            rem_mask &= ~(1 << u)
-    return True
-
-
-def oracle_enumerate(eog, limit=1_000_000, *, nf_sigma=None, stop_after=None):
-    measured = sorted(eog.measured)
-    if not measured:
-        return (Gflow({}),), True
-    allowed = set_to_mask(eog.vertices - eog.inputs)
-    graph = eog.graph
-    meas_mask = set_to_mask(measured)
-    per_vertex = []
-    for u in measured:
-        cands = _oracle_local_candidates(eog, u, allowed, nf_sigma)
-        if not cands:
-            return (), True
-        ubit = 1 << u
-        per_vertex.append(
-            [(k, (k | odd_mask(graph, k)) & meas_mask & ~ubit) for k in cands]
-        )
-    found = []
-    examined = 0
-    exhausted = True
-    for combo in itertools.product(*per_vertex):
-        examined += 1
-        if examined > limit:
-            exhausted = False
-            break
-        deps = {u: d for u, (_, d) in zip(measured, combo)}
-        if _oracle_is_extensive(deps):
-            found.append(
-                Gflow({u: mask_to_set(k) for u, (k, _) in zip(measured, combo)})
-            )
-            if stop_after is not None and len(found) >= stop_after:
-                exhausted = False
-                break
-    return tuple(found), exhausted
-
-
-def _oracle_witness_cycle(succ, remaining):
-    pred = {v: set() for v in remaining}
-    for u in remaining:
-        for v in succ[u]:
-            if v in remaining:
-                pred[v].add(u)
-    path = [min(remaining)]
-    seen = {path[0]: 0}
-    while True:
-        nxt = min(pred[path[-1]])
-        if nxt in seen:
-            return list(reversed(path[seen[nxt]:]))
-        seen[nxt] = len(path)
-        path.append(nxt)
-
-
-def oracle_extensivity_order(graph, outputs, f):
-    outputs = frozenset(outputs)
-    succ = {v: set() for v in graph.vertices}
-    for u, image in f.items():
-        if u not in succ:
-            raise OpenGraphError(f"map is keyed by unknown vertex {u}")
-        for v in image:
-            if v not in succ:
-                raise OpenGraphError(f"image of {u} contains unknown vertex {v}")
-            if v != u:
-                succ[u].add(v)
-    indeg = {v: 0 for v in graph.vertices}
-    for vs in succ.values():
-        for v in vs:
-            indeg[v] += 1
-    ready = [v for v in graph.vertices if indeg[v] == 0]
-    heapq.heapify(ready)
-    layers = {v: 0 for v in graph.vertices}
-    done = 0
-    while ready:
-        u = heapq.heappop(ready)
-        done += 1
-        for v in sorted(succ[u]):
-            layers[v] = max(layers[v], layers[u] + 1)
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                heapq.heappush(ready, v)
-    if done != len(graph.vertices):
-        remaining = {v for v in graph.vertices if indeg[v] > 0}
-        raise CycleError(_oracle_witness_cycle(succ, remaining))
-    top = max(layers.values(), default=0)
-    for o in outputs:
-        layers[o] = top
-    return DependencyOrder(layers)
-
-
-def oracle_f_order(eog, g):
-    f = {u: g[u] | odd_neighbourhood(eog.graph, g[u]) for u in eog.measured}
-    return oracle_extensivity_order(eog.graph, eog.outputs, f)
-
-
-def oracle_verify_gflow(eog, g):
-    measured = eog.measured
-    if g.domain() != measured:
-        raise ValueError("domain")
-    violations = []
-    non_inputs = eog.vertices - eog.inputs
-    clean = True
-    for u in sorted(measured):
-        bad = g[u] - non_inputs
-        if bad:
-            violations.append(Violation(u, "codomain", frozenset(bad)))
-            if not g[u] <= eog.vertices:
-                clean = False
-    for u in sorted(measured):
-        gu = g[u]
-        if not gu <= eog.vertices:
-            continue
-        odd = odd_neighbourhood(eog.graph, gu)
-        plane = eog.planes[u]
-        in_g, in_odd = u in gu, u in odd
-        ok = {
-            Plane.XY: in_odd and not in_g,
-            Plane.XZ: in_g and in_odd,
-            Plane.YZ: in_g and not in_odd,
-        }[plane]
-        if not ok:
-            violations.append(Violation(u, f"plane-{plane.value}", odd))
-    if clean:
-        try:
-            oracle_f_order(eog, g)
-        except CycleError as exc:
-            violations.append(
-                Violation(exc.cycle[0], "extensivity", frozenset(exc.cycle))
-            )
-    return VerificationReport(not violations, tuple(violations))
-
-
-def oracle_check_normal_form(eog, g, sigma):
-    # Range-check every corrector before testing any inclusion.
-    odds = {u: odd_neighbourhood(eog.graph, g[u]) for u in eog.measured}
-    for u, odd in odds.items():
-        gu = g[u]
-        target = {"X": odd, "Y": gu ^ odd, "Z": gu}[sigma]
-        if not target <= ({u} | eog.outputs):
-            return False
-    return True
-
-
-def oracle_focus(eog, g, sigma):
-    for u in sorted(eog.measured_non_inputs):
-        if not eog.planes[u].contains(sigma):
-            raise ValueError(
-                f"vertex {u} is measured in the {eog.planes[u].value} plane, "
-                f"which does not contain {sigma}"
-            )
-    graph = eog.graph
-    order = oracle_f_order(eog, g)
-    refocused = {}
-    for u in sorted(eog.measured, key=lambda v: (-order.layers[v], v)):
-        gu = g[u]
-        odd = odd_neighbourhood(graph, gu)
-        pool = {"X": odd, "Y": gu ^ odd, "Z": gu}[sigma]
-        acc = gu
-        for v in sorted(pool - eog.outputs - {u}):
-            acc = acc ^ refocused[v]
-        refocused[u] = acc
-    return Gflow(refocused)
-
-
-# --- Comparison helpers. ---
+def sets(g):
+    """A gflow's corrector sets, or None."""
+    return None if g is None else g.assignments
 
 
 def outcome(fn, *args):
@@ -269,21 +66,120 @@ def outcome(fn, *args):
         return type(exc), str(exc), getattr(exc, "cycle", None)
 
 
-def assert_same_enumeration(eog, limit=1_000_000, **kw):
+# --- Comparisons with the reference. ---
+
+
+def assert_same_finder(eog, sigma=None, og=None):
+    """The finder's gflow and rounds are the reference's; returns the gflow."""
+    g, rounds = _find_gflow_rounds(eog, sigma)
+    assert (sets(g), rounds) == ref.find(og or plain(eog), sigma)
+    return g
+
+
+def assert_same_enumeration(eog, limit=1_000_000, og=None, **kw):
+    """The enumeration and its ``exhausted`` flag are the reference's;
+    returns the reference's gflows."""
     got = brute_force_enumerate(eog, limit, **kw)
-    assert (got.gflows, got.exhausted) == oracle_enumerate(eog, limit, **kw)
-    return got.gflows
+    gflows, exhausted = ref.enumerate_gflows(og or plain(eog), limit, **kw)
+    assert ([sets(g) for g in got.gflows], got.exhausted) == (gflows, exhausted)
+    return gflows
 
 
 def assert_same_order(graph, outputs, f, measured):
-    got = outcome(extensivity_order, graph, outputs, f)
-    want = outcome(oracle_extensivity_order, graph, outputs, f)
-    if isinstance(want, DependencyOrder):
-        assert isinstance(got, DependencyOrder)
-        assert got.layers == want.layers
-        assert got.schedule(measured) == want.schedule(measured)
+    """``extensivity_order`` gives the reference's layers and schedule, or
+    raises with its witness cycle."""
+    depth, cycle = ref.layers(graph.vertices, outputs, f)
+    try:
+        got = extensivity_order(graph, outputs, f)
+    except CycleError as exc:
+        assert list(exc.cycle) == cycle
     else:
-        assert got == want
+        assert got.layers == depth
+        assert got.schedule(measured) == ref.schedule(measured, depth)
+
+
+def assert_same_report(eog, g, og):
+    """``verify_gflow`` reports what the reference does; returns the verdict."""
+    report = verify_gflow(eog, g)
+    valid, violations = ref.verify(og, g.assignments)
+    assert report.valid == valid
+    assert [(v.vertex, v.condition, v.witness) for v in report.violations] == violations
+    return valid
+
+
+def assert_same_rules(eog, g, og=None):
+    """Verification, normal forms, the f-map's order and, for a valid g,
+    focusing and the corrective maps agree with the reference for map g;
+    returns the verdict."""
+    og = og or plain(eog)
+    gs = sets(g)
+    valid = assert_same_report(eog, g, og)
+    outside = [sorted(k - eog.vertices) for k in gs.values() if not k <= eog.vertices]
+    for sigma in AXES:
+        if outside:  # the message names the non-vertices of one corrector
+            with pytest.raises(OpenGraphError) as exc:
+                check_normal_form(eog, g, sigma)
+            assert str(exc.value) in [
+                f"set members {bad} are not graph vertices" for bad in outside
+            ]
+        else:
+            assert check_normal_form(eog, g, sigma) == ref.normal_form(og, gs, sigma)
+    if not outside:
+        f = {u: k | ref.odd(og, k) for u, k in gs.items()}
+        assert_same_order(eog.graph, eog.outputs, f, eog.measured)
+    if valid:
+        for sigma in AXES:
+            got = outcome(focus, eog, g, sigma)
+            want = outcome(ref.focus, og, gs, sigma)
+            assert (sets(got) if isinstance(got, Gflow) else got) == want
+        maps = corrective_maps(eog, g)
+        assert (maps.x, maps.z) == ref.corrections(og, gs)
+    return valid
+
+
+def assert_same_schedule(eog, g, og=None):
+    og = og or plain(eog)
+    angles = dict.fromkeys(eog.measured, 0.5)
+    depth = ref.order(og, sets(g))[0]
+    assert pattern_from_gflow(eog, angles, g).schedule == ref.schedule(og.measured, depth)
+
+
+def assert_sparse_results(rng, eog, g, limit):
+    """eog has the ids 0..n-1 and g is one of its gflows. Relabelled by an
+    increasing map into [LOW, HIGH], so are g, g with one corrector
+    flipped and a random map f; on them the finder for every sigma, the
+    enumeration, the rules and the schedule of g, the report of the flipped
+    copy and f's order are the reference's."""
+    n = len(eog.vertices)
+    phi = dict(enumerate(sorted(rng.sample(range(LOW, HIGH + 1), n))))
+    bad = dict(g.assignments)
+    if bad:
+        u = rng.choice(sorted(bad))
+        bad[u] = bad[u] ^ {rng.randrange(n)}
+    density = rng.uniform(0.0, 0.5)
+    f = {v: {w for w in range(n) if rng.random() < density} for v in range(n)}
+
+    def m(vs):
+        return frozenset(phi[v] for v in vs)
+
+    edges = frozenset((phi[u], phi[v]) for u, v in eog.graph.edges)
+    planes = {phi[u]: p for u, p in eog.planes.items()}
+    sparse = ExtendedOpenGraph(
+        Graph(m(eog.vertices), edges), m(eog.inputs), m(eog.outputs), planes
+    )
+    og = plain(sparse)
+    sparse_g = Gflow({phi[u]: m(k) for u, k in g.assignments.items()})
+    for sigma in (None, *AXES):
+        assert_same_finder(sparse, sigma, og)
+    assert_same_enumeration(sparse, limit, og)
+    assert assert_same_rules(sparse, sparse_g, og)
+    assert_same_report(sparse, Gflow({phi[u]: m(k) for u, k in bad.items()}), og)
+    assert_same_schedule(sparse, sparse_g, og)
+    sparse_f = {phi[v]: m(ws) for v, ws in f.items()}
+    assert_same_order(sparse.graph, sparse.outputs, sparse_f, sparse.measured)
+
+
+# --- Checks that need no reference. ---
 
 
 def _kept(eog, g):
@@ -316,25 +212,6 @@ def assert_memo_transparent(eog, g):
     assert memo == _grid_flow_calls(eog, g, lambda h: Gflow(h.assignments))
 
 
-def assert_same_rules(eog, g):
-    """Verification, normal forms, focusing and orders agree for map g, and
-    remembering g's verification changes none of them."""
-    assert_memo_transparent(eog, g)
-    report = verify_gflow(eog, g)
-    assert report == oracle_verify_gflow(eog, g)
-    for sigma in AXES:
-        assert outcome(check_normal_form, eog, g, sigma) == outcome(
-            oracle_check_normal_form, eog, g, sigma
-        )
-    if all(g[u] <= eog.vertices for u in eog.measured):
-        f = {u: g[u] | odd_neighbourhood(eog.graph, g[u]) for u in eog.measured}
-        assert_same_order(eog.graph, eog.outputs, f, eog.measured)
-    if report.valid:
-        for sigma in AXES:
-            assert outcome(focus, eog, g, sigma) == outcome(oracle_focus, eog, g, sigma)
-    return report.valid
-
-
 def assert_same_forms(g):
     """A gflow of ``Gflow._of_bits`` and its set copy are one value; the
     text is serialized first, before g builds its id sets."""
@@ -349,12 +226,6 @@ def assert_same_forms(g):
             hash(h)
 
 
-def assert_same_schedule(eog, g):
-    angles = dict.fromkeys(eog.measured, 0.5)
-    schedule = oracle_f_order(eog, g).schedule(eog.measured)
-    assert pattern_from_gflow(eog, angles, g).schedule == schedule
-
-
 def random_map(rng, eog):
     """A corrector map over all vertices, sometimes naming a non-vertex."""
     pool = sorted(eog.vertices) + [-1, max(eog.vertices, default=0) + 3]
@@ -367,32 +238,124 @@ def random_map(rng, eog):
     )
 
 
-class TestBitmaskCore:
-    """The folded rules against the definitions they replaced."""
+SWEEP = 15962  # census instances with a gflow
 
-    def test_enumeration_census(self, small_sweep):
-        # Every census instance with a gflow, every one on at most three
-        # vertices and every 16th of the rest: four-vertex instances without
-        # a gflow make up 94% of the census, and acceptance criterion 6
-        # already pins each of them to "no gflow" against the finder. Runs
-        # cut off by `limit` pin the product rank that pruned subtrees skip
-        # against the oracle's combination count. Three vertices rarely prune
-        # a subtree, so sampled four-vertex instances with XY inputs (the
-        # others exit before any combination) run cut off too.
-        for eog, _ in small_sweep:
-            assert assert_same_enumeration(eog)
-        for i, eog in enumerate(all_instances(4)):
-            if len(eog.vertices) <= 3:
-                assert_same_enumeration(eog)
+
+class Failures(dict):
+    """The first failure of each subject of a pass, with where it happened."""
+
+    @contextlib.contextmanager
+    def check(self, subject, where):
+        """Record what the block raises under subject, and go on."""
+        try:
+            yield
+        except (Exception, pytest.fail.Exception):
+            self.setdefault(subject, f"{where}\n{traceback.format_exc()}")
+
+
+@functools.cache
+def census_pass():
+    """One pass over the |V| <= 4 census; returns each subject's first failure.
+
+    finder: on every instance, the finder's gflow and rounds, and the count
+    of instances with a gflow. enumeration: on every instance with a gflow,
+    every one on at most three vertices and every 16th of the rest, the
+    enumeration; on at most three vertices, also cut off at 1, 2 and 3
+    combinations and stopped at the first sigma-NF gflow; on every 16th of
+    the rest with XY inputs, cut off at 3 and 24, as pruned subtrees must
+    keep the product rank. sigma: on every instance with a gflow, the finder
+    for each sigma, its verdict also against the reference's enumeration.
+    rules: on every instance with a gflow, the two forms of its gflow, and
+    the rules and the memo on that gflow and on every other one on a random
+    map; then the forms of the found and focused gflows at the grid-flow
+    benchmark's sizes. sparse: 2,000 of the instances with a gflow,
+    relabelled to sparse ids.
+    """
+    failures = Failures()
+    rng = random.Random(73)
+    picks = random.Random(101)
+    sample = picks.sample(range(SWEEP), 2_000)
+    sampled = dict.fromkeys(sample)
+    found = dict.fromkeys(AXES, 0)
+    j = 0  # instances with a gflow so far
+    for i, eog in enumerate(all_instances(4)):
+        where = f"census instance {i}"
+        og = plain(eog)
+        g, rounds = _find_gflow_rounds(eog)
+        with failures.check("finder", where):
+            assert (sets(g), rounds) == ref.find(og)
+        small = len(eog.vertices) <= 3
+        gflows = None
+        with failures.check("enumeration", where):
+            if g is not None or small or i % 16 == 0:
+                gflows = assert_same_enumeration(eog, og=og)
+            if small:
                 for limit in (1, 2, 3):
-                    assert_same_enumeration(eog, limit)
+                    assert_same_enumeration(eog, limit, og)
                 for sigma in AXES:
-                    assert_same_enumeration(eog, nf_sigma=sigma, stop_after=1)
-            elif i % 16 == 0:
-                assert_same_enumeration(eog)
-                if check_input_planes(eog):
-                    for limit in (3, 24):
-                        assert_same_enumeration(eog, limit)
+                    assert_same_enumeration(eog, og=og, nf_sigma=sigma, stop_after=1)
+            elif i % 16 == 0 and check_input_planes(eog):
+                for limit in (3, 24):
+                    assert_same_enumeration(eog, limit, og)
+        if g is None:
+            continue
+        if gflows is None:  # the enumeration's check failed first
+            gflows = ref.enumerate_gflows(og)[0]
+        with failures.check("sigma", where):
+            assert gflows
+            for sigma in AXES:
+                nf = assert_same_finder(eog, sigma, og)
+                assert (nf is not None) == any(
+                    ref.normal_form(og, h, sigma) for h in gflows
+                )
+                if nf is not None:
+                    assert sets(nf) in gflows and ref.normal_form(og, sets(nf), sigma)
+                    found[sigma] += 1
+        with failures.check("rules", where):
+            assert_same_forms(g)
+            assert_memo_transparent(eog, g)
+            assert assert_same_rules(eog, g, og)
+            if j % 2:
+                h = random_map(rng, eog)
+                assert_memo_transparent(eog, h)
+                assert_same_rules(eog, h, og)
+        if j in sampled:
+            sampled[j] = eog, g
+        j += 1
+    with failures.check("finder", "the census"):
+        assert j == SWEEP
+    with failures.check("sigma", "the census"):
+        assert all(0 < n < SWEEP for n in found.values())
+    with failures.check("rules", "the grid-flow sizes"):
+        for w in range(8, 33, 4):
+            for h in range(4, 9):
+                eog, _ = grid_cluster(rng, w, h)
+                g = find_gflow(eog)
+                for f in (g, focus(eog, g, "X"), focus(eog, g, "Y")):
+                    assert_same_forms(f)
+    for j in sample:
+        with failures.check("sparse", f"census instance with a gflow {j}"):
+            assert_sparse_results(picks, *sampled[j], 1_000)
+    return failures
+
+
+def assert_census(subject):
+    """The census pass found no failure of subject."""
+    failure = census_pass().get(subject)
+    assert failure is None, failure
+
+
+class TestBitmaskCore:
+    """The bitmask core against the set-based reference."""
+
+    def test_enumeration_census(self):
+        assert_census("enumeration")
+
+    def test_rules_census(self):
+        assert_census("rules")
+
+    def test_sparse_census(self):
+        assert_census("sparse")
 
     def test_enumeration_random(self):
         rng = random.Random(71)
@@ -401,27 +364,11 @@ class TestBitmaskCore:
             eog = random_instance(
                 rng, rng.randint(1, 6), force_input_xy=rng.random() < 0.7
             )
-            found += bool(assert_same_enumeration(eog, 20_000))
+            og = plain(eog)
+            found += bool(assert_same_enumeration(eog, 20_000, og))
             for sigma in AXES:
-                assert_same_enumeration(eog, 20_000, nf_sigma=sigma, stop_after=1)
+                assert_same_enumeration(eog, 20_000, og, nf_sigma=sigma, stop_after=1)
         assert found > 200
-
-    def test_rules_census(self, small_sweep):
-        from test_search import grid_cluster  # test_search imports this module
-
-        rng = random.Random(73)
-        for i, (eog, g) in enumerate(small_sweep):
-            assert_same_forms(g)
-            assert assert_same_rules(eog, g)
-            if i % 2:
-                assert_same_rules(eog, random_map(rng, eog))
-        # found and focused gflows at the grid-flow benchmark's sizes
-        for w in range(8, 33, 4):
-            for h in range(4, 9):
-                eog, _ = grid_cluster(rng, w, h)
-                g = find_gflow(eog)
-                for f in (g, focus(eog, g, "X"), focus(eog, g, "Y")):
-                    assert_same_forms(f)
 
     def test_rules_random(self):
         rng = random.Random(79)
@@ -430,13 +377,27 @@ class TestBitmaskCore:
             eog = random_instance(
                 rng, rng.randint(1, 9), rng.uniform(0.2, 0.8), force_input_xy=True
             )
+            og = plain(eog)
             gflows = brute_force_enumerate(eog, 2_000).gflows
             for g in gflows[:3]:
-                valid += assert_same_rules(eog, g)
-                assert_same_schedule(eog, g)
+                assert_memo_transparent(eog, g)
+                valid += assert_same_rules(eog, g, og)
+                assert_same_schedule(eog, g, og)
             for _ in range(2):
-                assert_same_rules(eog, random_map(rng, eog))
+                g = random_map(rng, eog)
+                assert_memo_transparent(eog, g)
+                assert_same_rules(eog, g, og)
         assert valid > 200
+
+    def test_sparse_random(self):
+        rng = random.Random(103)
+        checked = 0
+        while checked < 1_000:
+            eog = random_instance(rng, rng.randint(5, 10), force_input_xy=True)
+            g = find_gflow(eog)
+            if g is not None:
+                assert_sparse_results(rng, eog, g, 50)
+                checked += 1
 
     def test_orders_random(self):
         rng = random.Random(83)
@@ -459,3 +420,15 @@ class TestBitmaskCore:
         assert_same_order(graph, (), cycle, frozenset(ids))
         tail = {**cycle, ids[0]: {ids[1], ids[-1]}} if n > 2 else cycle
         assert_same_order(graph, (), tail, frozenset(ids))
+
+
+def test_reference_imports_only_the_standard_library():
+    # a reference that imported gflownf could share the rules it checks
+    tree = ast.parse(Path(ref.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or "").split(".")[0])
+    assert imported <= sys.stdlib_module_names

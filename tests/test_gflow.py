@@ -30,8 +30,8 @@ from gflownf.gflow import AXES, parse_corrective_maps
 from gflownf.opengraph import OpenGraphError
 from gflownf.instances import random_instance
 
+from conftest import grid_cluster
 from test_bitmask_core import assert_memo_transparent, outcome, random_map
-from test_search import grid_cluster
 
 
 class TestExtensivityOrder:

@@ -11,156 +11,27 @@ from gflownf import (
     exists_normal_form,
     find_gflow,
     odd_neighbourhood,
+    serialize_gflow,
     verify_gflow,
 )
-from conftest import PATH_DOC, set_to_mask
-from test_bitmask_core import assert_memo_transparent, random_map
-from gflownf.gflow import AXES, Gflow
+from conftest import PATH_DOC, grid_cluster
+from test_bitmask_core import (
+    assert_census,
+    assert_memo_transparent,
+    assert_same_finder,
+    random_map,
+)
+from gflownf.gflow import AXES
 from gflownf.opengraph import odd_mask, parse_open_graph_document
 from gflownf.search import _find_gflow_rounds, _odd_table
 from gflownf.instances import all_instances, random_instance
 
 
-def mask_to_set(mask):
-    """The bit positions set in ``mask``."""
-    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
-
-
-def grid_cluster(rng, w, h):
-    """A w x h cluster: inputs left, outputs right, all XY, ids a seeded permutation.
-
-    Returns the instance and vid, the map from grid position (x, y) to id.
-    """
-    ids = list(range(w * h))
-    rng.shuffle(ids)
-
-    def vid(x, y):
-        return ids[x * h + y]
-
-    edges = [(vid(x, y), vid(x + 1, y)) for x in range(w - 1) for y in range(h)]
-    edges += [(vid(x, y), vid(x, y + 1)) for x in range(w) for y in range(h - 1)]
-    eog = ExtendedOpenGraph(
-        Graph(frozenset(ids), frozenset(edges)),
-        frozenset(vid(0, y) for y in range(h)),
-        frozenset(vid(w - 1, y) for y in range(h)),
-        {vid(x, y): Plane.XY for x in range(w - 1) for y in range(h)},
-    )
-    return eog, vid
-
-
-# Reference finder: one fresh GF(2) system per unsolved vertex per round.
-# The shared elimination in _find_gflow_rounds must reproduce its gflows
-# and rounds bit for bit.
-
-
-def _oracle_gf2_solve(rows, col_mask):
-    work = [list(r) for r in rows]
-    pivot_rows = []
-    used = set()
-    m = col_mask
-    while m:
-        b = m & -m
-        m ^= b
-        idx = None
-        for i, (mask, _) in enumerate(work):
-            if i not in used and mask & b:
-                idx = i
-                break
-        if idx is None:
-            continue
-        used.add(idx)
-        pivot_rows.append((b, idx))
-        pm, pr = work[idx]
-        for j, (mask, rhs) in enumerate(work):
-            if j != idx and mask & b:
-                work[j][0] = mask ^ pm
-                work[j][1] = rhs ^ pr
-    for mask, rhs in work:
-        if mask == 0 and rhs:
-            return None
-    sol = 0
-    for b, i in pivot_rows:
-        if work[i][1]:
-            sol |= b
-    return sol
-
-
-def _oracle_solve_corrector_set(eog, u, c_mask, i_mask, v_mask):
-    plane = eog.planes[u]
-    ubit = 1 << u
-    force_u = plane is not Plane.XY
-    if force_u and ubit & i_mask:
-        return None
-    cols = c_mask & ~i_mask
-    adj = eog.graph.adjacency_masks
-    rows = []
-    outside = v_mask & ~(c_mask | ubit)
-    m = outside
-    while m:
-        b = m & -m
-        m ^= b
-        w = b.bit_length() - 1
-        coeff = adj[w] & cols
-        rhs = (adj[w] >> u) & 1 if force_u else 0
-        if coeff == 0:
-            if rhs:
-                return None
-        else:
-            rows.append((coeff, rhs))
-    rhs_u = 1 if plane in (Plane.XY, Plane.XZ) else 0
-    coeff_u = adj[u] & cols
-    if coeff_u == 0:
-        if rhs_u:
-            return None
-    else:
-        rows.append((coeff_u, rhs_u))
-    sol = _oracle_gf2_solve(rows, cols)
-    if sol is None:
-        return None
-    return sol | ubit if force_u else sol
-
-
-def oracle_find_gflow_rounds(eog):
-    measured = sorted(eog.measured)
-    i_mask = set_to_mask(eog.inputs)
-    v_mask = set_to_mask(eog.vertices)
-    c_mask = set_to_mask(eog.outputs)
-    unsolved = list(measured)
-    assignment = {}
-    rounds = {}
-    round_no = 0
-    while unsolved:
-        solved = []
-        for u in unsolved:
-            k = _oracle_solve_corrector_set(eog, u, c_mask, i_mask, v_mask)
-            if k is not None:
-                assignment[u] = k
-                solved.append(u)
-        if not solved:
-            return None, rounds
-        round_no += 1
-        for u in solved:
-            rounds[u] = round_no
-            c_mask |= 1 << u
-        unsolved = [u for u in unsolved if u not in assignment]
-    gflow = Gflow({u: mask_to_set(k) for u, k in assignment.items()})
-    return gflow, rounds
-
-
-def assert_same_as_oracle(eog):
-    got_g, got_rounds = _find_gflow_rounds(eog)
-    want_g, want_rounds = oracle_find_gflow_rounds(eog)
-    assert (got_g is None) == (want_g is None)
-    if want_g is not None:
-        assert got_g.assignments == want_g.assignments
-    assert got_rounds == want_rounds
-    return want_g is not None
-
-
-def assert_sigma_finder_as_oracle(eog, sigma):
-    """The sigma finder's verdict is the NF-restricted oracle's, and its gflow
-    is a valid sigma-NF gflow."""
-    g, _ = _find_gflow_rounds(eog, sigma)
+def assert_sigma_finder(eog, sigma):
+    """The sigma finder's gflow and rounds are the reference's, its verdict
+    is that of the NF-restricted enumeration, and its gflow is a valid
+    sigma-NF gflow."""
+    g = assert_same_finder(eog, sigma)
     witness = brute_force_enumerate(eog, 500_000, nf_sigma=sigma, stop_after=1)
     assert (g is not None) == bool(witness.gflows)
     if g is None:
@@ -215,6 +86,21 @@ class TestBruteForce:
             graph.mask(s) for s in ((), (2,), (3,), (2, 3))
         )
         assert all(odd == odd_mask(graph, k) for k, odd in table)
+
+    def test_gflows_stay_on_bits(self, monkeypatch, path_eog):
+        # listing and verifying the gflows builds no id set: each is its
+        # graph's bits, as a found gflow is
+        members, method = [], Graph.members
+        monkeypatch.setattr(
+            Graph, "members", lambda self, mask: members.append(mask) or method(self, mask)
+        )
+        enum = brute_force_enumerate(path_eog)
+        assert all(verify_gflow(path_eog, g).valid for g in enum.gflows)
+        assert [serialize_gflow(g) for g in enum.gflows] == [
+            '{"g": {"1": [2], "2": [3]}}',
+            '{"g": {"1": [2, 3], "2": [3]}}',
+        ]
+        assert members == []
 
     def test_every_listed_gflow_verifies(self):
         rng = random.Random(3)
@@ -366,11 +252,11 @@ class TestExistsNormalForm:
 
 
 class TestSharedElimination:
-    """The one-elimination-per-round finder against the per-vertex oracle."""
+    """The one-elimination-per-round finder against the reference's
+    per-vertex finder; the census pass is in `test_bitmask_core.py`."""
 
     def test_census(self):
-        found = sum(assert_same_as_oracle(eog) for eog in all_instances(4))
-        assert found > 0
+        assert_census("finder")
 
     def test_random_instances(self):
         # On every other draw, a remembered verification of the finder's
@@ -383,7 +269,7 @@ class TestSharedElimination:
                 rng, rng.randint(3, 12), rng.uniform(0.2, 0.8),
                 force_input_xy=rng.random() < 0.5,
             )
-            found += assert_same_as_oracle(eog)
+            found += assert_same_finder(eog) is not None
             if i % 2 == 0:
                 g = find_gflow(eog)
                 assert_memo_transparent(eog, g or random_map(map_rng, eog))
@@ -393,7 +279,7 @@ class TestSharedElimination:
         rng = random.Random(59)
         for w, h in ((2, 1), (3, 2), (6, 3), (8, 4), (12, 5)):
             eog, _ = grid_cluster(rng, w, h)
-            assert assert_same_as_oracle(eog)
+            assert assert_same_finder(eog) is not None
 
     def test_wide_grid_contract(self):
         # 80 x 8 = 640 vertices: every vertex in column x lands in round
@@ -410,14 +296,11 @@ class TestSharedElimination:
 
 
 class TestSigmaFinder:
-    """The finder with sigma-NF rows against the NF-restricted oracle."""
+    """The finder with sigma-NF rows against the reference's; the census
+    pass is in `test_bitmask_core.py`."""
 
-    def test_census(self, small_sweep):
-        for sigma in AXES:
-            found = sum(
-                assert_sigma_finder_as_oracle(eog, sigma) for eog, _ in small_sweep
-            )
-            assert 0 < found < len(small_sweep)
+    def test_census(self):
+        assert_census("sigma")
 
     def test_census_without_gflow(self):
         for eog in all_instances(3):
@@ -432,7 +315,7 @@ class TestSigmaFinder:
             eog = random_instance(rng, rng.randint(5, 8), force_input_xy=True)
             has_gflow = find_gflow(eog) is not None
             for sigma in AXES:
-                hit = assert_sigma_finder_as_oracle(eog, sigma)
+                hit = assert_sigma_finder(eog, sigma)
                 assert has_gflow or not hit
                 found[sigma] += hit
         assert min(found.values()) > 300
