@@ -18,9 +18,9 @@ import sys
 from .opengraph import (
     OpenGraphError,
     _load_json,
+    _open_graph_doc,
     parse_open_graph,
     parse_open_graph_document,
-    serialize_open_graph,
 )
 from .gflow import (
     AXES,
@@ -90,7 +90,7 @@ def cmd_promote(args):
     promote = promote_input_y if args.sigma == "Y" else promote_input_z
     result = promote(eog, g, args.vertex)
     return OK, {
-        "graph": json.loads(serialize_open_graph(result.rewritten)),
+        "graph": _open_graph_doc(result.rewritten),
         "gflow": _g_map(result.gflow),
         "promoted_vertex": result.promoted_vertex,
         "added_vertex": result.added_vertex,

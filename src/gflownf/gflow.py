@@ -8,20 +8,24 @@ and shared by search, focusing and simulation: ``_PLANE_BITS``,
 ``_nf_excess``, ``_off_sigma`` and ``_f_order``. So is each precondition:
 ``_check_sigma``, ``_check_domain`` and ``_valid``, through which
 ``focus``, the promotions and ``corrective_maps`` raise ValueError on an
-invalid gflow. The Kahn peel ``_peel`` is the one acyclicity check, behind
-``_f_order`` and ``extensivity_order``. It walks successor lists of bit
-positions, O(V + E), since a traversal visits each arc once; the GF(2)
-algebra alone keeps bitmasks. The enumerator in ``search.py`` does not
-peel, it prunes cycles as it assigns vertices.
+invalid gflow. Verification decides acyclicity with ``_dfs_order``, one
+depth-first search on the masks, O(V) mask operations whatever the arc
+count; it keeps a topological order, no layers. The layers come from the
+Kahn peel ``_peel`` over successor lists of bit positions, O(V + E),
+behind ``_f_order`` and ``extensivity_order``, and only where they are
+read: ``extensivity_order`` itself, the schedule of
+``sim.pattern_from_gflow`` and, on a cycle, the witness verification
+reports. The enumerator in ``search.py`` prunes cycles as it assigns
+vertices.
 
 A gflow is verified once per open graph object. ``_masks`` builds the
 (g(u), Odd(g(u))) masks and the codomain violations, ``_verify`` adds the
-plane check and the order of one peel, and each keeps its result in the
+plane check and the order of one search, and each keeps its result in the
 Gflow's memo for the last open graph it was checked against (compared by
 ``is``; only that one is kept). ``verify_gflow``, ``check_normal_form``,
 ``focus``, the promotions, ``corrective_maps`` and
 ``sim.pattern_from_gflow`` all read it, so a gflow checked against one
-open graph object five times builds its masks and peels once. Only
+open graph object five times builds its masks and searches once. Only
 ``_masks`` and ``_verify`` fill the memo, from the gflow's own corrector
 sets, so verification stays independent of the code that built the
 gflow. ``Gflow.assignments`` and ``ExtendedOpenGraph.planes`` are
@@ -270,6 +274,45 @@ def extensivity_order(
     return _order(graph.ids, succ, outputs)
 
 
+def _dfs_order(masks, white: int) -> tuple[int, ...] | None:
+    """A topological order of f(u) = g(u) | Odd(g(u)) over the bits of white,
+    or None when f has a cycle; ``masks`` maps every bit of white to its
+    (g(u), Odd(g(u))), and arcs to other bits are ignored.
+
+    One iterative depth-first search on masks, O(V) mask operations: the
+    next child of the vertex on top of the stack is the lowest white bit of
+    its f-mask. Every arc back into the stack leads to a vertex that was
+    already on it (gray) when the arc's tail entered, so f has a cycle
+    exactly when a vertex entering the stack has an f-mask that meets
+    gray. The order is the reversed postorder, each u before f(u) \\ {u}.
+    """
+    gray, post = 0, []
+    for root in masks:
+        if not white >> root & 1:
+            continue
+        white ^= 1 << root
+        gray |= 1 << root
+        stack = [root]
+        while stack:
+            u = stack[-1]
+            k, odd = masks[u]
+            child = (k | odd) & white
+            if not child:
+                gray ^= 1 << u
+                post.append(stack.pop())
+                continue
+            b = child & -child
+            v = b.bit_length() - 1
+            k, odd = masks[v]
+            if (k | odd) & gray:
+                return None
+            white ^= b
+            gray |= b
+            stack.append(v)
+    post.reverse()
+    return tuple(post)
+
+
 def _f_order(eog: ExtendedOpenGraph, masks) -> DependencyOrder:
     """The order of f(u) = g(u) | Odd(g(u)); CycleError when g is not extensive.
 
@@ -366,7 +409,8 @@ def _masks(eog, g):
 
 
 def _verify(eog, g):
-    """The report, the masks of ``_masks`` and the order, kept in g's memo."""
+    """The report, the masks of ``_masks`` and the order of ``_dfs_order``,
+    kept in g's memo. A cycle's witness is the one ``_f_order`` finds."""
     memo = g._memo
     if memo is not None and memo[0] is eog and memo[2] is not None:
         return memo[2]
@@ -380,19 +424,22 @@ def _verify(eog, g):
             violations.append(Violation(u, f"plane-{plane.value}", graph.members(odd)))
     order = None
     if len(masks) == len(eog.measured):
-        try:
-            order = _f_order(eog, masks)
-        except CycleError as exc:
-            violations.append(
-                Violation(exc.cycle[0], "extensivity", frozenset(exc.cycle))
-            )
+        order = _dfs_order(masks, ((1 << len(ids)) - 1) ^ graph.mask(eog.outputs))
+        if order is None:
+            try:
+                _f_order(eog, masks)
+            except CycleError as exc:
+                violations.append(
+                    Violation(exc.cycle[0], "extensivity", frozenset(exc.cycle))
+                )
     result = VerificationReport(not violations, tuple(violations)), masks, order
     object.__setattr__(g, "_memo", (eog, found, result))
     return result
 
 
 def _valid(eog, g):
-    """The masks and order of ``_verify``; ValueError unless g is a valid gflow."""
+    """The masks and the topological order of ``_verify``, bit positions of
+    the measured vertices; ValueError unless g is a valid gflow."""
     report, masks, order = _verify(eog, g)
     if not report.valid:
         first = report.violations[0]

@@ -34,9 +34,11 @@ def focus(eog: ExtendedOpenGraph, g: Gflow, sigma: str) -> Gflow:
     """Rewrite g so the sigma-specific corrector set stays in {u} + outputs.
 
     Requires a valid gflow g and sigma in the plane of every measured
-    non-input, and raises ValueError otherwise; the sweep runs from the
-    latest layer down so each substituted set is already final. The result
-    is a valid sigma-NF gflow extensive under g's own order.
+    non-input, and raises ValueError otherwise. The sweep runs backwards
+    through the topological order of ``_valid``, so each substituted set is
+    already final. Every bit substituted into u's set is in f(u), so the
+    result does not depend on which topological order is swept. It is a
+    valid sigma-NF gflow extensive under g's own order.
     """
     _check_sigma(sigma)
     off = _off_sigma(eog, sigma)
@@ -49,7 +51,7 @@ def focus(eog: ExtendedOpenGraph, g: Gflow, sigma: str) -> Gflow:
     graph = eog.graph
     out_mask = graph.mask(eog.outputs)
     refocused: dict[int, int] = {}
-    for i in sorted(masks, key=lambda i: (-order.layers[graph.ids[i]], i)):
+    for i in reversed(order):
         k, odd = masks[i]
         pool = _nf_excess(sigma, i, k, odd, out_mask)
         while pool:

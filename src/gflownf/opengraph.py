@@ -284,6 +284,11 @@ def parse_open_graph(text: str) -> ExtendedOpenGraph:
 
 
 def serialize_open_graph(eog: ExtendedOpenGraph, angles=None) -> str:
+    return json.dumps(_open_graph_doc(eog, angles), sort_keys=True)
+
+
+def _open_graph_doc(eog: ExtendedOpenGraph, angles=None) -> dict:
+    """The document ``serialize_open_graph`` writes, before it is dumped."""
     doc = {
         "vertices": sorted(eog.vertices),
         "edges": [list(e) for e in sorted(eog.graph.edges)],
@@ -293,4 +298,4 @@ def serialize_open_graph(eog: ExtendedOpenGraph, angles=None) -> str:
     }
     if angles is not None:
         doc["angles"] = {str(v): float(a) for v, a in sorted(angles.items())}
-    return json.dumps(doc, sort_keys=True)
+    return doc

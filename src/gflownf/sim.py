@@ -38,7 +38,7 @@ from typing import Mapping
 import numpy as np
 
 from .opengraph import ExtendedOpenGraph, Graph, Plane
-from .gflow import CorrectiveMaps, Gflow, _check_domain, _corrections, _valid
+from .gflow import CorrectiveMaps, Gflow, _check_domain, _corrections, _f_order, _valid
 from .gflow import extensivity_order
 
 STATE_TOL = 1e-9
@@ -304,8 +304,10 @@ def _scheduled(eog, angles, maps) -> Pattern:
 def pattern_from_gflow(
     eog: ExtendedOpenGraph, angles: Mapping[int, float], g: Gflow
 ) -> Pattern:
-    """Corrections and schedule from the masks and order of one validation."""
-    masks, order = _valid(eog, g)
+    """Corrections from the masks of one validation; the schedule from the
+    layers of one peel of their f-map."""
+    masks, _ = _valid(eog, g)
+    order = _f_order(eog, masks)
     return Pattern(eog, angles, _corrections(eog, masks), order.schedule(eog.measured))
 
 

@@ -27,6 +27,7 @@ from gflownf import (
     Gflow,
     Graph,
     OpenGraphError,
+    Plane,
     brute_force_enumerate,
     check_input_planes,
     check_normal_form,
@@ -127,6 +128,7 @@ def assert_same_rules(eog, g, og=None):
     if not outside:
         f = {u: k | ref.odd(og, k) for u, k in gs.items()}
         assert_same_order(eog.graph, eog.outputs, f, eog.measured)
+        assert_topological(eog, g, f)
     if valid:
         for sigma in AXES:
             got = outcome(focus, eog, g, sigma)
@@ -135,6 +137,20 @@ def assert_same_rules(eog, g, og=None):
         maps = corrective_maps(eog, g)
         assert (maps.x, maps.z) == ref.corrections(og, gs)
     return valid
+
+
+def assert_topological(eog, g, f):
+    """The order g's verification keeps lists each measured vertex once,
+    before the measured vertices of f(u) \\ {u}; it is None when the
+    reference finds a cycle."""
+    order = _verify(eog, g)[2]
+    if ref.layers(eog.vertices, eog.outputs, f)[1] is not None:
+        assert order is None
+        return
+    ids = eog.graph.ids
+    place = {ids[i]: p for p, i in enumerate(order)}
+    assert len(order) == len(place) and place.keys() == eog.measured
+    assert all(place[u] < place[v] for u in place for v in f[u] - {u} if v in place)
 
 
 def assert_same_schedule(eog, g, og=None):
@@ -183,9 +199,8 @@ def assert_sparse_results(rng, eog, g, limit):
 
 
 def _kept(eog, g):
-    """What g's verification keeps: the report, the masks and the layers."""
-    report, masks, order = _verify(eog, g)
-    return report, masks, order and order.layers
+    """What g's verification keeps: the report, the masks and the order."""
+    return _verify(eog, g)
 
 
 def _grid_flow_calls(eog, g, copy):
@@ -224,6 +239,30 @@ def assert_same_forms(g):
     for h in (g, sets):
         with pytest.raises(TypeError):
             hash(h)
+
+
+def layered_instance(rng, h, w):
+    """h chains of w steps, step t of each joined to step t + 1 of its
+    chain and, at random, to step t of the other chains: the chains are a
+    causal flow, so a gflow exists. The first steps are the inputs, the last
+    the outputs, every plane is XY and the ids are a random sample."""
+    ids = rng.sample(range(3 * h * w), h * w)
+    at = {(c, t): ids[c * w + t] for c in range(h) for t in range(w)}
+    p = rng.uniform(0.0, 0.6)
+    edges = {(at[c, t], at[c, t + 1]) for c in range(h) for t in range(w - 1)}
+    edges |= {
+        (at[c, t], at[d, t])
+        for t in range(w)
+        for c in range(h)
+        for d in range(c + 1, h)
+        if rng.random() < p
+    }
+    return ExtendedOpenGraph(
+        Graph(frozenset(ids), frozenset(edges)),
+        frozenset(at[c, 0] for c in range(h)),
+        frozenset(at[c, w - 1] for c in range(h)),
+        {at[c, t]: Plane.XY for c in range(h) for t in range(w - 1)},
+    )
 
 
 def random_map(rng, eog):
@@ -409,6 +448,27 @@ class TestBitmaskCore:
             density = rng.uniform(0.0, 0.4)
             f = {u: {v for v in ids if rng.random() < density} for u in ids}
             assert_same_order(graph, outputs, f, frozenset(ids) - outputs)
+
+    def test_dags_with_a_back_arc(self):
+        # found gflows on 20 to 200 vertices in chains of up to 200 steps,
+        # then each with one arc a -> b of f answered by a in g(b)
+        rng = random.Random(89)
+        for _ in range(40):
+            h = rng.randint(1, 8)
+            eog = layered_instance(rng, h, rng.randint(-(-20 // h), 200 // h))
+            og = plain(eog)
+            g = find_gflow(eog)
+            assert assert_same_rules(eog, g, og)
+            arcs = [
+                (a, b)
+                for a, k in sorted(g.assignments.items())
+                for b in sorted((k | ref.odd(og, k)) & eog.measured - {a})
+            ]
+            a, b = rng.choice(arcs)
+            back = Gflow({**g.assignments, b: g[b] | {a}})
+            assert not assert_same_rules(eog, back, og)
+            report = verify_gflow(eog, back)
+            assert "extensivity" in [v.condition for v in report.violations]
 
     @pytest.mark.parametrize("n", [1, 2, 50, 2_000])
     def test_chains_and_cycles(self, n):

@@ -211,6 +211,21 @@ class TestNormalFormCommands:
         assert run(capsys, argv)[0] == 0
         assert {s: len(c) for s, c in calls.items()} == {s: s == sigma for s in "YZ"}
 
+    def test_promote_reports_the_graph_document_as_built(self, capsys, probe, tmp_path):
+        # the rewritten graph's document goes into the report as a dict,
+        # not dumped to JSON text and parsed back
+        _write_golden_docs(tmp_path)
+        probe.refuse("opengraph.serialize_open_graph", "the graph was dumped to text")
+        graph, flow = tmp_path / "edge_xz.json", tmp_path / "edge_xz_g.json"
+        argv = ["promote", str(graph), str(flow), "--sigma", "Y", "--vertex", "1"]
+        assert run(capsys, argv) == (0, {
+            "added_vertex": 2,
+            "gflow": {"1": [0], "2": [0, 2]},
+            "graph": {"edges": [[0, 1], [1, 2]], "inputs": [1], "outputs": [0],
+                      "planes": {"1": "XY", "2": "YZ"}, "vertices": [0, 1, 2]},
+            "promoted_vertex": 1,
+        })
+
 
 class TestSimulate:
     def test_with_gflow_deterministic(self, capsys, graph_file, gflow_file):

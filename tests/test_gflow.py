@@ -124,6 +124,26 @@ class TestVerifyGflow:
             (2, "codomain", {10**10}),
         ]
 
+    def test_deep_cycle_on_a_long_chain(self):
+        # A 20,000-vertex XY chain whose last corrector points back into the
+        # chain: the search is 19,998 vertices deep when it meets the cycle,
+        # far past Python's recursion limit.
+        n = 20_000
+        graph = Graph(frozenset(range(n)), frozenset((u, u + 1) for u in range(n - 1)))
+        planes = dict.fromkeys(range(n - 1), Plane.XY)
+        eog = ExtendedOpenGraph(graph, frozenset({0}), frozenset({n - 1}), planes)
+        g = {u: {u + 1} for u in range(n - 2)}
+        g[n - 2] = {n - 3}
+        report = verify_gflow(eog, Gflow(g))
+        # f(n - 4) holds n - 2 and f(n - 2) holds n - 4; the peel's witness
+        # starts from the lowest vertex left, n - 4
+        assert report.to_dict() == {
+            "valid": False,
+            "violations": [
+                {"vertex": n - 2, "condition": "extensivity", "witness": [n - 4, n - 2]}
+            ],
+        }
+
     def test_plane_relations_on_random_valid_gflows(self):
         # u in g(u) iff plane in {XZ, YZ}; u in Odd(g(u)) iff plane in {XY, XZ}
         rng = random.Random(11)
@@ -156,7 +176,8 @@ class TestVerifyGflow:
         assert pattern.corrections == corrective_maps(eog, g)
 
     def test_one_peel_per_pattern(self, probe):
-        # The schedule is the order the validation peeled, not a second peel.
+        # The schedule's layers come from one peel of the validated masks;
+        # the validation itself searches, and peels nothing.
         eog, _ = grid_cluster(random.Random(3), 16, 6)
         g = find_gflow(eog)
         peels = probe.calls("gflow._peel")
@@ -182,23 +203,27 @@ class TestVerificationMemo:
         eog, _ = grid_cluster(random.Random(3), 16, 6)
         g = find_gflow(eog)
         calls = probe.calls("opengraph.odd_mask")
+        searches = probe.calls("gflow._dfs_order")
         peels = probe.calls("gflow._peel")
         assert verify_gflow(eog, g).valid
         focus(eog, g, "X"), focus(eog, g, "Y")
         maps = corrective_maps(eog, g)
         pattern = pattern_from_gflow(eog, dict.fromkeys(eog.measured, 0.5), g)
-        assert (len(calls), len(peels)) == (90, 1)
+        # the one peel is the schedule's, in pattern_from_gflow
+        assert (len(calls), len(searches), len(peels)) == (90, 1, 1)
         assert pattern.corrections == maps
 
     def test_focused_gflow_checked_once(self, probe):
-        # check_normal_form builds the masks, verify_gflow adds the peel
+        # check_normal_form builds the masks, verify_gflow adds the search
         eog, _ = grid_cluster(random.Random(3), 16, 6)
         fx = focus(eog, find_gflow(eog), "X")
         calls = probe.calls("opengraph.odd_mask")
+        searches = probe.calls("gflow._dfs_order")
         peels = probe.calls("gflow._peel")
         assert check_normal_form(eog, fx, "X")
         assert verify_gflow(eog, fx).valid
-        assert (len(calls), len(peels)) == (len(eog.measured), 1)
+        assert verify_gflow(eog, fx).valid
+        assert (len(calls), len(searches), len(peels)) == (len(eog.measured), 1, 0)
 
     def test_no_stale_verdicts(self, path_eog, path_gflow):
         # b changes one plane (g turns invalid), c one output (the domain
@@ -272,6 +297,7 @@ class TestBitForm:
                 or method(self, arg),
             )
         odds = probe.calls("opengraph.odd_mask")
+        searches = probe.calls("gflow._dfs_order")
         peels = probe.calls("gflow._peel")
         g = find_gflow(eog)
         assert verify_gflow(eog, g).valid
@@ -281,7 +307,8 @@ class TestBitForm:
             serialize_gflow(f)
         assert members == []
         assert all(arg is eog.inputs or arg is eog.outputs for arg in masked)
-        assert (len(odds), len(peels)) == (3 * len(eog.measured), 1)
+        # g is verified once; fx and fy are only checked for their forms
+        assert (len(odds), len(searches), len(peels)) == (3 * len(eog.measured), 1, 0)
 
     def test_bits_read_only_on_their_own_graph(self, monkeypatch):
         # an equal graph object, and one with every id shifted by 3, which
@@ -311,14 +338,15 @@ class TestBitForm:
             calls += [(focus, sigma) for sigma in "XY"]
             for fn, *sigma in calls:
                 assert outcome(fn, other, g, *sigma) == outcome(fn, other, sets, *sigma)
-        # an equal graph is not g's graph: its masks come from g's id sets
+        # an equal graph is not g's graph: its masks come from g's id sets,
+        # one per corrector, plus the inputs and the outputs
         masked = []
         method = Graph.mask
         monkeypatch.setattr(
             Graph, "mask", lambda self, arg: masked.append(arg) or method(self, arg)
         )
         assert verify_gflow(equal(), g).valid
-        assert len(masked) == 1 + len(eog.measured)
+        assert len(masked) == 2 + len(eog.measured)
 
 
 class TestInputPlanes:

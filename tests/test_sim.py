@@ -21,6 +21,7 @@ from gflownf import (
     basis_state,
     brute_force_enumerate,
     check_determinism,
+    extensivity_order,
     extract_isometry,
     find_gflow,
     focus,
@@ -33,7 +34,7 @@ from gflownf import (
 )
 import gflownf.sim as sim
 from gflownf.sim import Pattern
-from gflownf.gflow import CorrectiveMaps, _valid
+from gflownf.gflow import CorrectiveMaps
 from gflownf.instances import all_instances, random_instance
 
 import dense_reference as ref
@@ -249,8 +250,12 @@ class TestSchedule:
 
     @staticmethod
     def assert_gflow_order(eog, g):
+        # the schedule a map document of the pattern's own corrections gets
         pattern = pattern_from_gflow(eog, dict.fromkeys(eog.measured, 0.5), g)
-        assert pattern.schedule == _valid(eog, g)[1].schedule(eog.measured)
+        maps = pattern.corrections
+        f = {u: maps.x[u] | maps.z[u] for u in eog.measured}
+        order = extensivity_order(eog.graph, eog.outputs, f)
+        assert pattern.schedule == order.schedule(eog.measured)
 
     def test_every_gflow_up_to_three_vertices(self):
         checked = 0
