@@ -28,6 +28,7 @@ from .gflow import (
     _g_map,
     _gflow_of,
     check_normal_form,
+    corrective_maps,
     parse_gflow,
     verify_gflow,
 )
@@ -46,6 +47,15 @@ def _read(path):
         raise OpenGraphError(f"cannot read {path}: {exc}") from exc
 
 
+def _check_non_negative(args, *names):
+    """Refuse a negative bound with ``ValueError``; zero is a bound."""
+    for name in names:
+        value = getattr(args, name)
+        if value is not None and value < 0:
+            flag = "--" + name.replace("_", "-")
+            raise ValueError(f"{flag} must be >= 0, got {value}")
+
+
 def cmd_verify(args):
     eog = parse_open_graph(_read(args.graph))
     report = verify_gflow(eog, parse_gflow(_read(args.gflow)))
@@ -59,6 +69,7 @@ def cmd_find(args):
 
 
 def cmd_enumerate(args):
+    _check_non_negative(args, "limit")
     enum = brute_force_enumerate(parse_open_graph(_read(args.graph)), args.limit)
     code = RESOURCE if not enum.exhausted else OK if enum.count else NEGATIVE
     return code, {
@@ -98,7 +109,7 @@ def cmd_promote(args):
 
 
 def _build_pattern(eog, angles, correction_text, seed):
-    from .sim import _no_corrections, _scheduled, pattern_from_gflow
+    from .sim import _no_corrections, _scheduled
 
     rng = random.Random(seed)
     if angles is None:
@@ -106,7 +117,7 @@ def _build_pattern(eog, angles, correction_text, seed):
     if correction_text is None:
         maps = _no_corrections(eog)
     elif isinstance(doc := _load_json(correction_text), dict) and "g" in doc:
-        return pattern_from_gflow(eog, angles, _gflow_of(doc)), angles
+        maps = corrective_maps(eog, _gflow_of(doc))
     else:
         maps = _corrective_maps_of(doc)
     return _scheduled(eog, angles, maps), angles
@@ -120,6 +131,7 @@ def cmd_simulate(args):
 
     tol = sim.STATE_TOL if args.tol is None else args.tol
     sim._check_tolerance(tol)
+    _check_non_negative(args, "branch_bound", "max_qubits")
     eog, angles = parse_open_graph_document(_read(args.graph))
     bound = sim.DEFAULT_BRANCH_BOUND if args.branch_bound is None else args.branch_bound
     width = sim.DEFAULT_MAX_QUBITS if args.max_qubits is None else args.max_qubits
@@ -157,6 +169,7 @@ def cmd_simulate(args):
 
 
 def cmd_oracle_compare(args):
+    _check_non_negative(args, "max_vertices", "trials")
     rng = random.Random(args.seed)
     draws = (random_instance(rng, rng.randint(1, 5)) for _ in range(args.trials))
     instances = disagreements = invalid = 0

@@ -5,17 +5,18 @@ non-inputs; it is valid when the plane condition holds at every vertex and
 f(u) = g(u) | Odd(g(u)) has an acyclic dependency digraph (Browne, Kashefi,
 Mhalla and Perdrix, NJP 2007). Each rule is defined once, on int bitmasks,
 and shared by search, focusing and simulation: ``_PLANE_BITS``,
-``_nf_excess``, ``_off_sigma`` and ``_f_order``. So is each precondition:
+``_nf_excess`` and ``_off_sigma``. So is each precondition:
 ``_check_sigma``, ``_check_domain`` and ``_valid``, through which
 ``focus``, the promotions and ``corrective_maps`` raise ValueError on an
 invalid gflow. Verification decides acyclicity with ``_dfs_order``, one
 depth-first search on the masks, O(V) mask operations whatever the arc
-count; it keeps a topological order, no layers. The layers come from the
-Kahn peel ``_peel`` over successor lists of bit positions, O(V + E),
-behind ``_f_order`` and ``extensivity_order``, and only where they are
-read: ``extensivity_order`` itself, the schedule of
-``sim.pattern_from_gflow`` and, on a cycle, the witness verification
-reports. The enumerator in ``search.py`` prunes cycles as it assigns
+count; it keeps a topological order, no layers. Layers come only from
+``extensivity_order``, the Kahn peel ``_peel`` over successor lists,
+O(V + E). Every pattern's schedule is that order of its x(u) | z(u),
+which for a gflow's ``corrective_maps`` is f(u) \\ {u}: one peel per
+``sim.pattern_from_gflow``. Verification peels only on a cycle, and
+``_witness_cycle`` takes its witness from the vertices the peel leaves.
+The enumerator in ``search.py`` prunes cycles as it assigns
 vertices.
 
 A gflow is verified once per open graph object. ``_masks`` builds the
@@ -23,8 +24,8 @@ A gflow is verified once per open graph object. ``_masks`` builds the
 plane check and the order of one search, and each keeps its result in the
 Gflow's memo for the last open graph it was checked against (compared by
 ``is``; only that one is kept). ``verify_gflow``, ``check_normal_form``,
-``focus``, the promotions, ``corrective_maps`` and
-``sim.pattern_from_gflow`` all read it, so a gflow checked against one
+``focus``, the promotions and ``corrective_maps`` (so also
+``sim.pattern_from_gflow``) all read it, so a gflow checked against one
 open graph object five times builds its masks and searches once. Only
 ``_masks`` and ``_verify`` fill the memo, from the gflow's own corrector
 sets, so verification stays independent of the code that built the
@@ -238,19 +239,6 @@ def _witness_cycle(succ, stuck):
         path.append(nxt)
 
 
-def _order(ids, succ: list[list[int]], outputs) -> DependencyOrder:
-    """Depth layers of the successor lists over the positions of ids,
-    outputs lifted to the top one."""
-    depth, stuck = _peel(succ)
-    if stuck:
-        raise CycleError([ids[i] for i in _witness_cycle(succ, stuck)])
-    layers = dict(zip(ids, depth))
-    top = max(depth, default=0)
-    for o in outputs:
-        layers[o] = top
-    return DependencyOrder(layers)
-
-
 def extensivity_order(
     graph: Graph, outputs: Iterable[int], f: Mapping[int, Iterable[int]]
 ) -> DependencyOrder:
@@ -271,7 +259,14 @@ def extensivity_order(
                 raise OpenGraphError(f"image of {u} contains unknown vertex {v}")
             if j != i:
                 succ[i].append(j)
-    return _order(graph.ids, succ, outputs)
+    depth, stuck = _peel(succ)
+    if stuck:
+        raise CycleError([graph.ids[i] for i in _witness_cycle(succ, stuck)])
+    layers = dict(zip(graph.ids, depth))
+    top = max(depth, default=0)
+    for o in outputs:
+        layers[o] = top
+    return DependencyOrder(layers)
 
 
 def _dfs_order(masks, white: int) -> tuple[int, ...] | None:
@@ -311,17 +306,6 @@ def _dfs_order(masks, white: int) -> tuple[int, ...] | None:
             stack.append(v)
     post.reverse()
     return tuple(post)
-
-
-def _f_order(eog: ExtendedOpenGraph, masks) -> DependencyOrder:
-    """The order of f(u) = g(u) | Odd(g(u)); CycleError when g is not extensive.
-
-    ``masks`` maps each measured u's bit position to (g(u), Odd(g(u))).
-    """
-    succ = [[] for _ in eog.graph.ids]
-    for i, (k, odd) in masks.items():
-        succ[i] = _positions((k | odd) & ~(1 << i))
-    return _order(eog.graph.ids, succ, eog.outputs)
 
 
 @dataclass(frozen=True)
@@ -410,7 +394,8 @@ def _masks(eog, g):
 
 def _verify(eog, g):
     """The report, the masks of ``_masks`` and the order of ``_dfs_order``,
-    kept in g's memo. A cycle's witness is the one ``_f_order`` finds."""
+    kept in g's memo. A cycle's witness is ``_witness_cycle``'s, from the
+    vertices one peel of the masks' successor lists leaves."""
     memo = g._memo
     if memo is not None and memo[0] is eog and memo[2] is not None:
         return memo[2]
@@ -426,12 +411,11 @@ def _verify(eog, g):
     if len(masks) == len(eog.measured):
         order = _dfs_order(masks, ((1 << len(ids)) - 1) ^ graph.mask(eog.outputs))
         if order is None:
-            try:
-                _f_order(eog, masks)
-            except CycleError as exc:
-                violations.append(
-                    Violation(exc.cycle[0], "extensivity", frozenset(exc.cycle))
-                )
+            succ = [[] for _ in ids]
+            for i, (k, odd) in masks.items():
+                succ[i] = _positions((k | odd) & ~(1 << i))
+            cycle = [ids[i] for i in _witness_cycle(succ, _peel(succ)[1])]
+            violations.append(Violation(cycle[0], "extensivity", frozenset(cycle)))
     result = VerificationReport(not violations, tuple(violations)), masks, order
     object.__setattr__(g, "_memo", (eog, found, result))
     return result
@@ -486,12 +470,9 @@ def _corrective_maps_of(doc) -> CorrectiveMaps:
 
 
 def corrective_maps(eog: ExtendedOpenGraph, g: Gflow) -> CorrectiveMaps:
-    """Derive the correction strategy x(u) = g(u)\\{u}, z(u) = Odd(g(u))\\{u}."""
-    return _corrections(eog, _valid(eog, g)[0])
-
-
-def _corrections(eog, masks) -> CorrectiveMaps:
-    """``corrective_maps`` from the (g(u), Odd(g(u))) masks of ``_valid``."""
+    """Derive the correction strategy x(u) = g(u)\\{u}, z(u) = Odd(g(u))\\{u},
+    from the masks of ``_valid``."""
+    masks, _ = _valid(eog, g)
     members, ids = eog.graph.members, eog.graph.ids
     x = {ids[i]: members(k & ~(1 << i)) for i, (k, _) in masks.items()}
     z = {ids[i]: members(odd & ~(1 << i)) for i, (_, odd) in masks.items()}

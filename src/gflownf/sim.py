@@ -38,7 +38,7 @@ from typing import Mapping
 import numpy as np
 
 from .opengraph import ExtendedOpenGraph, Graph, Plane
-from .gflow import CorrectiveMaps, Gflow, _check_domain, _corrections, _f_order, _valid
+from .gflow import CorrectiveMaps, Gflow, _check_domain, corrective_maps
 from .gflow import extensivity_order
 
 STATE_TOL = 1e-9
@@ -292,9 +292,9 @@ def _no_corrections(eog: ExtendedOpenGraph) -> CorrectiveMaps:
 
 
 def _scheduled(eog, angles, maps) -> Pattern:
-    """The pattern measured in the order of x(u) | z(u), ties broken by id,
-    for a map document or no corrections; `pattern_from_gflow` orders a
-    gflow's pattern by f(u) \\ {u}, the same digraph for its own maps."""
+    """The pattern measured in the order of x(u) | z(u), ties broken by id:
+    the one path from corrections to a pattern, for a gflow's maps, a map
+    document or no corrections."""
     _check_maps(eog, maps)
     f = {u: maps.x[u] | maps.z[u] for u in eog.measured}
     order = extensivity_order(eog.graph, eog.outputs, f)
@@ -304,11 +304,9 @@ def _scheduled(eog, angles, maps) -> Pattern:
 def pattern_from_gflow(
     eog: ExtendedOpenGraph, angles: Mapping[int, float], g: Gflow
 ) -> Pattern:
-    """Corrections from the masks of one validation; the schedule from the
-    layers of one peel of their f-map."""
-    masks, _ = _valid(eog, g)
-    order = _f_order(eog, masks)
-    return Pattern(eog, angles, _corrections(eog, masks), order.schedule(eog.measured))
+    """The pattern of g's corrective maps, whose x(u) | z(u) is
+    f(u) \\ {u}, so each u is measured before the vertices it corrects."""
+    return _scheduled(eog, angles, corrective_maps(eog, g))
 
 
 def strip_corrections(pattern: Pattern) -> Pattern:

@@ -2,12 +2,22 @@ import contextlib
 import io
 import json
 import os
+import random
 import tempfile
 from pathlib import Path
 
 import pytest
 
+from gflownf import (
+    corrective_maps,
+    find_gflow,
+    parse_gflow,
+    parse_open_graph,
+    serialize_gflow,
+    serialize_open_graph,
+)
 from gflownf.cli import build_parser, main
+from gflownf.instances import random_instance
 
 from conftest import PATH_DOC
 
@@ -450,6 +460,66 @@ class TestOracleCompare:
         assert code == 0
         assert doc["disagreements"] == 0 and doc["invalid_gflows"] == 0
         assert doc["instances"] > 30
+
+
+def _found_gflow(seed):
+    """A seeded 6-9 qubit random_instance with inputs and a gflow, as
+    documents: the open graph, with no angles, and its found gflow."""
+    rng = random.Random(seed)
+    while True:
+        eog = random_instance(rng, rng.randint(6, 9), force_input_xy=True)
+        g = find_gflow(eog)
+        if g is not None and eog.inputs:
+            return serialize_open_graph(eog), serialize_gflow(g)
+
+
+class TestOneSchedulePath:
+    """A gflow and its corrective maps give one pattern: simulate prints the
+    same line for the gflow's document and for the maps' document."""
+
+    @pytest.mark.parametrize("state", ["basis", "random"])
+    @pytest.mark.parametrize("seed", [None, 0, 1, 2, 3])
+    def test_gflow_and_its_maps_print_the_same_line(
+        self, capsys, tmp_path, seed, state
+    ):
+        graph, flow = (PATH_DOC, PATH_GFLOW) if seed is None else _found_gflow(seed)
+        maps = corrective_maps(parse_open_graph(graph), parse_gflow(flow))
+        maps_doc = {
+            side: {str(u): sorted(s) for u, s in getattr(maps, side).items()}
+            for side in "xz"
+        }
+        docs = {"graph": graph, "g": flow, "maps": json.dumps(maps_doc)}
+        for name, text in docs.items():
+            (tmp_path / f"{name}.json").write_text(text)
+        lines = []
+        for corrections in ("g", "maps"):
+            argv = ["simulate", str(tmp_path / "graph.json"),
+                    str(tmp_path / f"{corrections}.json"), "--input", state,
+                    "--seed", "5", "--dump-branches"]
+            assert main(argv) == 0
+            lines.append(capsys.readouterr().out)
+        assert lines[0] == lines[1]
+        assert len(json.loads(lines[0])["branches"]) == 2 ** len(maps.x)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["enumerate", "{graph}", "--limit", "-1"], "--limit must be >= 0, got -1"),
+        (["simulate", "{graph}", "{gflow}", "--branch-bound", "-3"],
+         "--branch-bound must be >= 0, got -3"),
+        (["simulate", "{graph}", "--max-qubits", "-1"],
+         "--max-qubits must be >= 0, got -1"),
+        (["oracle-compare", "--max-vertices", "-2", "--trials", "5"],
+         "--max-vertices must be >= 0, got -2"),
+        (["oracle-compare", "--trials", "-5"], "--trials must be >= 0, got -5"),
+    ],
+)
+def test_negative_bound_is_an_input_error(
+    capsys, graph_file, gflow_file, argv, message
+):
+    argv = [a.format(graph=graph_file, gflow=gflow_file) for a in argv]
+    assert message in input_error(capsys, argv)
 
 
 class TestMalformedIds:

@@ -176,14 +176,14 @@ class TestVerifyGflow:
         assert pattern.corrections == corrective_maps(eog, g)
 
     def test_one_peel_per_pattern(self, probe):
-        # The schedule's layers come from one peel of the validated masks;
-        # the validation itself searches, and peels nothing.
+        # The schedule's layers come from one extensivity_order peel of the
+        # corrective maps; the validation itself searches, and peels nothing.
         eog, _ = grid_cluster(random.Random(3), 16, 6)
         g = find_gflow(eog)
         peels = probe.calls("gflow._peel")
         orders = probe.calls("gflow.extensivity_order")
         pattern_from_gflow(eog, dict.fromkeys(eog.measured, 0.5), g)
-        assert (len(peels), len(orders)) == (1, 0)
+        assert (len(peels), len(orders)) == (1, 1)
 
     def test_one_odd_mask_per_measured_vertex_in_focus(self, probe):
         # The order and the sweep share each Odd(g(u)).

@@ -19,9 +19,7 @@ from gflownf import (
     Statevector,
     apply_correction,
     basis_state,
-    brute_force_enumerate,
     check_determinism,
-    extensivity_order,
     extract_isometry,
     find_gflow,
     focus,
@@ -35,7 +33,7 @@ from gflownf import (
 import gflownf.sim as sim
 from gflownf.sim import Pattern
 from gflownf.gflow import CorrectiveMaps
-from gflownf.instances import all_instances, random_instance
+from gflownf.instances import random_instance
 
 import dense_reference as ref
 
@@ -245,29 +243,9 @@ class TestRunBranch:
 
 
 class TestSchedule:
-    """Every built pattern is ordered by x(u) | z(u); for a gflow's maps that
-    is f(u) \\ {u}, so the schedule is the one its own order gives."""
-
-    @staticmethod
-    def assert_gflow_order(eog, g):
-        # the schedule a map document of the pattern's own corrections gets
-        pattern = pattern_from_gflow(eog, dict.fromkeys(eog.measured, 0.5), g)
-        maps = pattern.corrections
-        f = {u: maps.x[u] | maps.z[u] for u in eog.measured}
-        order = extensivity_order(eog.graph, eog.outputs, f)
-        assert pattern.schedule == order.schedule(eog.measured)
-
-    def test_every_gflow_up_to_three_vertices(self):
-        checked = 0
-        for eog in all_instances(3):
-            for g in brute_force_enumerate(eog).gflows:
-                self.assert_gflow_order(eog, g)
-                checked += 1
-        assert checked > 0
-
-    def test_census(self, small_sweep):
-        for eog, g in small_sweep:
-            self.assert_gflow_order(eog, g)
+    """Every pattern is ordered by ``extensivity_order`` on its x(u) | z(u);
+    tests/test_bitmask_core.py checks that order, and the schedules of gflow
+    patterns, against the set reference."""
 
     def test_map_missing_a_measured_vertex(self, path_eog):
         maps = CorrectiveMaps({1: {2}}, {1: {3}, 2: set()})
