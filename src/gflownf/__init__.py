@@ -48,7 +48,7 @@ from .normal_forms import (
 _SIM_NAMES = frozenset({
     "BranchLimitError", "BranchResult", "DeterminismReport", "Pattern", "Statevector",
     "apply_correction", "basis_state", "check_determinism", "extract_isometry",
-    "measure", "pattern_from_gflow", "prepare", "run_all_branches", "run_branch",
+    "measure", "pattern_from_gflow", "prepare", "run_all_branches",
     "strip_corrections",
 })
 

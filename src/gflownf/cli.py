@@ -131,7 +131,7 @@ def cmd_simulate(args):
 
     tol = sim.STATE_TOL if args.tol is None else args.tol
     sim._check_tolerance(tol)
-    _check_non_negative(args, "branch_bound", "max_qubits")
+    _check_non_negative(args, "branch_bound", "max_qubits", "seed")
     eog, angles = parse_open_graph_document(_read(args.graph))
     bound = sim.DEFAULT_BRANCH_BOUND if args.branch_bound is None else args.branch_bound
     width = sim.DEFAULT_MAX_QUBITS if args.max_qubits is None else args.max_qubits

@@ -12,17 +12,16 @@ eigensolver runs. After d measurements the 2**d signal prefixes all
 live on the same qubits, so one level walk keeps them as the rows of one
 array, in binary-counter order: each measured qubit takes one row kernel
 call per outcome over every row, 2k calls for all 2**k branches, and the
-levels take turns in two buffers whatever k is. One branch is the same
-walk with one row. The walk may also start from several prepared input
-states, one row each; the kernels work row by row, so each input's rows
-come out as in a walk of its own. Only `run_all_branches` and
-`run_branch`, which pass one input, wrap rows as `BranchResult`s; their
-states share the walk's qubit tuple and skip the checks `Statevector`
-runs on outside input. `extract_isometry` walks its basis inputs and the
-uniform superposition as the rows of as few walks as fit in ``_BATCH``
-amplitudes, one walk for a small register, and certifies each input's
-rows as they are, by the arithmetic `check_determinism` runs on its
-stacked results, comparing outputs up to global phase. `measure`,
+levels take turns in two buffers whatever k is. The walk may also start
+from several prepared input states, one row each; the kernels work row by
+row, so each input's rows come out as in a walk of its own. Only
+`run_all_branches`, which passes one input, wraps rows as `BranchResult`s;
+their states share the walk's qubit tuple and skip the checks
+`Statevector` runs on outside input. `extract_isometry` walks its basis
+inputs and the uniform superposition as the rows of as few walks as fit
+in ``_BATCH`` amplitudes, one walk for a small register, and certifies
+each input's rows as they are, by the arithmetic `check_determinism` runs
+on its stacked results, comparing outputs up to global phase. `measure`,
 `apply_correction` and `prepare` are one-row calls of the walk's kernels
 and builder, bit for bit; the tests check each against a dense reference,
 `tests/dense_reference.py`, that imports nothing from this module.
@@ -190,7 +189,8 @@ def _measure_rows(rows, p: int, bra, totals, out) -> np.ndarray:
     scale.real, scale.imag = c.real / root, c.imag / root
     if out.shape[1] > 1:
         out *= scale[:, None]
-    else:  # numpy rounds a one-element product unlike a run of them
+    else:  # numpy rounds a run of one-element products unlike each alone,
+        # so a row of a batched walk ends as in a walk of its own
         for row, f in zip(out, scale):
             row *= complex(f)
     return np.divide(weight, totals, out=np.zeros(n), where=live)
@@ -320,22 +320,19 @@ class BranchResult:
     output_state: Statevector
 
 
-def _walk(pattern: Pattern, input_states, signals=None):
-    """Every branch from each of the prepared ``input_states``, or the one
-    ``signals`` names.
+def _walk(pattern: Pattern, input_states):
+    """Every branch from each of the prepared ``input_states``.
 
     The walk starts with one row per input state, all built by one
     `_prepare_rows` call over one parity table.
-    Level by level, each scheduled u projects every row once per outcome
-    (the named one only, for one branch), outcome s of row j into row
-    2j + s, then gives the outcome-1 rows u's X and then its Z; a
-    zero-probability row stays a zero row. X is one flipped copy out of a
-    half-size scratch buffer. Every kernel works row by row, so a row's
-    arithmetic does not depend on the rows beside it. Returns the output
-    qubits, the rows' probabilities and the rows: with m rows per input
-    (2**k for every branch, 1 for one), row j of input r ends at row
-    r * m + j, and j's signals are its bits in schedule order, most
-    significant first.
+    Level by level, each scheduled u projects every row once per outcome,
+    outcome s of row j into row 2j + s, then gives the outcome-1 rows u's X
+    and then its Z; a zero-probability row stays a zero row. X is one
+    flipped copy out of a half-size scratch buffer. Every kernel works row
+    by row, so a row's arithmetic does not depend on the rows beside it.
+    Returns the output qubits, the rows' probabilities and the rows: branch
+    j of input r ends at row r * 2**k + j, and j's signals are its bits in
+    schedule order, most significant first.
     """
     graph = pattern.eog.graph
     rows = _prepare_rows(graph, pattern.eog.inputs, input_states)
@@ -345,35 +342,22 @@ def _walk(pattern: Pattern, input_states, signals=None):
     scratch = np.empty(level.size // 2 if any(maps.x.values()) else 0, dtype=complex)
     for u in pattern.schedule:
         bras = _bras(pattern.eog.planes[u], pattern.angles[u])
-        outcomes = (0, 1) if signals is None else (signals[u],)
         p = qubits.index(u)
         qubits = qubits[:p] + qubits[p + 1 :]
         n, half = rows.shape[0], rows.shape[1] // 2
-        nxt = spare[: n * len(outcomes) * half].reshape(n, len(outcomes), half)
+        nxt = spare[: rows.size].reshape(n, 2, half)
         totals = np.vecdot(rows, rows).real
-        step = np.empty((n, len(outcomes)))
-        for j, s in enumerate(outcomes):
+        step = np.empty((n, 2))
+        for s in (0, 1):
             x, z = (maps.x[u], maps.z[u]) if s else ((), ())
-            out = scratch[: n * half].reshape(n, half) if x else nxt[:, j]
-            step[:, j] = _measure_rows(rows, p, bras[s], totals, out)
+            out = scratch[: n * half].reshape(n, half) if x else nxt[:, s]
+            step[:, s] = _measure_rows(rows, p, bras[s], totals, out)
             if x:
-                _flip_rows(out, [qubits.index(t) for t in x], nxt[:, j])
-            _negate_rows(nxt[:, j], [qubits.index(t) for t in z])
+                _flip_rows(out, [qubits.index(t) for t in x], nxt[:, s])
+            _negate_rows(nxt[:, s], [qubits.index(t) for t in z])
         rows, probs = nxt.reshape(-1, half), (probs[:, None] * step).reshape(-1)
         level, spare = spare, level
     return qubits, probs, rows
-
-
-def run_branch(pattern: Pattern, input_state: Statevector, signals) -> BranchResult:
-    """Run one signal assignment end to end, within ``DEFAULT_MAX_QUBITS``."""
-    if frozenset(signals) != pattern.eog.measured:
-        raise ValueError("signals must be given for exactly the measured vertices")
-    if any(s not in (0, 1) for s in signals.values()):
-        raise ValueError("signal must be 0 or 1")
-    _check_bounds(pattern.eog, math.inf, DEFAULT_MAX_QUBITS)
-    qubits, probs, rows = _walk(pattern, (input_state,), signals)
-    # a copy: the caller's dict may change after the result is made
-    return BranchResult(dict(signals), float(probs[0]), _row_state(qubits, rows[0]))
 
 
 def _check_bounds(eog: ExtendedOpenGraph, branch_bound: float, max_qubits: int) -> None:
@@ -401,9 +385,8 @@ def run_all_branches(
 
     Branch j's signals are the bits of j in schedule order, most significant
     first. A zero-probability outcome gives every branch below it
-    probability 0.0 and a zero vector on the sorted outputs. Each result
-    equals `run_branch` for its signals, bit for bit. Both bounds are
-    checked before the register is allocated: at most ``branch_bound``
+    probability 0.0 and a zero vector on the sorted outputs. Both bounds
+    are checked before the register is allocated: at most ``branch_bound``
     measured qubits and at most ``max_qubits`` qubits in all.
     """
     _check_bounds(pattern.eog, branch_bound, max_qubits)

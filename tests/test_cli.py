@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 
 from gflownf import (
+    Gflow,
+    OpenGraphError,
     corrective_maps,
     find_gflow,
     parse_gflow,
@@ -461,6 +463,15 @@ class TestOracleCompare:
         assert doc["disagreements"] == 0 and doc["invalid_gflows"] == 0
         assert doc["instances"] > 30
 
+    @pytest.mark.parametrize("counter", ["disagreements", "invalid_gflows"])
+    def test_wrong_finder_exits_1(self, capsys, monkeypatch, counter):
+        # no gflow anywhere, or empty corrector sets, which fail every plane
+        finder = {"disagreements": lambda eog: None,
+                  "invalid_gflows": lambda eog: Gflow(dict.fromkeys(eog.measured, ()))}
+        monkeypatch.setattr("gflownf.cli.find_gflow", finder[counter])
+        code, doc = run(capsys, ["oracle-compare", "--max-vertices", "2", "--trials", "9"])
+        assert code == 1 and doc[counter] > 0
+
 
 def _found_gflow(seed):
     """A seeded 6-9 qubit random_instance with inputs and a gflow, as
@@ -513,6 +524,9 @@ class TestOneSchedulePath:
         (["oracle-compare", "--max-vertices", "-2", "--trials", "5"],
          "--max-vertices must be >= 0, got -2"),
         (["oracle-compare", "--trials", "-5"], "--trials must be >= 0, got -5"),
+        (["simulate", "{graph}", "--seed", "-1"], "--seed must be >= 0, got -1"),
+        (["simulate", "{graph}", "--seed", "-1", "--input", "random"],
+         "--seed must be >= 0, got -1"),
     ],
 )
 def test_negative_bound_is_an_input_error(
@@ -541,6 +555,17 @@ class TestMalformedIds:
         p = tmp_path / "g.json"
         p.write_text(json.dumps(doc))
         input_error(capsys, ["find", str(p)])
+
+    @pytest.mark.parametrize("plane", ["XW", 3])
+    def test_unknown_plane(self, capsys, tmp_path, plane):
+        doc = json.loads(PATH_DOC)
+        doc["planes"]["1"] = plane
+        p = tmp_path / "g.json"
+        p.write_text(json.dumps(doc))
+        message = f"unknown plane {plane!r} at vertex 1"
+        with pytest.raises(OpenGraphError, match=message):
+            parse_open_graph(p.read_text())
+        assert message in input_error(capsys, ["find", str(p)])
 
     def test_bool_angle(self, capsys, tmp_path):
         doc = json.loads(PATH_DOC)

@@ -27,7 +27,6 @@ from gflownf import (
     pattern_from_gflow,
     prepare,
     run_all_branches,
-    run_branch,
     strip_corrections,
 )
 import gflownf.sim as sim
@@ -185,46 +184,27 @@ class TestArgumentChecks:
             call(pattern)
 
 
-class TestRunBranch:
+class TestRunAllBranches:
     def test_no_measurements(self):
         graph = Graph(frozenset({0}), frozenset())
         eog = ExtendedOpenGraph(graph, frozenset({0}), frozenset({0}), {})
         pattern = Pattern(eog, {}, CorrectiveMaps({}, {}), ())
-        result = run_branch(pattern, basis_state((0,), 1), {})
+        [result] = run_all_branches(pattern, basis_state((0,), 1))
+        assert result.signals == {}
         assert result.probability == pytest.approx(1.0)
         assert np.allclose(result.output_state.amplitudes, [0, 1])
 
     def test_path_pattern_uniform_branches(self, path_eog, path_gflow):
         pattern = path_pattern(path_eog, path_gflow, {1: 0.0, 2: 0.0})
-        inp = basis_state((1,), 0)
-        for signals in ({1: 0, 2: 0}, {1: 0, 2: 1}, {1: 1, 2: 0}, {1: 1, 2: 1}):
-            result = run_branch(pattern, inp, signals)
+        results = run_all_branches(pattern, basis_state((1,), 0))
+        assert len(results) == 4
+        for result in results:
             assert result.probability == pytest.approx(0.25, abs=1e-9)
 
     def test_branch_probabilities_sum_to_one(self, path_eog, path_gflow):
         pattern = path_pattern(path_eog, path_gflow, {1: 0.9, 2: 2.2})
         results = run_all_branches(pattern, basis_state((1,), 0))
         assert sum(r.probability for r in results) == pytest.approx(1.0, abs=1e-9)
-
-    def test_signal_mismatch_rejected(self, path_eog, path_gflow):
-        pattern = path_pattern(path_eog, path_gflow, {1: 0.0, 2: 0.0})
-        with pytest.raises(ValueError):
-            run_branch(pattern, basis_state((1,), 0), {1: 0})
-
-    @pytest.mark.parametrize("bad", [-1, 2])
-    def test_signal_outside_zero_one_rejected(self, path_eog, path_gflow, bad):
-        # the walk indexes each outcome's bra by its signal, so both must be refused
-        pattern = path_pattern(path_eog, path_gflow, {1: 0.0, 2: 0.0})
-        with pytest.raises(ValueError, match="signal must be 0 or 1"):
-            run_branch(pattern, basis_state((1,), 0), {1: bad, 2: 0})
-
-    def test_result_keeps_its_own_signals(self, path_eog, path_gflow):
-        pattern = path_pattern(path_eog, path_gflow, {1: 0.4, 2: 1.3})
-        signals = {1: 1, 2: 0}
-        result = run_branch(pattern, basis_state((1,), 0), signals)
-        signals[1] = 0
-        del signals[2]
-        assert result.signals == {1: 1, 2: 0}
 
     def test_branches_share_no_signals_dict(self, path_eog, path_gflow):
         pattern = path_pattern(path_eog, path_gflow, {1: 0.4, 2: 1.3})
@@ -233,13 +213,6 @@ class TestRunBranch:
         assert [r.signals for r in results] == [
             {1: a, 2: b} for a in (0, 1) for b in (0, 1)
         ]
-
-    def test_width_bound_read_at_call_time(self, monkeypatch, path_eog, path_gflow):
-        pattern = path_pattern(path_eog, path_gflow, {1: 0.0, 2: 0.0})
-        monkeypatch.setattr(sim, "DEFAULT_MAX_QUBITS", 2)
-        with pytest.raises(BranchLimitError) as info:
-            run_branch(pattern, basis_state((1,), 0), {1: 0, 2: 0})
-        assert info.value.limit == {"qubits": 3, "max_qubits": 2}
 
 
 class TestSchedule:
@@ -538,12 +511,6 @@ def assert_matches_reference(results, pattern, input_state):
         assert_reference_branch(result, branch)
 
 
-def assert_matches_run_branch(results, pattern, input_state):
-    """Each branch of the walk equals `run_branch` for its signals, bit for bit."""
-    one_by_one = [run_branch(pattern, input_state, r.signals) for r in results]
-    assert_bit_identical(results, one_by_one)
-
-
 def random_input(in_qubits, rng):
     re, im = rng.normal(size=(2, 2 ** len(in_qubits)))
     amps = re + 1j * im
@@ -590,13 +557,11 @@ class TestSharedPrefixWalk:
                 for inp in (basis_state(in_qubits, 0), random_input(in_qubits, nrng)):
                     results = run_all_branches(p, inp)
                     assert_matches_reference(results, p, inp)
-                    assert_matches_run_branch(results, p, inp)
 
     def test_zero_probability_subtree(self, zero_branch_pattern):
         pattern, inp = zero_branch_pattern
         results = run_all_branches(pattern, inp)
         assert_matches_reference(results, pattern, inp)
-        assert_matches_run_branch(results, pattern, inp)
         zero = [tuple(r.signals.values()) for r in results if r.probability == 0.0]
         assert zero == [(1, 0), (1, 1)]
         for r in results[2:]:
@@ -618,9 +583,6 @@ class TestSharedPrefixWalk:
         assert len(results) == 16
         assert all(r.probability > 0 for r in results)
         assert [len(rows) for rows, *_ in calls] == [1, 1, 2, 2, 4, 4, 8, 8]
-        calls.clear()
-        run_branch(pattern, basis_state((0,), 0), {0: 1, 1: 0, 2: 1, 3: 1})
-        assert [len(rows) for rows, *_ in calls] == [1, 1, 1, 1]
 
     def test_zero_rows_take_no_extra_calls(self, probe, zero_branch_pattern):
         pattern, inp = zero_branch_pattern
@@ -643,28 +605,36 @@ class TestSharedPrefixWalk:
         assert len(results) == 2**k
         assert_matches_reference(results, pattern, inp)
 
-    def test_matches_run_branch_without_outputs(self):
-        # the last level has one amplitude per row, where numpy rounds a
-        # product of one element unlike a run of them
+    def test_batched_rows_end_as_walks_of_their_own(self):
+        # Without outputs the last level leaves one amplitude per row, and
+        # numpy rounds a run of one-element products unlike each alone. The
+        # bra of outcome 0 at this XY angle, measured last, has a complex
+        # leading entry, which shows the difference in the last bit.
+        alpha = 1.9502076290814576
+        assert sim._bras(Plane.XY, alpha)[0][2].imag != 0
         rng = random.Random(61)
-        nrng = np.random.default_rng(61)
+        plus = Statevector((0,), [math.sqrt(0.5)] * 2)
+        inputs = (basis_state((0,), 0), basis_state((0,), 1), plus)
         for _ in range(40):
             n = rng.randint(1, 7)
             pairs = list(itertools.combinations(range(n), 2))
             edges = frozenset(rng.sample(pairs, len(pairs) // 2))
-            graph = Graph(frozenset(range(n)), edges)
+            planes = {u: rng.choice(list(Plane)) for u in range(n - 1)}
             eog = ExtendedOpenGraph(
-                graph, frozenset({0}), frozenset(),
-                {u: rng.choice(list(Plane)) for u in range(n)},
+                Graph(frozenset(range(n)), edges), frozenset({0}), frozenset(),
+                {**planes, n - 1: Plane.XY},
             )
+            angles = {u: rng.uniform(0.1, 6.2) for u in range(n - 1)}
             empty = {u: frozenset() for u in range(n)}
-            angles = {u: rng.uniform(0.1, 6.2) for u in range(n)}
             maps = CorrectiveMaps(empty, empty)
-            pattern = Pattern(eog, angles, maps, tuple(range(n)))
-            inp = random_input((0,), nrng)
-            results = run_all_branches(pattern, inp)
-            assert_matches_run_branch(results, pattern, inp)
-            assert_matches_reference(results, pattern, inp)
+            pattern = Pattern(eog, {**angles, n - 1: alpha}, maps, tuple(range(n)))
+            _, probs, rows = sim._walk(pattern, inputs)
+            m = 2**n
+            for r, inp in enumerate(inputs):
+                _, want_probs, want_rows = sim._walk(pattern, (inp,))
+                assert probs[r * m : (r + 1) * m].tobytes() == want_probs.tobytes()
+                assert rows[r * m : (r + 1) * m].tobytes() == want_rows.tobytes()
+                assert_matches_reference(run_all_branches(pattern, inp), pattern, inp)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 6])
     def test_peak_memory_under_three_registers(self, k):
@@ -686,7 +656,6 @@ class TestSharedPrefixWalk:
         inp = random_input((1,), np.random.default_rng(67))
         before = inp.amplitudes.copy()
         run_all_branches(pattern, inp)
-        run_branch(pattern, inp, {1: 1, 2: 1})
         assert np.array_equal(inp.amplitudes, before)
 
 
