@@ -36,7 +36,6 @@ from .search import (
 )
 from .normal_forms import (
     PromotionResult,
-    check_balanced_nf,
     check_defect_bound,
     focus,
     promote_all,

@@ -19,7 +19,6 @@ from .gflow import (
     _valid,
     check_normal_form,
 )
-from .search import find_gflow
 
 
 @dataclass(frozen=True)
@@ -163,18 +162,3 @@ def check_defect_bound(eog: ExtendedOpenGraph, sigma: str):
     count = len(_off_sigma(eog, sigma))
     defect = eog.input_defect
     return count, defect, count <= defect
-
-
-def check_balanced_nf(eog: ExtendedOpenGraph, sigma: str) -> bool:
-    """Equal-input-output decision: sigma-NF existence reduces to the planes.
-
-    For an instance with a gflow and |I| = |O|, a sigma-NF gflow
-    (sigma in {Y, Z}) exists exactly when every measured non-input plane
-    contains sigma.
-    """
-    _check_sigma(sigma, ("Y", "Z"))
-    if len(eog.inputs) != len(eog.outputs):
-        raise ValueError("the equivalence requires as many inputs as outputs")
-    if find_gflow(eog) is None:
-        raise ValueError("instance has no gflow")
-    return not _off_sigma(eog, sigma)

@@ -189,8 +189,16 @@ def _unique_keys(pairs):
     doc = dict(pairs)
     if len(doc) != len(pairs):
         dups = sorted(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
-        raise OpenGraphError(f"object repeats keys {dups}")
+        raise OpenGraphError(f"object repeats keys {_quote(dups)}")
     return doc
+
+
+def _quote(val) -> str:
+    """A document value as JSON writes it, for an error message."""
+    try:
+        return json.dumps(val)
+    except RecursionError:  # nested about as deep as ``_load_json`` allows
+        return f"(a {type(val).__name__} nested too deep to quote)"
 
 
 def _load_json(text: str):
@@ -222,7 +230,7 @@ def _id_map(raw, what: str, parse) -> dict:
     out = {}
     for key, val in raw.items():
         if not (key.isascii() and key.isdigit() and str(int(key)) == key):
-            raise OpenGraphError(f'"{what}" key {key!r} is not a vertex id')
+            raise OpenGraphError(f'"{what}" key {_quote(key)} is not a vertex id')
         v = int(key)
         out[v] = parse(v, val)
     return out
@@ -239,7 +247,7 @@ def _plane(v, val) -> Plane:
     try:
         return Plane(val)
     except ValueError as exc:
-        raise OpenGraphError(f"unknown plane {val!r} at vertex {v}") from exc
+        raise OpenGraphError(f"unknown plane {_quote(val)} at vertex {v}") from exc
 
 
 def _angle(v, val) -> float:
@@ -260,8 +268,9 @@ def parse_open_graph_document(text: str):
         raise OpenGraphError('"edges" must be a list of vertex pairs')
     edges = set()
     for e in raw_edges:
-        if len(_id_list(e, f"edge {e!r}")) != 2:
-            raise OpenGraphError(f"malformed edge {e!r}")
+        # a repeated id is left to Graph, which reports it as a self-loop
+        if not (isinstance(e, list) and len(e) == 2 and _is_id(e[0]) and _is_id(e[1])):
+            raise OpenGraphError(f"malformed edge {_quote(e)}")
         edges.add((e[0], e[1]))
     inputs = _id_list(doc.get("inputs"), '"inputs"')
     outputs = _id_list(doc.get("outputs"), '"outputs"')

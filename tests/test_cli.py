@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+import re
 import tempfile
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 
 from gflownf import (
     Gflow,
+    GflowEnumeration,
     OpenGraphError,
     corrective_maps,
     find_gflow,
@@ -463,12 +465,25 @@ class TestOracleCompare:
         assert doc["disagreements"] == 0 and doc["invalid_gflows"] == 0
         assert doc["instances"] > 30
 
-    @pytest.mark.parametrize("counter", ["disagreements", "invalid_gflows"])
-    def test_wrong_finder_exits_1(self, capsys, monkeypatch, counter):
-        # no gflow anywhere, or empty corrector sets, which fail every plane
-        finder = {"disagreements": lambda eog: None,
-                  "invalid_gflows": lambda eog: Gflow(dict.fromkeys(eog.measured, ()))}
-        monkeypatch.setattr("gflownf.cli.find_gflow", finder[counter])
+    @pytest.mark.parametrize(
+        "case", ["disagreements", "invalid_gflows", "invalid_witness"]
+    )
+    def test_wrong_finder_exits_1(self, capsys, monkeypatch, case):
+        # no gflow anywhere, or empty corrector sets, which fail every plane,
+        # from the finder or as the enumerator's witness
+        def empty(eog):
+            return Gflow(dict.fromkeys(eog.measured, ()))
+
+        name, fake, counter = {
+            "disagreements": ("find_gflow", lambda eog: None, "disagreements"),
+            "invalid_gflows": ("find_gflow", empty, "invalid_gflows"),
+            "invalid_witness": (
+                "brute_force_enumerate",
+                lambda eog, **kw: GflowEnumeration(eog, (empty(eog),), True),
+                "invalid_gflows",
+            ),
+        }[case]
+        monkeypatch.setattr(f"gflownf.cli.{name}", fake)
         code, doc = run(capsys, ["oracle-compare", "--max-vertices", "2", "--trials", "9"])
         assert code == 1 and doc[counter] > 0
 
@@ -556,16 +571,61 @@ class TestMalformedIds:
         p.write_text(json.dumps(doc))
         input_error(capsys, ["find", str(p)])
 
-    @pytest.mark.parametrize("plane", ["XW", 3])
-    def test_unknown_plane(self, capsys, tmp_path, plane):
+    @pytest.mark.parametrize(
+        "plane, quoted",
+        [("XW", '"XW"'), (3, "3"), (None, "null"), (["XY"], '["XY"]'),
+         ("xy", '"xy"'), (True, "true")],
+        ids=["XW", "3", "null", "list", "xy", "true"],
+    )
+    def test_unknown_plane(self, capsys, tmp_path, plane, quoted):
+        # the value is quoted as the document writes it, in JSON
         doc = json.loads(PATH_DOC)
         doc["planes"]["1"] = plane
         p = tmp_path / "g.json"
         p.write_text(json.dumps(doc))
-        message = f"unknown plane {plane!r} at vertex 1"
-        with pytest.raises(OpenGraphError, match=message):
+        message = f"unknown plane {quoted} at vertex 1"
+        with pytest.raises(OpenGraphError, match=re.escape(message)):
             parse_open_graph(p.read_text())
-        assert message in input_error(capsys, ["find", str(p)])
+        assert input_error(capsys, ["find", str(p)]) == message + "\n"
+
+    @pytest.mark.parametrize(
+        "edge, message",
+        [([0], "malformed edge [0]"), ([0, 1, 2], "malformed edge [0, 1, 2]"),
+         ([0, True], "malformed edge [0, true]"),
+         (["0", 1], 'malformed edge ["0", 1]'), ("ab", 'malformed edge "ab"'),
+         ([1, 1], "self-loop at vertex 1")],
+        ids=["one-id", "three-ids", "bool-id", "string-id", "string", "self-loop"],
+    )
+    def test_malformed_edge(self, capsys, tmp_path, edge, message):
+        doc = json.loads(PATH_DOC)
+        doc["edges"].append(edge)
+        p = tmp_path / "g.json"
+        p.write_text(json.dumps(doc))
+        assert input_error(capsys, ["find", str(p)]) == message + "\n"
+
+    @pytest.mark.parametrize("field", ["planes", "edges"])
+    def test_deepest_value_that_parses(self, capsys, tmp_path, field):
+        # A plane value or edge nested as deep as the JSON reader allows is
+        # still quoted on one stderr line, with no traceback.
+        p = tmp_path / "g.json"
+
+        def find(depth):
+            doc = json.loads(PATH_DOC)
+            doc[field]["1" if field == "planes" else 0] = "DEEP"
+            p.write_text(json.dumps(doc).replace('"DEEP"', "[" * depth + "]" * depth))
+            return input_error(capsys, ["find", str(p)])
+
+        # the reader's depth limit, by doubling and then bisection
+        lo, hi = 1, 2
+        while not find(hi).startswith("invalid JSON"):
+            lo, hi = hi, 2 * hi
+            assert hi <= 1 << 20
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if find(mid).startswith("invalid JSON") else (mid, hi)
+        err = find(lo)
+        message = "unknown plane " if field == "planes" else "malformed edge "
+        assert err.startswith(message) and err.count("\n") == 1
 
     def test_bool_angle(self, capsys, tmp_path):
         doc = json.loads(PATH_DOC)

@@ -15,15 +15,15 @@ from test_cli import GOLDEN_DOCS, _golden_argv, _write_golden_docs
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # gflownf.__all__ before the simulator import was deferred, less the retired
-# run_branch, which the last test checks is gone.
+# run_branch and check_balanced_nf, which the last test checks are gone.
 PUBLIC_NAMES = {
     "BranchLimitError", "BranchResult", "CorrectiveMaps", "CycleError",
     "DependencyOrder", "DeterminismReport", "ExtendedOpenGraph", "Gflow",
     "GflowEnumeration", "Graph", "OpenGraphError", "Pattern", "Plane",
     "PromotionResult", "Statevector", "VerificationReport", "apply_correction",
-    "basis_state", "brute_force_enumerate", "check_balanced_nf",
-    "check_defect_bound", "check_determinism", "check_input_planes",
-    "check_normal_form", "corrective_maps", "exists_normal_form",
+    "basis_state", "brute_force_enumerate", "check_defect_bound",
+    "check_determinism", "check_input_planes", "check_normal_form",
+    "corrective_maps", "exists_normal_form",
     "extensivity_order", "extract_isometry", "find_gflow", "focus", "gflow",
     "measure", "normal_forms", "odd_neighbourhood", "opengraph", "parse_gflow",
     "parse_open_graph", "parse_open_graph_document", "pattern_from_gflow",
@@ -90,7 +90,7 @@ def test_public_names_unchanged():
         "same = [n for n in names if star[n] is getattr(gflownf, n)]\n"
         "sim = [n for n in names if getattr(star[n], '__module__', '') == 'gflownf.sim']\n"
         "missing = []\n"
-        "for name in ('no_such_name', 'run_branch'):\n"
+        "for name in ('no_such_name', 'run_branch', 'check_balanced_nf'):\n"
         "    try:\n"
         "        getattr(gflownf, name)\n"
         "    except AttributeError:\n"
@@ -101,4 +101,4 @@ def test_public_names_unchanged():
     assert len(names) == len(PUBLIC_NAMES) and set(names) == PUBLIC_NAMES
     assert set(same) == PUBLIC_NAMES
     assert set(sim) == SIM_NAMES
-    assert missing == ["no_such_name", "run_branch"]
+    assert missing == ["no_such_name", "run_branch", "check_balanced_nf"]

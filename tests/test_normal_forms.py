@@ -8,7 +8,6 @@ from gflownf import (
     Graph,
     Plane,
     brute_force_enumerate,
-    check_balanced_nf,
     check_normal_form,
     check_defect_bound,
     exists_normal_form,
@@ -294,12 +293,17 @@ class TestDefectBound:
         assert check_normal_form(eog, g, "Y")
 
 
-class TestBalancedDecision:
-    def test_path_z_false(self, path_eog):
-        assert check_balanced_nf(path_eog, "Z") is False
+def plane_condition(eog, sigma):
+    """The paper's balanced (|I| = |O|) sigma-NF condition, sigma in {Y, Z}:
+    every measured non-input is measured in a plane containing sigma."""
+    return all(eog.planes[u].contains(sigma) for u in eog.measured_non_inputs)
 
+
+class TestBalancedDecision:
     def test_path_y_true_with_witness(self, path_eog, path_gflow):
-        assert check_balanced_nf(path_eog, "Y") is True
+        assert len(path_eog.inputs) == len(path_eog.outputs)
+        assert plane_condition(path_eog, "Y")
+        assert exists_normal_form(path_eog, "Y") is True
         focused = focus(path_eog, path_gflow, "Y")
         assert verify_gflow(path_eog, focused).valid
         assert check_normal_form(path_eog, focused, "Y")
@@ -312,33 +316,9 @@ class TestBalancedDecision:
         assert check_normal_form(star_eog, g, "X")
         assert exists_normal_form(star_eog, "X") is True
 
-    def test_unbalanced_rejected(self):
-        graph = Graph(frozenset({1, 2}), frozenset({(1, 2)}))
-        eog = ExtendedOpenGraph(graph, frozenset(), frozenset({2}), {1: Plane.XY})
-        with pytest.raises(ValueError):
-            check_balanced_nf(eog, "Z")
-
-    def test_instance_without_gflow_rejected(self):
-        # one input, one output, no edge: Odd(g(1)) never holds vertex 1
-        graph = Graph(frozenset({1, 2}), frozenset())
-        eog = ExtendedOpenGraph(graph, frozenset({1}), frozenset({2}), {1: Plane.XY})
-        with pytest.raises(ValueError, match="no gflow"):
-            check_balanced_nf(eog, "Z")
-
-    def test_matches_nf_existence_small(self):
-        for eog in all_instances(3):
-            if len(eog.inputs) != len(eog.outputs):
-                continue
-            if find_gflow(eog) is None:
-                continue
-            for sigma in ("Y", "Z"):
-                assert check_balanced_nf(eog, sigma) == (
-                    exists_normal_form(eog, sigma) is True
-                )
-
     def test_matches_nf_existence_random(self):
-        # Balanced instances on 5-30 vertices: the plane test is the finder's
-        # sigma-NF verdict, which comes out both ways for Y and for Z.
+        # Balanced instances on 5-30 vertices: the finder's sigma-NF verdict
+        # is the plane condition, and it comes out both ways for Y and for Z.
         rng = random.Random(79)
         verdicts = set()
         for _ in range(8_000):
@@ -348,6 +328,6 @@ class TestBalancedDecision:
                 continue
             for sigma in ("Y", "Z"):
                 exists = exists_normal_form(eog, sigma)
-                assert check_balanced_nf(eog, sigma) == exists
+                assert exists is plane_condition(eog, sigma)
                 verdicts.add((sigma, exists))
         assert len(verdicts) == 4

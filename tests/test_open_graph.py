@@ -13,6 +13,7 @@ from gflownf import (
     parse_open_graph_document,
     serialize_open_graph,
 )
+from gflownf.opengraph import _quote
 
 from conftest import PATH_DOC
 
@@ -131,6 +132,14 @@ class TestSerialization:
     def test_too_deep_json_rejected(self):
         with pytest.raises(OpenGraphError, match="invalid JSON"):
             parse_open_graph("[" * 100_000)
+
+    def test_value_too_deep_to_quote(self):
+        # past json.dumps' recursion limit, a message names the value's type
+        deep = []
+        for _ in range(100_000):
+            deep = [deep]
+        assert _quote(deep) == "(a list nested too deep to quote)"
+        assert _quote([None, True, "xy"]) == '[null, true, "xy"]'
 
     def test_angle_out_of_range_rejected(self):
         doc = json.loads(PATH_DOC)
