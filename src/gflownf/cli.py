@@ -37,6 +37,7 @@ from .normal_forms import focus as focus_gflow, promote_input_y, promote_input_z
 from .search import ENUMERATION_LIMIT, brute_force_enumerate, find_gflow
 
 OK, NEGATIVE, INPUT_ERROR, RESOURCE = 0, 1, 2, 3
+ERROR_CHARS = 500  # an input error's stderr line keeps this much of the message
 
 
 def _read(path):
@@ -264,7 +265,10 @@ def main(argv=None) -> int:
     try:
         code, doc = args.func(args)
     except (OpenGraphError, ValueError) as exc:
-        print(str(exc), file=sys.stderr)
+        msg = str(exc)
+        if len(msg) > ERROR_CHARS:
+            msg = f"{msg[:ERROR_CHARS]}... ({len(msg)} characters)"
+        print(msg, file=sys.stderr)
         return INPUT_ERROR
     print(json.dumps(doc, sort_keys=True))
     if "error" in doc:  # a resource limit's message, after the stdout line

@@ -36,8 +36,8 @@ A Gflow holds its corrector sets in one of two forms. ``Gflow(assignments)``
 keeps frozensets of ids. ``Gflow._of_bits(graph, bits)``, which
 ``find_gflow``, ``brute_force_enumerate``, ``focus`` and the promotions
 return, keeps the graph and one mask per bit position. It builds the id
-sets only when ``assignments``, ``g[u]``, ``domain``, ``==``, ``repr`` or
-pickling asks, and ``serialize_gflow`` writes ids straight from ascending
+sets only when ``assignments``, ``g[u]``, ``==``, ``repr`` or pickling
+asks, and ``serialize_gflow`` writes ids straight from ascending
 bits. ``_masks`` reads the bits as they are only when the gflow's graph
 ``is`` eog's graph: any other open graph, an equal copy included, goes
 through the id sets and ``Graph.mask``. Either way it checks the domain
@@ -135,9 +135,6 @@ class Gflow:
 
     def __getitem__(self, u: int) -> frozenset[int]:
         return self.assignments[u]
-
-    def domain(self) -> frozenset[int]:
-        return frozenset(self.assignments)
 
 
 def parse_gflow(text: str) -> Gflow:
@@ -369,7 +366,7 @@ def _masks(eog, g):
         _check_domain(eog, [ids[i] for i in g._bits], "gflow")
         given = g._bits
     else:
-        _check_domain(eog, g.domain(), "gflow")
+        _check_domain(eog, g.assignments, "gflow")
         given = {}
         for u in eog.measured:
             try:
@@ -456,10 +453,6 @@ class CorrectiveMaps:
         object.__setattr__(
             self, "z", {int(u): frozenset(s) for u, s in self.z.items()}
         )
-
-
-def parse_corrective_maps(text: str) -> CorrectiveMaps:
-    return _corrective_maps_of(_load_json(text))
 
 
 def _corrective_maps_of(doc) -> CorrectiveMaps:

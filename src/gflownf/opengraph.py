@@ -209,14 +209,19 @@ def _load_json(text: str):
         raise OpenGraphError(f"invalid JSON: {exc}") from exc
 
 
-def _id_list(val, what: str) -> list[int]:
-    """A JSON list of vertex ids, none of them a bool or listed twice."""
+def _id_list(val, what: str, key: int | None = None) -> list[int]:
+    """A JSON list of vertex ids, none of them a bool or listed twice: the
+    document's ``what`` list, or the one at ``key`` of its ``what`` map.
+    The error message names the list, and is built only on failure."""
     if not isinstance(val, list) or not all(_is_id(v) for v in val):
-        raise OpenGraphError(f"{what} must be a list of integers")
-    if len(set(val)) != len(val):
+        problem = "must be a list of integers"
+    elif len(set(val)) != len(val):
         dups = sorted(v for v, n in Counter(val).items() if n > 1)
-        raise OpenGraphError(f"{what} lists ids more than once: {dups}")
-    return val
+        problem = f"lists ids more than once: {dups}"
+    else:
+        return val
+    label = f'"{what}"' if key is None else f'"{what}" list of {key}'
+    raise OpenGraphError(f"{label} {problem}")
 
 
 def _id_map(raw, what: str, parse) -> dict:
@@ -238,9 +243,7 @@ def _id_map(raw, what: str, parse) -> dict:
 
 def _id_set_map(raw, what: str) -> dict[int, frozenset[int]]:
     """A JSON object from vertex ids to id lists, such as a gflow's "g"."""
-    return _id_map(
-        raw, what, lambda v, val: frozenset(_id_list(val, f'"{what}" list of {v}'))
-    )
+    return _id_map(raw, what, lambda v, val: frozenset(_id_list(val, what, v)))
 
 
 def _plane(v, val) -> Plane:
@@ -262,7 +265,7 @@ def parse_open_graph_document(text: str):
     if not isinstance(doc, dict):
         raise OpenGraphError("document must be a JSON object")
 
-    vertices = _id_list(doc.get("vertices"), '"vertices"')
+    vertices = _id_list(doc.get("vertices"), "vertices")
     raw_edges = doc.get("edges", [])
     if not isinstance(raw_edges, list):
         raise OpenGraphError('"edges" must be a list of vertex pairs')
@@ -272,8 +275,8 @@ def parse_open_graph_document(text: str):
         if not (isinstance(e, list) and len(e) == 2 and _is_id(e[0]) and _is_id(e[1])):
             raise OpenGraphError(f"malformed edge {_quote(e)}")
         edges.add((e[0], e[1]))
-    inputs = _id_list(doc.get("inputs"), '"inputs"')
-    outputs = _id_list(doc.get("outputs"), '"outputs"')
+    inputs = _id_list(doc.get("inputs"), "inputs")
+    outputs = _id_list(doc.get("outputs"), "outputs")
     planes = _id_map(doc.get("planes", {}), "planes", _plane)
 
     graph = Graph(frozenset(vertices), frozenset(edges))

@@ -22,7 +22,6 @@ ENUMERATION_LIMIT = 1_000_000  # combinations; `enumerate --limit` defaults to i
 
 @dataclass(frozen=True)
 class GflowEnumeration:
-    instance: ExtendedOpenGraph
     gflows: tuple[Gflow, ...]
     exhausted: bool
 
@@ -77,11 +76,11 @@ def brute_force_enumerate(
     if nf_sigma is not None:
         _check_sigma(nf_sigma)
     if not check_input_planes(eog):
-        return GflowEnumeration(eog, (), True)
+        return GflowEnumeration((), True)
     graph = eog.graph
     measured = sorted(map(graph.index.__getitem__, eog.planes))  # the measured
     if not measured:
-        return GflowEnumeration(eog, (Gflow._of_bits(graph, {}),), True)
+        return GflowEnumeration((Gflow._of_bits(graph, {}),), True)
     table = _odd_table(graph, ((1 << len(graph.ids)) - 1) & ~graph.mask(eog.inputs))
     out_mask = graph.mask(eog.outputs)
     ids = graph.ids
@@ -99,7 +98,7 @@ def brute_force_enumerate(
             and (nf_sigma is None or not _nf_excess(nf_sigma, i, k, odd, out_mask))
         ]
         if not cands:
-            return GflowEnumeration(eog, (), True)
+            return GflowEnumeration((), True)
         per_vertex.append(cands)
     n = len(measured)
     span = [1] * (n + 1)  # span[t]: the combinations below one choice at t - 1
@@ -145,7 +144,7 @@ def brute_force_enumerate(
         return True
 
     exhausted = descend(0, 0, 0, [0] * len(graph.ids)) and span[0] <= limit
-    return GflowEnumeration(eog, tuple(found), exhausted)
+    return GflowEnumeration(tuple(found), exhausted)
 
 
 def _find_gflow_rounds(eog: ExtendedOpenGraph, sigma: str | None = None):

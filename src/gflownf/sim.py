@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, replace
-from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
@@ -70,9 +69,6 @@ class Statevector:
                 f"amplitude vector of length {self.amplitudes.size} does not "
                 f"match {len(self.qubits)} qubits"
             )
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
 
 
 def _row_state(qubits: tuple[int, ...], row: np.ndarray) -> Statevector:
@@ -143,7 +139,6 @@ def _prepare_rows(graph: Graph, inputs, input_states) -> np.ndarray:
     return amps
 
 
-@lru_cache(maxsize=4096)
 def _bras(plane: Plane, alpha: float):
     """Per outcome s=0 (eigenvalue +1), then s=1: the conjugated eigenvector
     (c0, c1) of the plane observable as (i, r, c) with c = c_i its larger
@@ -468,7 +463,7 @@ def _certify(live, tol: float) -> tuple[bool, float]:
     return max_dev <= tol and max_dist <= tol, max_dev
 
 
-def extract_isometry(pattern: Pattern, tol: float = STATE_TOL) -> np.ndarray:
+def extract_isometry(pattern: Pattern) -> np.ndarray:
     """The implemented input-to-output map as a 2^|O| x 2^|I| matrix, up to
     one global phase.
 
@@ -479,11 +474,10 @@ def extract_isometry(pattern: Pattern, tol: float = STATE_TOL) -> np.ndarray:
     The 2^|I| basis inputs and the superposition are the starting rows of
     as few walks as hold at most ``_BATCH`` amplitudes each, or one input
     per walk from 14 qubits up. Each input's rows are certified, in input
-    order, by the two tests of `check_determinism`; a non-deterministic
-    pattern raises. ``tol`` and the default bounds of `run_all_branches`
-    are checked once, before any register is allocated.
+    order, by the two tests of `check_determinism` at ``STATE_TOL`` (1e-9);
+    a non-deterministic pattern raises. The default bounds of
+    `run_all_branches` are checked once, before any register is allocated.
     """
-    _check_tolerance(tol)
     _check_bounds(pattern.eog, DEFAULT_BRANCH_BOUND, DEFAULT_MAX_QUBITS)
     in_qubits = tuple(sorted(pattern.eog.inputs))
     n_in = len(in_qubits)
@@ -507,7 +501,7 @@ def extract_isometry(pattern: Pattern, tol: float = STATE_TOL) -> np.ndarray:
         for what, p, block in zip(names[start:], probs.reshape(len(batch), -1), blocks):
             # never empty: a row's two outcomes sum to 1
             live = block if p.all() else block[p > 0]
-            if not _certify(live, tol)[0]:
+            if not _certify(live, STATE_TOL)[0]:
                 raise ValueError(f"pattern is not deterministic on {what}")
             cols.append(live[0] / np.linalg.norm(live[0]))
         return cols

@@ -233,7 +233,7 @@ def assert_same_forms(g):
     text = serialize_gflow(g)
     sets = Gflow(dict(g.assignments))
     assert serialize_gflow(sets) == text
-    assert g == sets and repr(g) == repr(sets) and g.domain() == sets.domain()
+    assert g == sets and repr(g) == repr(sets)
     assert pickle.dumps(g) == pickle.dumps(sets)
     assert pickle.loads(pickle.dumps(g)) == sets == copy.deepcopy(g)
     for h in (g, sets):

@@ -19,8 +19,9 @@ from gflownf import (
     parse_open_graph,
     serialize_gflow,
     serialize_open_graph,
+    verify_gflow,
 )
-from gflownf.cli import build_parser, main
+from gflownf.cli import ERROR_CHARS, build_parser, main
 from gflownf.instances import random_instance
 
 from conftest import PATH_DOC
@@ -479,7 +480,7 @@ class TestOracleCompare:
             "invalid_gflows": ("find_gflow", empty, "invalid_gflows"),
             "invalid_witness": (
                 "brute_force_enumerate",
-                lambda eog, **kw: GflowEnumeration(eog, (empty(eog),), True),
+                lambda eog, **kw: GflowEnumeration((empty(eog),), True),
                 "invalid_gflows",
             ),
         }[case]
@@ -691,6 +692,39 @@ class TestMalformedIds:
         p = tmp_path / "maps.json"
         p.write_text(json.dumps(maps))
         input_error(capsys, ["simulate", graph_file, str(p)])
+
+
+class TestErrorLine:
+    """An input error's stderr line holds at most ERROR_CHARS characters of the
+    library's message, then its full length, however large the document."""
+
+    @pytest.mark.parametrize("case", ["gflow-without-0", "no-planes", "long-plane"])
+    def test_long_message_is_capped(self, capsys, tmp_path, case):
+        n = 20_000  # an XY chain, input 0 and output n - 1
+        doc = {
+            "vertices": list(range(n)), "edges": [[i, i + 1] for i in range(n - 1)],
+            "inputs": [0], "outputs": [n - 1],
+            "planes": {str(i): "XY" for i in range(n - 1)},
+        }
+        graph, gflow = tmp_path / "graph.json", tmp_path / "gflow.json"
+        argv = ["find", str(graph)]
+        if case == "gflow-without-0":
+            gflow.write_text(json.dumps({"g": {str(u): [u + 1] for u in range(1, n - 1)}}))
+            argv = ["verify", str(graph), str(gflow)]
+        elif case == "no-planes":
+            doc["planes"] = {}
+        else:
+            doc = json.loads(PATH_DOC)
+            doc["planes"]["1"] = ["XY"] * 100_000
+        graph.write_text(json.dumps(doc))
+        with pytest.raises((OpenGraphError, ValueError)) as raised:
+            eog = parse_open_graph(graph.read_text())
+            verify_gflow(eog, parse_gflow(gflow.read_text()))
+        message = str(raised.value)
+        assert len(message) > ERROR_CHARS
+        err = input_error(capsys, argv)
+        assert err == f"{message[:ERROR_CHARS]}... ({len(message)} characters)\n"
+        assert len(err.encode()) <= 600
 
 
 # Golden output: the exit code and stdout of every subcommand on the path, on

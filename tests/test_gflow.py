@@ -11,6 +11,7 @@ from gflownf import (
     CycleError,
     ExtendedOpenGraph,
     Gflow,
+    GflowEnumeration,
     Graph,
     Plane,
     brute_force_enumerate,
@@ -26,8 +27,9 @@ from gflownf import (
     serialize_gflow,
     verify_gflow,
 )
-from gflownf.gflow import AXES, parse_corrective_maps
-from gflownf.opengraph import OpenGraphError
+import gflownf.gflow as gflow_module
+from gflownf.gflow import AXES, _corrective_maps_of
+from gflownf.opengraph import OpenGraphError, _load_json
 from gflownf.instances import random_instance
 
 from conftest import grid_cluster
@@ -433,6 +435,19 @@ class TestNormalFormPredicate:
                 assert check_normal_form(eog, g, "X") == focused
 
 
+def test_retired_members_gone():
+    # nothing read them: simulate parses a map document with
+    # _corrective_maps_of(_load_json(text)), and _masks reads g.assignments
+    assert not hasattr(gflow_module, "parse_corrective_maps")
+    assert not hasattr(Gflow, "domain") and not hasattr(Gflow({}), "domain")
+    assert not hasattr(GflowEnumeration((), True), "instance")
+
+
+def parse_maps(text):
+    """The corrective maps of a map document, as `simulate` reads them."""
+    return _corrective_maps_of(_load_json(text))
+
+
 def _maps_doc(side, entries):
     doc = {"x": {"1": [2], "2": [3]}, "z": {"1": [3], "2": []}}
     doc[side] = entries
@@ -451,7 +466,7 @@ class TestParseIdKeyedMaps:
     @pytest.mark.parametrize("key", ["01", "+1", " 1", "1_0"])
     def test_non_canonical_map_key_rejected(self, side, key):
         with pytest.raises(OpenGraphError, match="is not a vertex id"):
-            parse_corrective_maps(_maps_doc(side, {key: [3], "2": []}))
+            parse_maps(_maps_doc(side, {key: [3], "2": []}))
 
     @pytest.mark.parametrize("ids", [[True], [2, False], [1.0], ["2"], 2, None])
     def test_non_id_corrector_rejected(self, ids):
@@ -459,20 +474,20 @@ class TestParseIdKeyedMaps:
             parse_gflow(json.dumps({"g": {"0": ids, "1": [2]}}))
         for side in "xz":
             with pytest.raises(OpenGraphError, match="list of integers"):
-                parse_corrective_maps(_maps_doc(side, {"1": ids, "2": []}))
+                parse_maps(_maps_doc(side, {"1": ids, "2": []}))
 
     def test_map_document_needs_x_and_z(self):
         with pytest.raises(OpenGraphError, match='needs "x" and "z"'):
-            parse_corrective_maps('{"x": {"1": [2], "2": [3]}}')
+            parse_maps('{"x": {"1": [2], "2": [3]}}')
 
     def test_duplicate_corrector_rejected(self):
         with pytest.raises(OpenGraphError, match="more than once"):
             parse_gflow('{"g": {"1": [2, 3, 2], "2": [3]}}')
         with pytest.raises(OpenGraphError, match="more than once"):
-            parse_corrective_maps(_maps_doc("z", {"1": [3, 3], "2": []}))
+            parse_maps(_maps_doc("z", {"1": [3, 3], "2": []}))
 
     def test_documents_round_trip(self):
         g = parse_gflow('{"g": {"0": [], "1": [2, 3], "10": [10]}}')
         assert g.assignments == {0: frozenset(), 1: {2, 3}, 10: {10}}
-        maps = parse_corrective_maps(_maps_doc("x", {"1": [2], "2": [3]}))
+        maps = parse_maps(_maps_doc("x", {"1": [2], "2": [3]}))
         assert maps == CorrectiveMaps({1: {2}, 2: {3}}, {1: {3}, 2: set()})
