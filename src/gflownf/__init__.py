@@ -2,6 +2,10 @@
 
 Only the branch simulator, ``gflownf.sim``, needs numpy: ``import gflownf``
 loads both on the first use of a simulator name, such as ``Statevector``.
+The import loads neither ``dataclasses``, ``inspect`` nor ``typing``: the
+records are plain immutable classes, so ``dataclasses.is_dataclass``,
+``fields``, ``replace`` and ``asdict`` do not apply to them; build a new
+record with its constructor.
 """
 
 from .opengraph import (

@@ -47,15 +47,15 @@ and the codomain and computes every Odd(g(u)) itself.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections.abc import Collection, Iterable, Mapping
 from types import MappingProxyType
-from typing import Collection, Iterable, Mapping
 
 from .opengraph import (
     ExtendedOpenGraph,
     Graph,
     OpenGraphError,
     Plane,
+    _Record,
     _id_set_map,
     _load_json,
     odd_mask,
@@ -89,8 +89,7 @@ def _off_sigma(eog: ExtendedOpenGraph, sigma: str) -> list[int]:
     return sorted(u for u in eog.measured_non_inputs if not planes[u].contains(sigma))
 
 
-@dataclass(frozen=True)
-class Gflow:
+class Gflow(_Record):
     """Map from each measured vertex to its corrector set.
 
     ``assignments`` is a read-only view; ``_masks`` and ``_verify`` keep
@@ -99,16 +98,15 @@ class Gflow:
     and builds ``assignments`` on first use.
     """
 
-    assignments: Mapping[int, frozenset[int]]
+    _fields = ("assignments",)
     # an ``_of_bits`` gflow's graph and {bit position: mask}; not fields
     _graph = _bits = None
 
-    def __post_init__(self):
-        assignments = {int(u): frozenset(s) for u, s in self.assignments.items()}
-        object.__setattr__(self, "assignments", MappingProxyType(assignments))
-        # (open graph, ``_masks`` pair, ``_verify`` triple or None) of the
-        # last open graph this gflow was checked against; not a field
-        object.__setattr__(self, "_memo", None)
+    def __init__(self, assignments: Mapping[int, Iterable[int]]):
+        assignments = {int(u): frozenset(s) for u, s in assignments.items()}
+        # ``_memo``: (open graph, ``_masks`` pair, ``_verify`` triple or None)
+        # of the last open graph this gflow was checked against; not a field
+        self.__dict__.update(assignments=MappingProxyType(assignments), _memo=None)
 
     @classmethod
     def _of_bits(cls, graph: Graph, bits: dict[int, int]) -> Gflow:
@@ -170,14 +168,13 @@ def _positions(mask: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class DependencyOrder:
+class DependencyOrder(_Record):
     """Layer assignment witnessing a strict partial order (lower layers first)."""
 
-    layers: Mapping[int, int]
+    _fields = ("layers",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "layers", dict(self.layers))
+    def __init__(self, layers: Mapping[int, int]):
+        self.__dict__.update(layers=dict(layers))
 
     def schedule(self, vertices: Iterable[int]) -> tuple[int, ...]:
         """Linear extension over the given vertices, ties broken by id."""
@@ -305,17 +302,18 @@ def _dfs_order(masks, white: int) -> tuple[int, ...] | None:
     return tuple(post)
 
 
-@dataclass(frozen=True)
-class Violation:
-    vertex: int
-    condition: str
-    witness: frozenset[int]
+class Violation(_Record):
+    _fields = ("vertex", "condition", "witness")
+
+    def __init__(self, vertex: int, condition: str, witness: frozenset[int]):
+        self.__dict__.update(vertex=vertex, condition=condition, witness=witness)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    valid: bool
-    violations: tuple[Violation, ...]
+class VerificationReport(_Record):
+    _fields = ("valid", "violations")
+
+    def __init__(self, valid: bool, violations: tuple[Violation, ...]):
+        self.__dict__.update(valid=valid, violations=violations)
 
     def to_dict(self) -> dict:
         return {
@@ -439,19 +437,15 @@ def check_input_planes(eog: ExtendedOpenGraph) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class CorrectiveMaps:
+class CorrectiveMaps(_Record):
     """Signal-conditioned X and Z correction targets per measured vertex."""
 
-    x: Mapping[int, frozenset[int]]
-    z: Mapping[int, frozenset[int]]
+    _fields = ("x", "z")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "x", {int(u): frozenset(s) for u, s in self.x.items()}
-        )
-        object.__setattr__(
-            self, "z", {int(u): frozenset(s) for u, s in self.z.items()}
+    def __init__(self, x: Mapping[int, Iterable[int]], z: Mapping[int, Iterable[int]]):
+        self.__dict__.update(
+            x={int(u): frozenset(s) for u, s in x.items()},
+            z={int(u): frozenset(s) for u, s in z.items()},
         )
 
 

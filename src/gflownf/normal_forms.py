@@ -7,9 +7,7 @@ trading one unit of input defect.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .opengraph import ExtendedOpenGraph, Graph, Plane
+from .opengraph import ExtendedOpenGraph, Graph, Plane, _Record
 from .gflow import (
     Gflow,
     _check_sigma,
@@ -21,12 +19,22 @@ from .gflow import (
 )
 
 
-@dataclass(frozen=True)
-class PromotionResult:
-    rewritten: ExtendedOpenGraph
-    gflow: Gflow
-    promoted_vertex: int
-    added_vertex: int | None
+class PromotionResult(_Record):
+    _fields = ("rewritten", "gflow", "promoted_vertex", "added_vertex")
+
+    def __init__(
+        self,
+        rewritten: ExtendedOpenGraph,
+        gflow: Gflow,
+        promoted_vertex: int,
+        added_vertex: int | None,
+    ):
+        self.__dict__.update(
+            rewritten=rewritten,
+            gflow=gflow,
+            promoted_vertex=promoted_vertex,
+            added_vertex=added_vertex,
+        )
 
 
 def focus(eog: ExtendedOpenGraph, g: Gflow, sigma: str) -> Gflow:

@@ -11,11 +11,10 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping
 from enum import Enum
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping
 
 
 class OpenGraphError(ValueError):
@@ -34,26 +33,58 @@ class Plane(Enum):
         return axis in self.value
 
 
-@dataclass(frozen=True)
-class Graph:
+class _Record:
+    """An immutable record whose fields ``_fields`` names, in order.
+
+    Each record's own ``__init__`` checks its arguments and stores the
+    fields, and anything derived from them, in the instance ``__dict__``.
+    Assigning or deleting an attribute raises AttributeError. Records
+    compare and hash by their field tuples, only with records of their own
+    class, and ``repr`` shows ``Name(field=value, ...)`` in field order.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Graph(_Record):
     """Simple undirected graph over non-negative integer vertex ids.
 
     Bit i of a vertex mask stands for ``ids[i]``, the i-th smallest vertex
     (``index`` inverts ``ids``), so a mask has |V| bits whatever the ids.
     """
 
-    vertices: frozenset[int]
-    edges: frozenset[tuple[int, int]]
+    _fields = ("vertices", "edges")
 
-    def __post_init__(self):
-        verts = frozenset(self.vertices)
+    def __init__(self, vertices: Iterable[int], edges: Iterable[tuple[int, int]]):
+        verts = frozenset(vertices)
         for v in verts:
             if not isinstance(v, int) or v < 0:
                 raise OpenGraphError(
                     f"vertex ids must be non-negative integers, got {v!r}"
                 )
         norm = set()
-        for edge in self.edges:
+        for edge in edges:
             u, v = edge
             if u == v:
                 raise OpenGraphError(f"self-loop at vertex {u}")
@@ -62,10 +93,13 @@ class Graph:
                     f"edge ({u}, {v}) has an endpoint outside the vertex set"
                 )
             norm.add((u, v) if u < v else (v, u))
-        object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "edges", frozenset(norm))
-        object.__setattr__(self, "ids", tuple(sorted(verts)))
-        object.__setattr__(self, "index", {v: i for i, v in enumerate(self.ids)})
+        ids = tuple(sorted(verts))
+        self.__dict__.update(
+            vertices=verts,
+            edges=frozenset(norm),
+            ids=ids,
+            index={v: i for i, v in enumerate(ids)},
+        )
 
     @cached_property
     def adjacency_masks(self) -> tuple[int, ...]:
@@ -120,8 +154,7 @@ def odd_neighbourhood(graph: Graph, a: Iterable[int]) -> frozenset[int]:
     return graph.members(odd_mask(graph, graph.mask(a)))
 
 
-@dataclass(frozen=True)
-class ExtendedOpenGraph:
+class ExtendedOpenGraph(_Record):
     """Open graph with input/output marks and a measurement-plane map.
 
     The plane map is total on the measured (non-output) vertices and
@@ -129,20 +162,23 @@ class ExtendedOpenGraph:
     are immutable; rewrites build new ones.
     """
 
-    graph: Graph
-    inputs: frozenset[int]
-    outputs: frozenset[int]
-    planes: Mapping[int, Plane]
+    _fields = ("graph", "inputs", "outputs", "planes")
 
-    def __post_init__(self):
-        inputs = frozenset(self.inputs)
-        outputs = frozenset(self.outputs)
-        verts = self.graph.vertices
+    def __init__(
+        self,
+        graph: Graph,
+        inputs: Iterable[int],
+        outputs: Iterable[int],
+        planes: Mapping[int, Plane],
+    ):
+        inputs = frozenset(inputs)
+        outputs = frozenset(outputs)
+        verts = graph.vertices
         if not inputs <= verts:
             raise OpenGraphError(f"inputs {sorted(inputs - verts)} are not vertices")
         if not outputs <= verts:
             raise OpenGraphError(f"outputs {sorted(outputs - verts)} are not vertices")
-        planes = dict(self.planes)
+        planes = dict(planes)
         for v, p in planes.items():
             if not isinstance(p, Plane):
                 raise OpenGraphError(f"plane of vertex {v} must be a Plane, got {p!r}")
@@ -154,9 +190,9 @@ class ExtendedOpenGraph:
                 f"plane map must cover exactly the measured vertices "
                 f"(extra: {extra}, missing: {missing})"
             )
-        object.__setattr__(self, "inputs", inputs)
-        object.__setattr__(self, "outputs", outputs)
-        object.__setattr__(self, "planes", MappingProxyType(planes))
+        self.__dict__.update(
+            graph=graph, inputs=inputs, outputs=outputs, planes=MappingProxyType(planes)
+        )
 
     def __reduce__(self):
         # a mapping proxy cannot be pickled

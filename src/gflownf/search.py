@@ -12,18 +12,17 @@ cycle. Both use the gflow rules of ``gflow.py``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .opengraph import ExtendedOpenGraph
+from .opengraph import ExtendedOpenGraph, _Record
 from .gflow import _PLANE_BITS, Gflow, _check_sigma, _nf_excess, check_input_planes
 
 ENUMERATION_LIMIT = 1_000_000  # combinations; `enumerate --limit` defaults to it
 
 
-@dataclass(frozen=True)
-class GflowEnumeration:
-    gflows: tuple[Gflow, ...]
-    exhausted: bool
+class GflowEnumeration(_Record):
+    _fields = ("gflows", "exhausted")
+
+    def __init__(self, gflows: tuple[Gflow, ...], exhausted: bool):
+        self.__dict__.update(gflows=gflows, exhausted=exhausted)
 
     @property
     def count(self) -> int:

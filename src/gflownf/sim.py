@@ -30,12 +30,11 @@ and builder, bit for bit; the tests check each against a dense reference,
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
-from typing import Mapping
+from collections.abc import Iterable, Mapping
 
 import numpy as np
 
-from .opengraph import ExtendedOpenGraph, Graph, Plane
+from .opengraph import ExtendedOpenGraph, Graph, Plane, _Record
 from .gflow import CorrectiveMaps, Gflow, _check_domain, corrective_maps
 from .gflow import extensivity_order
 
@@ -56,26 +55,26 @@ class BranchLimitError(RuntimeError):
         self.limit = dict(limit)
 
 
-@dataclass
-class Statevector:
-    qubits: tuple[int, ...]
-    amplitudes: np.ndarray
+class Statevector(_Record):
+    _fields = ("qubits", "amplitudes")
 
-    def __post_init__(self):
-        self.qubits = tuple(self.qubits)
-        self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
-        if self.amplitudes.shape != (2 ** len(self.qubits),):
+    def __init__(self, qubits: Iterable[int], amplitudes: np.ndarray):
+        qubits = tuple(qubits)
+        amplitudes = np.asarray(amplitudes, dtype=complex)
+        if amplitudes.shape != (2 ** len(qubits),):
             raise ValueError(
-                f"amplitude vector of length {self.amplitudes.size} does not "
-                f"match {len(self.qubits)} qubits"
+                f"amplitude vector of length {amplitudes.size} does not "
+                f"match {len(qubits)} qubits"
             )
+        self.__dict__.update(qubits=qubits, amplitudes=amplitudes)
 
 
 def _row_state(qubits: tuple[int, ...], row: np.ndarray) -> Statevector:
-    """A walk's row as a `Statevector`, without `__post_init__`'s checks: the
+    """A walk's row as a `Statevector`, without `__init__`'s checks: the
     walk made ``row`` a complex vector of length 2**len(qubits)."""
     state = object.__new__(Statevector)
-    state.qubits, state.amplitudes = qubits, row
+    object.__setattr__(state, "qubits", qubits)
+    object.__setattr__(state, "amplitudes", row)
     return state
 
 
@@ -244,36 +243,41 @@ def apply_correction(state: Statevector, pauli: str, targets, s: int) -> Stateve
     return Statevector(state.qubits, out[0])
 
 
-@dataclass(frozen=True)
-class Pattern:
+class Pattern(_Record):
     """Extended open graph with angles, corrections and a measurement order."""
 
-    eog: ExtendedOpenGraph
-    angles: Mapping[int, float]
-    corrections: CorrectiveMaps
-    schedule: tuple[int, ...]
+    _fields = ("eog", "angles", "corrections", "schedule")
 
-    def __post_init__(self):
-        object.__setattr__(self, "angles", dict(self.angles))
-        object.__setattr__(self, "schedule", tuple(self.schedule))
-        measured = self.eog.measured
-        if frozenset(self.schedule) != measured or len(self.schedule) != len(measured):
+    def __init__(
+        self,
+        eog: ExtendedOpenGraph,
+        angles: Mapping[int, float],
+        corrections: CorrectiveMaps,
+        schedule: Iterable[int],
+    ):
+        angles = dict(angles)
+        schedule = tuple(schedule)
+        measured = eog.measured
+        if frozenset(schedule) != measured or len(schedule) != len(measured):
             raise ValueError("schedule must order the measured vertices exactly")
-        if not measured <= frozenset(self.angles):
+        if not measured <= frozenset(angles):
             raise ValueError("angles must cover every measured vertex")
-        for u, a in self.angles.items():
+        for u, a in angles.items():
             if not math.isfinite(a):
                 raise ValueError(f"angle of vertex {u} must be finite, got {a}")
-        _check_maps(self.eog, self.corrections)
-        position = {u: i for i, u in enumerate(self.schedule)}
-        for u in self.schedule:
-            for v in self.corrections.x[u] | self.corrections.z[u]:
-                if v not in self.eog.vertices:
+        _check_maps(eog, corrections)
+        position = {u: i for i, u in enumerate(schedule)}
+        for u in schedule:
+            for v in corrections.x[u] | corrections.z[u]:
+                if v not in eog.vertices:
                     raise ValueError(f"corrector {v} of {u} is not a vertex")
                 if v in position and position[v] <= position[u]:
                     raise ValueError(
                         f"corrector {v} of {u} would already be measured"
                     )
+        self.__dict__.update(
+            eog=eog, angles=angles, corrections=corrections, schedule=schedule
+        )
 
 
 def _check_maps(eog: ExtendedOpenGraph, maps: CorrectiveMaps) -> None:
@@ -305,14 +309,19 @@ def pattern_from_gflow(
 
 
 def strip_corrections(pattern: Pattern) -> Pattern:
-    return replace(pattern, corrections=_no_corrections(pattern.eog))
+    eog = pattern.eog
+    return Pattern(eog, pattern.angles, _no_corrections(eog), pattern.schedule)
 
 
-@dataclass(frozen=True)
-class BranchResult:
-    signals: Mapping[int, int]
-    probability: float
-    output_state: Statevector
+class BranchResult(_Record):
+    _fields = ("signals", "probability", "output_state")
+
+    def __init__(
+        self, signals: Mapping[int, int], probability: float, output_state: Statevector
+    ):
+        self.__dict__.update(
+            signals=signals, probability=probability, output_state=output_state
+        )
 
 
 def _walk(pattern: Pattern, input_states):
@@ -400,16 +409,29 @@ def run_all_branches(
     ]
 
 
-@dataclass(frozen=True)
-class DeterminismReport:
-    deterministic: bool
-    max_state_deviation: float
-    probabilities: tuple[float, ...]
-    strong: bool
-    tolerance: float
+class DeterminismReport(_Record):
+    _fields = (
+        "deterministic", "max_state_deviation", "probabilities", "strong", "tolerance"
+    )
+
+    def __init__(
+        self,
+        deterministic: bool,
+        max_state_deviation: float,
+        probabilities: tuple[float, ...],
+        strong: bool,
+        tolerance: float,
+    ):
+        self.__dict__.update(
+            deterministic=deterministic,
+            max_state_deviation=max_state_deviation,
+            probabilities=probabilities,
+            strong=strong,
+            tolerance=tolerance,
+        )
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {name: getattr(self, name) for name in self._fields}
 
 
 def _check_tolerance(tol: float) -> None:

@@ -1,4 +1,6 @@
-"""numpy, through gflownf.sim, loads only when a simulator name is used.
+"""numpy, through gflownf.sim, loads only when a simulator name is used,
+and importing the package and its CLI loads none of ``dataclasses``,
+``inspect`` and ``typing``.
 
 Each check runs in a fresh interpreter, so no earlier import in the test
 process can hide a module that the package or the CLI loads.
@@ -50,9 +52,16 @@ def run_python(code, stdin=""):
 
 
 def test_import_leaves_numpy_unloaded():
+    # Compared with what the interpreter held before the import: a site hook
+    # may load inspect or typing before any user code runs.
     loaded = run_python(
-        "import json, sys, gflownf, gflownf.cli\n"
-        "print(json.dumps([m for m in ('numpy', 'gflownf.sim') if m in sys.modules]))"
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import gflownf, gflownf.cli\n"
+        "added = set(sys.modules) - before\n"
+        "import json\n"
+        "names = ('numpy', 'gflownf.sim', 'dataclasses', 'inspect', 'typing')\n"
+        "print(json.dumps([m for m in names if m in added]))"
     )
     assert loaded == []
 

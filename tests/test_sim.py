@@ -3,7 +3,6 @@ import itertools
 import math
 import random
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -141,7 +140,9 @@ class TestPatternAngles:
     def test_non_finite_angle_rejected(self, path_eog, path_gflow, bad):
         pattern = path_pattern(path_eog, path_gflow, {1: 0.3, 2: 1.1})
         with pytest.raises(ValueError, match="angle of vertex 2"):
-            replace(pattern, angles={1: 0.3, 2: bad})
+            Pattern(
+                pattern.eog, {1: 0.3, 2: bad}, pattern.corrections, pattern.schedule
+            )
         with pytest.raises(ValueError, match="angle of vertex 1"):
             pattern_from_gflow(path_eog, {1: bad, 2: 1.1}, path_gflow)
 
@@ -154,12 +155,16 @@ class TestArgumentChecks:
     @pytest.mark.parametrize(
         "call, message",
         [
-            (lambda p: replace(p, schedule=(1,)), "schedule must order"),
-            (lambda p: replace(p, angles={1: 0.3}), "angles must cover"),
-            (lambda p: replace(
-                p, corrections=replace(p.corrections, x={1: {9}, 2: {3}})),
+            (lambda p: Pattern(p.eog, p.angles, p.corrections, (1,)),
+             "schedule must order"),
+            (lambda p: Pattern(p.eog, {1: 0.3}, p.corrections, p.schedule),
+             "angles must cover"),
+            (lambda p: Pattern(
+                p.eog, p.angles, CorrectiveMaps({1: {9}, 2: {3}}, p.corrections.z),
+                p.schedule),
              "corrector 9 of 1 is not a vertex"),
-            (lambda p: replace(p, schedule=(2, 1)), "corrector 2 of 1 would already"),
+            (lambda p: Pattern(p.eog, p.angles, p.corrections, (2, 1)),
+             "corrector 2 of 1 would already"),
             (lambda p: Statevector((0, 1), [1.0, 0.0]), "length 2 does not match"),
             (lambda p: measure(basis_state((0,), 0), 0, Plane.XY, 0.0, 2),
              "signal must be 0 or 1"),
@@ -318,7 +323,7 @@ class TestDeterminism:
             {0: Plane.XY, 1: Plane.XY},
         )
         p1 = pattern_from_gflow(eog, {0: 1.1, 1: 0.4}, Gflow({0: {2}, 1: {3}}))
-        p2 = replace(p1, schedule=(1, 0))
+        p2 = Pattern(p1.eog, p1.angles, p1.corrections, (1, 0))
         assert p1.schedule == (0, 1) and p1.corrections.z == {0: {3}, 1: {2}}
         inp = random_input((0, 1), np.random.default_rng(5))
         first = run_all_branches(p1, inp)
@@ -882,7 +887,9 @@ class TestRowBatchedIsometry:
         # each basis input certifies on a subset of its rows
         none = {0: frozenset(), 1: frozenset()}
         x = {0: frozenset(), 1: frozenset({2})}
-        pattern = replace(pattern, corrections=CorrectiveMaps(x, none))
+        pattern = Pattern(
+            pattern.eog, pattern.angles, CorrectiveMaps(x, none), pattern.schedule
+        )
         for bits in (0, 1):
             probs = sim._walk(pattern, (basis_state((0,), bits),))[1]
             assert probs.tolist().count(0.0) == 2
