@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Collection, Iterable, Mapping
+from functools import cached_property
 from types import MappingProxyType
 
 from .opengraph import (
@@ -112,20 +113,15 @@ class Gflow(_Record):
     def _of_bits(cls, graph: Graph, bits: dict[int, int]) -> Gflow:
         """The gflow whose corrector at ``graph.ids[i]`` has mask ``bits[i]``."""
         g = object.__new__(cls)
-        object.__setattr__(g, "_graph", graph)
-        object.__setattr__(g, "_bits", MappingProxyType(bits))
-        object.__setattr__(g, "_memo", None)
+        g.__dict__.update(_graph=graph, _bits=MappingProxyType(bits), _memo=None)
         return g
 
-    def __getattr__(self, name):
-        # called for attributes the instance lacks: ``assignments`` is one
-        # only for an ``_of_bits`` gflow, until its first use
-        if name != "assignments" or self._bits is None:
-            raise AttributeError(name)
+    @cached_property
+    def assignments(self) -> Mapping[int, frozenset[int]]:
+        # reached only by an ``_of_bits`` gflow, whose ``__dict__`` lacks
+        # ``assignments`` until its first use
         ids, members = self._graph.ids, self._graph.members
-        view = MappingProxyType({ids[i]: members(k) for i, k in self._bits.items()})
-        object.__setattr__(self, "assignments", view)
-        return view
+        return MappingProxyType({ids[i]: members(k) for i, k in self._bits.items()})
 
     def __reduce__(self):
         # a mapping proxy cannot be pickled; a copy starts with no memo
@@ -383,7 +379,7 @@ def _masks(eog, g):
             codomain.append(Violation(u, "codomain", graph.members(k & i_mask)))
         masks[i] = (k, odd_mask(graph, k))
     found = tuple(codomain), MappingProxyType(masks)
-    object.__setattr__(g, "_memo", (eog, found, None))
+    g.__dict__["_memo"] = (eog, found, None)
     return found
 
 
@@ -412,7 +408,7 @@ def _verify(eog, g):
             cycle = [ids[i] for i in _witness_cycle(succ, _peel(succ)[1])]
             violations.append(Violation(cycle[0], "extensivity", frozenset(cycle)))
     result = VerificationReport(not violations, tuple(violations)), masks, order
-    object.__setattr__(g, "_memo", (eog, found, result))
+    g.__dict__["_memo"] = (eog, found, result)
     return result
 
 

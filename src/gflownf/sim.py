@@ -68,6 +68,16 @@ class Statevector(_Record):
             )
         self.__dict__.update(qubits=qubits, amplitudes=amplitudes)
 
+    def __eq__(self, other):
+        # the base's field tuples would compare two arrays with ``==``,
+        # whose elementwise result has no truth value; this also sets
+        # ``__hash__`` to None, so a state stays unhashable
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.qubits == other.qubits and np.array_equal(
+            self.amplitudes, other.amplitudes
+        )
+
 
 def _row_state(qubits: tuple[int, ...], row: np.ndarray) -> Statevector:
     """A walk's row as a `Statevector`, without `__init__`'s checks: the

@@ -500,16 +500,31 @@ def _found_gflow(seed):
             return serialize_open_graph(eog), serialize_gflow(g)
 
 
+# a 2 x 3 XY grid, inputs 0 and 3 on its first column, outputs on its last
+GRID_DOC = json.dumps(
+    {"vertices": [0, 1, 2, 3, 4, 5],
+     "edges": [[0, 1], [1, 2], [3, 4], [4, 5], [0, 3], [1, 4], [2, 5]],
+     "inputs": [0, 3], "outputs": [2, 5],
+     "planes": {"0": "XY", "1": "XY", "3": "XY", "4": "XY"}}
+)
+
+
 class TestOneSchedulePath:
     """A gflow and its corrective maps give one pattern: simulate prints the
     same line for the gflow's document and for the maps' document."""
 
     @pytest.mark.parametrize("state", ["basis", "random"])
-    @pytest.mark.parametrize("seed", [None, 0, 1, 2, 3])
+    @pytest.mark.parametrize("seed", [None, 0, 1, 2, 3, "grid"])
     def test_gflow_and_its_maps_print_the_same_line(
         self, capsys, tmp_path, seed, state
     ):
-        graph, flow = (PATH_DOC, PATH_GFLOW) if seed is None else _found_gflow(seed)
+        if seed is None:
+            graph, flow = PATH_DOC, PATH_GFLOW
+        elif seed == "grid":
+            graph = GRID_DOC
+            flow = serialize_gflow(find_gflow(parse_open_graph(graph)))
+        else:
+            graph, flow = _found_gflow(seed)
         maps = corrective_maps(parse_open_graph(graph), parse_gflow(flow))
         maps_doc = {
             side: {str(u): sorted(s) for u, s in getattr(maps, side).items()}
@@ -694,29 +709,79 @@ class TestMalformedIds:
         input_error(capsys, ["simulate", graph_file, str(p)])
 
 
+@pytest.fixture(scope="module")
+def chain(tmp_path_factory):
+    """A 20,000-vertex XY chain, input 0 and output n - 1, as a document and
+    as the file holding it, built once for the module; tests copy the
+    document before changing it."""
+    n = 20_000
+    doc = {
+        "vertices": list(range(n)), "edges": [[i, i + 1] for i in range(n - 1)],
+        "inputs": [0], "outputs": [n - 1],
+        "planes": {str(i): "XY" for i in range(n - 1)},
+    }
+    path = tmp_path_factory.mktemp("chain") / "chain.json"
+    path.write_text(json.dumps(doc))
+    return doc, path
+
+
+def test_chain_find_verify_and_check_nf(capsys, tmp_path, chain):
+    # A finder round costs its frontier rows and verification is one
+    # iterative search, so on this chain each command takes under a second,
+    # not the minutes of one row per unsolved vertex per round, and no call
+    # recurses once per vertex.
+    doc, graph = chain
+    n = len(doc["vertices"])
+    code, found = run(capsys, ["find", str(graph)])
+    # the gflow is serialized from its masks: g(u) = {u + 1}, ids ascending
+    assert code == 0
+    assert found["gflow"] == {str(u): [u + 1] for u in range(n - 1)}
+    gflow = tmp_path / "gflow.json"
+    gflow.write_text(json.dumps({"g": found["gflow"]}))
+    assert run(capsys, ["verify", str(graph), str(gflow)]) == (
+        0, {"valid": True, "violations": []}
+    )
+    # the last corrector pointing back closes a cycle 20,000 vertices deep:
+    # verify exits 1 with one line naming it
+    cycle = {str(u): [u + 1] for u in range(n - 2)}
+    cycle[str(n - 2)] = [n - 3]
+    (tmp_path / "cycle.json").write_text(json.dumps({"g": cycle}))
+    assert main(["verify", str(graph), str(tmp_path / "cycle.json")]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0]) == {
+        "valid": False,
+        "violations": [
+            {"vertex": n - 2, "condition": "extensivity", "witness": [n - 4, n - 2]}
+        ],
+    }
+    # check-nf builds the masks once for the NF test and the validity check;
+    # a chain's gflow is not Z-NF, so it exits 1
+    assert run(capsys, ["check-nf", str(graph), str(gflow), "--sigma", "Z"]) == (
+        1, {"normal_form": False, "sigma": "Z"}
+    )
+
+
 class TestErrorLine:
     """An input error's stderr line holds at most ERROR_CHARS characters of the
     library's message, then its full length, however large the document."""
 
     @pytest.mark.parametrize("case", ["gflow-without-0", "no-planes", "long-plane"])
-    def test_long_message_is_capped(self, capsys, tmp_path, case):
-        n = 20_000  # an XY chain, input 0 and output n - 1
-        doc = {
-            "vertices": list(range(n)), "edges": [[i, i + 1] for i in range(n - 1)],
-            "inputs": [0], "outputs": [n - 1],
-            "planes": {str(i): "XY" for i in range(n - 1)},
-        }
-        graph, gflow = tmp_path / "graph.json", tmp_path / "gflow.json"
-        argv = ["find", str(graph)]
+    def test_long_message_is_capped(self, capsys, tmp_path, chain, case):
+        doc, graph = chain
+        n = len(doc["vertices"])
+        gflow = tmp_path / "gflow.json"
         if case == "gflow-without-0":
             gflow.write_text(json.dumps({"g": {str(u): [u + 1] for u in range(1, n - 1)}}))
             argv = ["verify", str(graph), str(gflow)]
-        elif case == "no-planes":
-            doc["planes"] = {}
         else:
-            doc = json.loads(PATH_DOC)
-            doc["planes"]["1"] = ["XY"] * 100_000
-        graph.write_text(json.dumps(doc))
+            if case == "no-planes":
+                doc = dict(doc, planes={})
+            else:
+                doc = json.loads(PATH_DOC)
+                doc["planes"]["1"] = ["XY"] * 100_000
+            graph = tmp_path / "graph.json"
+            graph.write_text(json.dumps(doc))
+            argv = ["find", str(graph)]
         with pytest.raises((OpenGraphError, ValueError)) as raised:
             eog = parse_open_graph(graph.read_text())
             verify_gflow(eog, parse_gflow(gflow.read_text()))

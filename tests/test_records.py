@@ -4,7 +4,8 @@ Each record takes its fields positionally or by keyword, refuses assignment
 and deletion, compares and hashes by its field tuple, only with records of
 its own class (a subclass is another class), and shows
 ``Name(field=value, ...)`` in field order. The expected reprs are the ones
-the records printed as dataclasses.
+the records printed as dataclasses. A state compares its amplitudes by
+value, where a dataclass raised on two distinct arrays.
 """
 
 import numpy as np
@@ -122,3 +123,34 @@ def test_record_fields_are_read_only(cls, fields, text, hashable):
         with pytest.raises(AttributeError):
             delattr(record, name)
         assert getattr(record, name) is kept
+
+
+def test_states_compare_by_value():
+    # states on distinct equal arrays answer == instead of raising, and so
+    # do the branch results that hold them
+    state = Statevector((1,), [1, 0])
+    same = Statevector((1,), np.array([1, 0], dtype=complex))
+    other = Statevector((1,), [0, 1])
+    assert state.amplitudes is not same.amplitudes
+    assert state == same and not state != same
+    assert state != other and state != Statevector((2,), [1, 0])
+    branch = BranchResult({0: 1}, 0.5, state)
+    assert branch == BranchResult({0: 1}, 0.5, same)
+    assert branch != BranchResult({0: 1}, 0.5, other)
+    with pytest.raises(TypeError):
+        hash(same)
+
+
+def test_bit_form_gflow_assignments_are_read_only():
+    # the lazy id sets of a gflow built from masks refuse assignment and
+    # deletion before and after their first read
+    graph = Graph(frozenset({0, 1}), frozenset({(0, 1)}))
+    g = Gflow._of_bits(graph, {0: 0b10})
+    for read in (False, True):
+        if read:
+            assert g.assignments == {0: frozenset({1})}
+        with pytest.raises(AttributeError):
+            g.assignments = {0: frozenset()}
+        with pytest.raises(AttributeError):
+            del g.assignments
+    assert g == Gflow({0: {1}})
