@@ -3,9 +3,12 @@
 States live on an ordered qubit register (first qubit is the most
 significant bit). The prepared graph state is a single 2**n complex array:
 the input amplitudes broadcast over |+> on the other qubits, negated in
-place, in one masked pass, wherever a 2**n-byte table of the CZ parity
-q(x) = sum of x_u x_v over the edges (mod 2) reads 1; a walk from several
-input states builds that table once and signs all of their registers with
+place wherever the CZ parity q(x) = sum of x_u x_v over the edges (mod 2)
+is 1. A 2**n-byte table holds q as a float64 sign bit, and XOR-ing it
+into the sign byte of each amplitude's real and imaginary part negates
+the amplitude exactly; Z corrections flip sign bits too, so no kernel
+calls complex negation. A walk from several input states builds that
+table once and signs all of their registers with
 it. Measured qubits are factored out at once, against eigenvectors written
 in closed form from the Bloch angles of the measurement direction, so no
 eigensolver runs. After d measurements the 2**d signal prefixes all
@@ -42,6 +45,9 @@ STATE_TOL = 1e-9
 DEFAULT_BRANCH_BOUND = 12
 DEFAULT_MAX_QUBITS = 24
 _BATCH = 2**14  # amplitudes in one walk of several isometry inputs: 256 KiB
+# -0.0's bits: a float64's sign bit, as a uint64 and as the byte holding 0x80
+_SIGN_BIT = np.array(-0.0).view(np.uint64)[()]
+_SIGN = np.array(-0.0).tobytes().index(0x80)
 
 
 class BranchLimitError(RuntimeError):
@@ -83,8 +89,7 @@ def _row_state(qubits: tuple[int, ...], row: np.ndarray) -> Statevector:
     """A walk's row as a `Statevector`, without `__init__`'s checks: the
     walk made ``row`` a complex vector of length 2**len(qubits)."""
     state = object.__new__(Statevector)
-    object.__setattr__(state, "qubits", qubits)
-    object.__setattr__(state, "amplitudes", row)
+    state.__dict__.update(qubits=qubits, amplitudes=row)
     return state
 
 
@@ -109,11 +114,14 @@ def _prepare_rows(graph: Graph, inputs, input_states) -> np.ndarray:
     states and broadcast over the non-input qubits, are copied into its
     row. The CZs together multiply amplitude x by (-1)**q(x), where q(x) is
     the parity of the edges with both endpoints set in x, and one table of
-    one byte per amplitude holds q for every row. For each qubit p, from
-    the last to the first, the table doubles: its new half, where p is set,
-    is a copy of the old one, and each later neighbour of p XORs one
-    strided bit pattern into it. One masked negation where q is 1 then
-    signs all rows, each amplitude at most once.
+    one byte per amplitude holds q for every row, as 0x80 where q is 1:
+    the sign bit of a float64's sign byte. For each qubit p, from the last
+    to the first, the table doubles: its new half, where p is set, is a
+    copy of the old one, and each later neighbour of p XORs 0x80 into one
+    strided pattern of it. XOR-ing the table into the sign byte of every
+    amplitude's real part, then of its imaginary part, signs all rows: two
+    strided byte passes that negate each float exactly as np.negative
+    does, signed zeros, infinities and NaN included.
     """
     inputs = frozenset(inputs)
     in_qubits = tuple(sorted(inputs))
@@ -143,8 +151,10 @@ def _prepare_rows(graph: Graph, inputs, input_states) -> np.ndarray:
         half[:] = parity[:size]
         for q in later[p]:
             ones = half.reshape(-1, 2, 2 ** (n - 1 - q))[:, 1]
-            ones ^= 1
-    np.negative(amps, out=amps, where=parity.view(bool))
+            ones ^= 0x80
+    signs = amps.view(np.uint8).reshape(len(amps), 2**n, 16)
+    signs[:, :, _SIGN] ^= parity
+    signs[:, :, 8 + _SIGN] ^= parity
     return amps
 
 
@@ -208,10 +218,21 @@ def _flip_rows(rows, axes, out) -> None:
 
 
 def _negate_rows(rows, axes) -> None:
-    """Z on the qubits at ``axes``, in place: negate each row's 1 slices."""
+    """Z on the qubits at ``axes``, in place: negate each row's 1 slices.
+
+    Each float part is negated by XOR-ing its sign bit on a uint64 view of
+    the rows, which gives the bytes complex negation gives at a fraction of
+    its cost; numpy 2.4.6's in-place float64 negation can misread a 64-byte
+    stride, the row stride of one-qubit rows. The view splits each
+    amplitude along the last axis only, so the qubit axes stay put. At the
+    last qubit each slice is one amplitude, which numpy would visit two
+    words at a time; there the real parts, then the imaginary parts, are
+    flipped as one strided run each.
+    """
     for p in axes:
-        one = rows.reshape(len(rows), 2**p, 2, -1)[:, :, 1]
-        np.negative(one, out=one)
+        one = rows.view(np.uint64).reshape(len(rows), 2**p, 2, -1)[:, :, 1]
+        for part in (one,) if one.shape[2] > 2 else (one[..., 0], one[..., 1]):
+            part ^= _SIGN_BIT
 
 
 def measure(state: Statevector, u: int, plane: Plane, alpha: float, s: int):

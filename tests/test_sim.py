@@ -2,6 +2,7 @@ import ast
 import itertools
 import math
 import random
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -827,6 +828,49 @@ class TestWalkRows:
         states = [basis_state((0,), 1), basis_state((1,), 0)]
         with pytest.raises(ValueError, match="exactly on the input qubits"):
             sim._prepare_rows(graph, (0,), states)
+
+
+class TestSignBitKernels:
+    """The walk negates amplitudes by their float parts' sign bits; that
+    must give the bytes complex np.negative gives, signed zeros, infinities
+    and NaN of either sign included."""
+
+    SPECIAL = np.array(
+        [0.0, -0.0, np.inf, -np.inf, np.nan, np.copysign(np.nan, -1.0), 1.5, -5e-324]
+    )
+
+    @classmethod
+    def special_amplitudes(cls, rng, shape):
+        # set part by part: complex arithmetic would turn inf * 1j into NaN
+        amps = np.empty(shape, dtype=complex)
+        amps.real = rng.choice(cls.SPECIAL, shape)
+        amps.imag = rng.choice(cls.SPECIAL, shape)
+        return amps
+
+    @pytest.mark.parametrize("q", range(1, 7))
+    def test_z_kernel_on_the_walks_outcome_views(self, q):
+        rng = np.random.default_rng(q)
+        n, half = 3, 2**q
+        for axes in [[p] for p in range(q)] + [list(range(q))]:
+            spare = self.special_amplitudes(rng, 2 * n * half)
+            want = spare.copy()
+            for p in axes:
+                one = want.reshape(n, 2, half)[:, 1].reshape(n, 2**p, 2, -1)[:, :, 1]
+                np.negative(one, out=one)
+            sim._negate_rows(spare.reshape(n, 2, half)[:, 1], axes)
+            assert spare.tobytes() == want.tobytes(), axes
+
+    def test_sign_byte_offsets(self):
+        assert sim._SIGN == (7 if sys.byteorder == "little" else 0)
+        assert sim._SIGN_BIT == 1 << 63
+        amps = self.special_amplitudes(np.random.default_rng(11), 256)
+        want = np.negative(amps).tobytes()
+        flipped = amps.copy()
+        parts = flipped.view(np.uint8).reshape(-1, 16)
+        parts[:, sim._SIGN] ^= 0x80
+        parts[:, 8 + sim._SIGN] ^= 0x80
+        assert flipped.tobytes() == want
+        assert (amps.view(np.uint64) ^ sim._SIGN_BIT).tobytes() == want
 
 
 def isometry_or_error(pattern):
